@@ -54,6 +54,10 @@ impl DeviceModel for WrongJacobianDev {
     }
 }
 
+/// The sabotage tests serialize: while the traced one has the process-global
+/// tracing on, a failing transient on a sibling would submit a bundle.
+static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// 1 pF discharging through the wrong-Jacobian device: τ = 1 ns.
 fn sabotaged_rc() -> (Circuit, tfet_circuit::NodeId) {
     let mut c = Circuit::new();
@@ -77,10 +81,13 @@ fn sabotaged_rc() -> (Circuit, tfet_circuit::NodeId) {
 /// run — the result is still the physical RC discharge.
 #[test]
 fn sabotage_escalates_through_refactorization_to_rescue_ladder() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (c, a) = sabotaged_rc();
     // Trace the sabotaged run: the rescue ladder is the one span site a
     // healthy gate run never reaches, so this is where the timeline trace
-    // proves it instruments the last rung too.
+    // proves it instruments the last rung too. Bundles go to a temp dir.
+    let diagnostics = std::env::temp_dir().join("tfet-modified-newton");
+    tfet_obs::forensics::set_dir(&diagnostics);
     tfet_obs::reset();
     tfet_obs::enable();
     tfet_obs::trace::start();
@@ -92,6 +99,7 @@ fn sabotage_escalates_through_refactorization_to_rescue_ladder() {
         .unwrap();
     tfet_obs::trace::stop();
     tfet_obs::disable();
+    let _ = std::fs::remove_dir_all(&diagnostics);
     let trace = tfet_obs::trace::export_value();
     let names: Vec<&str> = trace
         .get("traceEvents")
@@ -128,6 +136,7 @@ fn sabotage_escalates_through_refactorization_to_rescue_ladder() {
 /// strategy too — escalation terminates, it does not loop.
 #[test]
 fn sparse_unrescuable_failure_still_errors() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (c, a) = sabotaged_rc();
     let err = c
         .transient(

@@ -29,9 +29,8 @@
 //!   brute force cannot reach;
 //! * [`snm`] — classical static noise margins (Seevinck butterfly), the
 //!   baseline metric family the paper's dynamic approach replaces;
-//! * [`array`](mod@array) — array-level functional simulation: shared wordlines and
-//!   bitlines, half-select physics, disturb detection;
-//! * [`array_netlist`] — the fast-SPICE array engine: R×C cells with
+//! * [`array_netlist`] — the array engine: R×C cells on shared wordlines
+//!   and bitlines (half-select physics, disturb detection) with
 //!   wordline-driver, precharge and write-mux peripherals compiled once
 //!   into a single circuit, re-run under rebound control waveforms, and
 //!   accelerated by the circuit crate's quiescent-partition latency tier;
@@ -62,7 +61,6 @@
 #![warn(missing_docs)]
 
 pub mod area;
-pub mod array;
 pub mod array_netlist;
 pub mod assist;
 pub mod cell;
@@ -85,10 +83,10 @@ pub mod prelude {
     pub use crate::assist::{ReadAssist, WriteAssist};
     pub use crate::error::SramError;
     pub use crate::metrics::{self, WlCrit, WlCritRun};
-    pub use crate::montecarlo::{McConfig, McDrnm, McWlCrit, QuarantinedSample};
+    pub use crate::montecarlo::{McConfig, McDrnm, McWlCrit};
     pub use crate::ops::{ReadExperiment, WriteExperiment};
     pub use crate::rare_event::{
-        yield_read, yield_write, Factor, QuarantinedYieldSample, VariationModel, YieldConfig,
+        yield_read, yield_write, Factor, QuarantinedSample, VariationModel, YieldConfig,
         YieldMetric, YieldStudy,
     };
     pub use crate::tech::{

@@ -28,17 +28,17 @@
 //! bit-identical at any worker count and the RNG streams of surviving
 //! samples are untouched. [`McConfig::min_yield`] converts excessive
 //! quarantine into a typed [`SramError::LowYield`] error.
+//!
+//! Each study is a thin wrapper over the sampling loop of [`crate::rare_event`].
 
 use crate::assist::{ReadAssist, WriteAssist};
 use crate::error::SramError;
-use crate::metrics::{read_metrics_compiled, wl_crit_compiled, WlCrit};
-use crate::ops::{ReadExperiment, WriteExperiment};
+use crate::rare_event::{sample_study, Probe, QuarantinedSample, Sampler};
 use crate::tech::{CellParams, CellVariations, Role};
 use crate::topology::CellTopology;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tfet_devices::ProcessVariation;
-use tfet_numerics::parallel::par_map_with;
 
 /// The paper's fabrication-control bound: ±5 % gate-oxide thickness.
 pub const TOX_BOUND: f64 = 0.05;
@@ -98,6 +98,15 @@ pub fn sample_variations(rng: &mut StdRng) -> CellVariations {
         v = v.with(role, ProcessVariation::from_deviation(draw_deviation(rng)));
     }
     v
+}
+
+/// A sample's per-role t_ox deviations, labeled by [`Role::label`] in
+/// [`Role::ALL`] order — the `params` of a quarantined Monte-Carlo sample.
+pub(crate) fn role_deviations(v: &CellVariations) -> Vec<(String, f64)> {
+    Role::ALL
+        .iter()
+        .map(|&role| (role.label().to_string(), v.of(role).deviation()))
+        .collect()
 }
 
 /// Execution controls for a Monte-Carlo study.
@@ -167,22 +176,6 @@ impl Default for McConfig {
     }
 }
 
-/// One quarantined Monte-Carlo sample: a sample whose simulation failed and
-/// was excluded from the survivor statistics instead of aborting the study.
-///
-/// The `(study seed, index)` pair replays the sample's private RNG stream,
-/// so `variations` is the *exact* process point the failing simulation saw —
-/// enough to re-run it in isolation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuarantinedSample {
-    /// Sample index within the study.
-    pub index: usize,
-    /// The per-transistor process point the sample drew.
-    pub variations: CellVariations,
-    /// Why the sample was excluded.
-    pub error: SramError,
-}
-
 /// Outcome counts of a Monte-Carlo `WL_crit` study.
 #[derive(Debug, Clone, PartialEq)]
 pub struct McWlCrit {
@@ -246,84 +239,6 @@ fn yield_fraction(survivors: usize, total: usize) -> f64 {
     }
 }
 
-/// Replays a failed sample's RNG stream to recover the exact process point
-/// it drew — cheaper than shipping the draw back from the worker, and
-/// identical because the stream depends only on `(seed, index)`.
-fn quarantined_sample(config: &McConfig, index: usize, error: SramError) -> QuarantinedSample {
-    let mut rng = config.sample_rng(index);
-    QuarantinedSample {
-        index,
-        variations: sample_variations(&mut rng),
-        error,
-    }
-}
-
-/// Splits per-sample outcomes (already in index order) into survivors and
-/// quarantined samples.
-fn split_outcomes<T>(
-    config: &McConfig,
-    outcomes: Vec<Result<T, SramError>>,
-) -> (Vec<T>, Vec<QuarantinedSample>) {
-    let mut survivors = Vec::with_capacity(outcomes.len());
-    let mut quarantined = Vec::new();
-    for (i, outcome) in outcomes.into_iter().enumerate() {
-        match outcome {
-            Ok(v) => survivors.push(v),
-            Err(e) => quarantined.push(quarantined_sample(config, i, e)),
-        }
-    }
-    (survivors, quarantined)
-}
-
-/// Publishes quarantined samples into the observability layer: the
-/// `mc.quarantined` counter, one run-report quarantine record and one
-/// `mc_quarantine` forensics bundle per sample — emitted on the caller's
-/// thread in index order, so traces are bit-identical at any worker count.
-fn publish_quarantine(study: &'static str, config: &McConfig, quarantined: &[QuarantinedSample]) {
-    if quarantined.is_empty() || !tfet_obs::enabled() {
-        return;
-    }
-    tfet_obs::counter("mc.quarantined", quarantined.len() as u64);
-    for q in quarantined {
-        let params: Vec<(String, f64)> = Role::ALL
-            .iter()
-            .map(|&role| (role.label().to_string(), q.variations.of(role).deviation()))
-            .collect();
-        tfet_obs::quarantine(tfet_obs::QuarantineRecord {
-            study,
-            index: q.index as u64,
-            seed: config.seed,
-            params: params.clone(),
-            error: q.error.to_string(),
-        });
-        tfet_obs::forensics::submit(
-            &tfet_obs::forensics::Bundle::new("mc_quarantine")
-                .text("study", study)
-                .int("sample_index", q.index as u64)
-                .int("seed", config.seed)
-                .text("error", q.error.to_string())
-                .named_nums("tox_deviations", &params),
-        );
-    }
-}
-
-/// Converts excessive quarantine into a typed error: with `min_yield > 0`,
-/// a survivor fraction strictly below it aborts the study.
-pub(crate) fn check_yield(
-    survivors: usize,
-    total: usize,
-    config: &McConfig,
-) -> Result<(), SramError> {
-    if total > 0 && (survivors as f64) < config.min_yield * total as f64 {
-        return Err(SramError::LowYield {
-            survivors,
-            total,
-            min_yield: config.min_yield,
-        });
-    }
-    Ok(())
-}
-
 /// Runs an `n`-sample Monte-Carlo of `WL_crit` with the given assist.
 /// Deterministic for a fixed `seed`; equivalent to [`mc_wl_crit_with`] with
 /// default threading.
@@ -376,84 +291,26 @@ pub fn mc_wl_crit_topo(
     n: usize,
     config: McConfig,
 ) -> Result<McWlCrit, SramError> {
-    let _span = tfet_obs::span("mc_wl_crit");
-    // Seed every sample's bisection from the *nominal* cell's answer: ±5 %
-    // t_ox perturbs WL_crit by a few percent, so the nominal value lands each
-    // sample's search in a narrow bracket. The hint is computed once, before
-    // the fan-out, and shared by all samples — never chained sample to
-    // sample — so results stay bit-identical at any thread count. A failing
-    // or unbracketable nominal cell yields no hint and samples fall back to
-    // the cold search.
-    let hint = WriteExperiment::compile_on(topo, base, assist)
-        .ok()
-        .and_then(|mut exp| wl_crit_compiled(&mut exp, None).ok())
-        .and_then(|run| run.value.as_finite());
-    // Each worker compiles the write experiment once on its first sample and
-    // retargets it per sample through device binds — the compiled circuit is
-    // a pure cache (waveforms and initial conditions depend only on the
-    // shared supply/timing, never on the variations), so values stay
-    // bit-identical to a build-per-sample loop at any thread count.
-    let outcomes = par_map_with(
-        n,
-        config.threads,
-        || None,
-        |slot: &mut Option<WriteExperiment>, i| {
-            // A *root* span: at one worker the sample runs inline on the
-            // caller's thread (under the "mc_wl_crit" span), at many it runs
-            // on a fresh thread — pinning the path keeps the span tree
-            // thread-count invariant.
-            let _span = tfet_obs::root_span("mc_sample_wl_crit");
-            let result = (|| {
-                let mut rng = config.sample_rng(i);
-                let params = base.clone().with_variations(sample_variations(&mut rng));
-                match slot {
-                    Some(exp) => exp.bind_cell(&params)?,
-                    None => *slot = Some(WriteExperiment::compile_on(topo, &params, assist)?),
-                }
-                let exp = slot.as_mut().expect("compiled above");
-                let run = wl_crit_compiled(exp, hint)?;
-                // Per-sample solve cost: how much Newton effort one MC sample
-                // charges, as a histogram so outlier samples stand out.
-                tfet_obs::record_u64("mc.sample_newton_solves", run.effort.newton_solves);
-                tfet_obs::record_u64("mc.sample_newton_iters", run.effort.newton_iters);
-                match run.value {
-                    // An unbracketable search is a failed sample, not a
-                    // verdict — surface its recorded cause for quarantine.
-                    WlCrit::Unbracketable => {
-                        Err(run.failure.unwrap_or_else(|| SramError::Undefined {
-                            metric: "WL_crit",
-                            reason: "unbracketable search with no recorded cause".into(),
-                        }))
-                    }
-                    value => Ok(value),
-                }
-            })();
-            if result.is_err() {
-                // A failed sample must not poison the worker's compiled
-                // cache: later samples have to behave exactly as they would
-                // on a fresh worker, whatever the scheduling.
-                *slot = None;
+    sample_study(
+        "mc_wl_crit",
+        "mc_sample_wl_crit",
+        Sampler::Paper { n, mc: config },
+        Probe::WlCrit(assist),
+        topo,
+        base,
+        |survivors, quarantined| {
+            let (values, infinite): (Vec<f64>, Vec<f64>) = survivors
+                .into_iter()
+                .map(|(_, w)| w)
+                .partition(|w| w.is_finite());
+            let failures = infinite.len();
+            McWlCrit {
+                values,
+                failures,
+                quarantined,
             }
-            result
         },
-    );
-    let (verdicts, quarantined) = split_outcomes(&config, outcomes);
-    let mut values = Vec::with_capacity(verdicts.len());
-    let mut failures = 0;
-    for verdict in verdicts {
-        match verdict {
-            WlCrit::Finite(w) => values.push(w),
-            WlCrit::Infinite => failures += 1,
-            WlCrit::Unbracketable => unreachable!("mapped to Err in the sample closure"),
-        }
-    }
-    publish_quarantine("mc_wl_crit", &config, &quarantined);
-    check_yield(values.len() + failures, n, &config)?;
-    Ok(McWlCrit {
-        values,
-        failures,
-        quarantined,
-    })
+    )
 }
 
 /// Runs an `n`-sample Monte-Carlo of the DRNM with the given assist.
@@ -504,47 +361,24 @@ pub fn mc_drnm_topo(
     n: usize,
     config: McConfig,
 ) -> Result<McDrnm, SramError> {
-    let _span = tfet_obs::span("mc_drnm");
-    // Per-worker compiled read experiment, retargeted per sample via device
-    // binds — see `mc_wl_crit_with` for why this cannot change the values.
-    let outcomes = par_map_with(
-        n,
-        config.threads,
-        || None,
-        |slot: &mut Option<ReadExperiment>, i| {
-            // Root span for thread-count-invariant paths; see
-            // `mc_wl_crit_with`.
-            let _span = tfet_obs::root_span("mc_sample_drnm");
-            let result = (|| {
-                let mut rng = config.sample_rng(i);
-                let params = base.clone().with_variations(sample_variations(&mut rng));
-                match slot {
-                    Some(exp) => exp.bind_cell(&params)?,
-                    None => *slot = Some(ReadExperiment::compile_on(topo, &params, assist)?),
-                }
-                let exp = slot.as_mut().expect("compiled above");
-                read_metrics_compiled(exp).map(|m| m.drnm)
-            })();
-            if result.is_err() {
-                // See `mc_wl_crit_with`: never reuse a cache a failed
-                // sample may have left half-bound.
-                *slot = None;
-            }
-            result
+    sample_study(
+        "mc_drnm",
+        "mc_sample_drnm",
+        Sampler::Paper { n, mc: config },
+        Probe::Drnm(assist),
+        topo,
+        base,
+        |survivors, quarantined| McDrnm {
+            values: survivors.into_iter().map(|(_, v)| v).collect(),
+            quarantined,
         },
-    );
-    let (values, quarantined) = split_outcomes(&config, outcomes);
-    publish_quarantine("mc_drnm", &config, &quarantined);
-    check_yield(values.len(), n, &config)?;
-    Ok(McDrnm {
-        values,
-        quarantined,
-    })
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rare_event::{check_yield, fold_outcomes};
     use crate::tech::{AccessConfig, CellKind};
     use tfet_numerics::Summary;
 
@@ -714,7 +548,7 @@ mod tests {
             );
             // The recorded process point replays the sample's RNG stream.
             let mut rng = McConfig::new(5).sample_rng(i);
-            assert_eq!(q.variations, sample_variations(&mut rng));
+            assert_eq!(q.params, role_deviations(&sample_variations(&mut rng)));
         }
         // Survivor statistics degrade cleanly to "no data", not a panic.
         assert!(Summary::try_of(&mc.values).is_none());
@@ -756,12 +590,13 @@ mod tests {
             Err(SramError::InvalidParameter("boom".into())),
             Ok(2.0),
         ];
-        let (survivors, quarantined) = split_outcomes(&config, outcomes);
+        let (survivors, quarantined) = fold_outcomes(Sampler::Paper { n: 3, mc: config }, outcomes);
         assert_eq!(survivors, vec![1.0, 2.0]);
         assert_eq!(quarantined.len(), 1);
         assert_eq!(quarantined[0].index, 1);
-        let mut rng = config.sample_rng(1);
-        assert_eq!(quarantined[0].variations, sample_variations(&mut rng));
+        let replayed = role_deviations(&sample_variations(&mut config.sample_rng(1)));
+        assert_eq!(quarantined[0].params, replayed);
+        assert_eq!(quarantined[0].params[0].0, "pull_up_left");
         assert!(check_yield(2, 3, &config).is_ok());
         assert!(check_yield(2, 3, &config.with_min_yield(2.0 / 3.0)).is_ok());
         assert!(check_yield(2, 3, &config.with_min_yield(0.9)).is_err());

@@ -37,27 +37,29 @@
 //! [`VariationModel::paper`] keeps every new factor off; that default is
 //! what keeps all existing figures bit-identical.
 //!
-//! # Determinism and degradation
+//! # One sampling loop
 //!
-//! The sampling inherits the Monte-Carlo layer's discipline: counter-based
-//! per-sample RNG streams, outcomes folded in sample order, so estimate,
-//! standard error and ESS are bit-identical at any worker-thread count.
-//! A draw outside a factor's perturbative validity bound — expected when
-//! `sigma_scale` pushes a wide-bound factor past the device model's range —
-//! surfaces as a typed [`VariationError`](tfet_devices::VariationError),
-//! and the sample is quarantined through the same per-sample path as
-//! simulation failures, never a panicking worker.
+//! These yield studies and the [`crate::montecarlo`] studies share one
+//! sampling loop: counter-based per-sample RNG streams, outcomes folded in
+//! sample order, so estimate, standard error and ESS are bit-identical at
+//! any worker-thread count. A draw outside a factor's perturbative validity
+//! bound — expected when `sigma_scale` pushes a wide-bound factor past the
+//! device model's range — surfaces as a typed
+//! [`VariationError`](tfet_devices::VariationError), and the sample is
+//! quarantined through the same per-sample path as simulation failures,
+//! never a panicking worker.
 
 use crate::assist::{ReadAssist, WriteAssist};
 use crate::error::SramError;
 use crate::metrics::{read_metrics_compiled, wl_crit_compiled, WlCrit};
-use crate::montecarlo::{check_yield, draw_truncated_normal, McConfig, TOX_BOUND, TOX_SIGMA};
+use crate::montecarlo::{
+    draw_truncated_normal, role_deviations, sample_variations, McConfig, TOX_BOUND, TOX_SIGMA,
+};
 use crate::ops::{ReadExperiment, WriteExperiment};
 use crate::tech::{CellParams, CellProcess, Role};
 use crate::topology::CellTopology;
 use rand::rngs::StdRng;
 use tfet_devices::ProcessPoint;
-use tfet_numerics::parallel::par_map_with;
 use tfet_numerics::{gaussian_mass_within, WeightedSummary};
 
 /// One independent variation factor: a centered Gaussian with standard
@@ -385,13 +387,16 @@ impl YieldConfig {
     }
 }
 
-/// One quarantined yield sample: its index, the labeled factor draws it
-/// took (replayed from its RNG stream), and the structured cause.
+/// One quarantined sample: excluded from the survivor statistics instead of
+/// aborting the study. The `(study seed, index)` pair replays its private
+/// RNG stream, so `params` is the *exact* process point it drew.
 #[derive(Debug, Clone, PartialEq)]
-pub struct QuarantinedYieldSample {
+pub struct QuarantinedSample {
     /// Sample index within the study.
     pub index: usize,
-    /// Labeled factor draws, in draw order (active factors only).
+    /// Labeled draws, in draw order: per-role t_ox deviations keyed by
+    /// [`Role::label`] for a [`crate::montecarlo`] study, the active factors
+    /// (`global.vth`, `<role>.tox`, …) for a yield study.
     pub params: Vec<(String, f64)>,
     /// Why the sample was excluded: an out-of-validity-range draw or a
     /// failed simulation.
@@ -426,7 +431,7 @@ pub struct YieldStudy {
     /// V) over survivors; `None` when none is finite.
     pub metric_summary: Option<WeightedSummary>,
     /// Samples excluded from the estimate.
-    pub quarantined: Vec<QuarantinedYieldSample>,
+    pub quarantined: Vec<QuarantinedSample>,
 }
 
 impl YieldStudy {
@@ -457,14 +462,244 @@ pub fn array_yield(p_cell: f64, cells: u64) -> f64 {
     1.0 - array_fail_prob(p_cell, cells)
 }
 
-/// One sample's verdict inside a worker.
-struct SampleOutcome {
-    /// Importance weight of the draw.
-    weight: f64,
-    /// Whether the sample fails the metric.
-    fail: bool,
-    /// Finite metric value (WL_crit s / DRNM V), when one exists.
-    value: Option<f64>,
+/// The process space a sampling study draws from, with its execution
+/// controls.
+#[derive(Clone, Copy)]
+pub(crate) enum Sampler<'a> {
+    /// The paper's §4.3 brute-force Monte-Carlo over `n` samples: per-role
+    /// t_ox deviations from [`sample_variations`], bound through
+    /// [`CellParams::with_variations`] so the cell's device-evaluation path
+    /// (analytic or cached LUT) stays in force. Every weight is 1.
+    Paper { n: usize, mc: McConfig },
+    /// A yield study's factor model under its σ-scaled proposal.
+    Model(&'a YieldConfig),
+}
+
+impl Sampler<'_> {
+    /// Sample count and execution controls.
+    fn controls(&self) -> (usize, &McConfig) {
+        match self {
+            Sampler::Paper { n, mc } => (*n, mc),
+            Sampler::Model(cfg) => (cfg.n, &cfg.mc),
+        }
+    }
+
+    /// Sample `i`'s cell and importance weight. The draw always runs to
+    /// completion before its factor combination is validated.
+    fn draw(&self, base: &CellParams, i: usize) -> Result<(CellParams, f64), SramError> {
+        let mut rng = self.controls().1.sample_rng(i);
+        match self {
+            Sampler::Paper { .. } => {
+                let params = base.clone().with_variations(sample_variations(&mut rng));
+                Ok((params, 1.0))
+            }
+            Sampler::Model(cfg) => {
+                let raw = cfg.model.draw_raw(&mut rng, cfg.sigma_scale);
+                let process = cfg.model.build_process(&raw, base.vdd)?;
+                Ok((base.clone().with_process(process), raw.weight))
+            }
+        }
+    }
+
+    /// Sample `i`'s labeled draws, replayed from its private stream — the
+    /// exact draws the worker took.
+    fn labeled(&self, i: usize) -> Vec<(String, f64)> {
+        let mut rng = self.controls().1.sample_rng(i);
+        match self {
+            Sampler::Paper { .. } => role_deviations(&sample_variations(&mut rng)),
+            Sampler::Model(cfg) => {
+                let raw = cfg.model.draw_raw(&mut rng, cfg.sigma_scale);
+                cfg.model.labeled_params(&raw)
+            }
+        }
+    }
+}
+
+/// The single-cell measurement a sampling study takes per sample.
+#[derive(Clone, Copy)]
+pub(crate) enum Probe {
+    /// Critical wordline pulse width, s; an infinite `WL_crit` (the write
+    /// fails outright) measures as `f64::INFINITY`.
+    WlCrit(Option<WriteAssist>),
+    /// Dynamic read noise margin, V.
+    Drnm(Option<ReadAssist>),
+}
+
+/// A worker's compiled experiment, re-bound per sample. The circuit is a
+/// pure cache (waveforms and initial conditions never depend on the process
+/// point), so values are bit-identical to a build-per-sample loop.
+enum Compiled {
+    Write(WriteExperiment),
+    Read(ReadExperiment),
+}
+
+impl Compiled {
+    /// Runs the probe on the bound sample. Records the per-sample solve
+    /// cost of a `WL_crit` search as histograms, so outlier samples stand
+    /// out.
+    fn measure(&mut self, hint: Option<f64>, sampler: Sampler<'_>) -> Result<f64, SramError> {
+        let exp = match self {
+            Compiled::Write(exp) => exp,
+            Compiled::Read(exp) => return Ok(read_metrics_compiled(exp)?.drnm),
+        };
+        let run = wl_crit_compiled(exp, hint)?;
+        let effort = &run.effort;
+        if let Sampler::Paper { .. } = sampler {
+            tfet_obs::record_u64("mc.sample_newton_solves", effort.newton_solves);
+            tfet_obs::record_u64("mc.sample_newton_iters", effort.newton_iters);
+        } else {
+            tfet_obs::record_u64("yield.sample_newton_solves", effort.newton_solves);
+        }
+        match run.value {
+            WlCrit::Finite(w) => Ok(w),
+            WlCrit::Infinite => Ok(f64::INFINITY),
+            // An unbracketable search is a failed sample, not a verdict.
+            WlCrit::Unbracketable => Err(run.failure.unwrap_or_else(|| SramError::Undefined {
+                metric: "WL_crit",
+                reason: "unbracketable search with no recorded cause".into(),
+            })),
+        }
+    }
+}
+
+/// The sampling loop behind every Monte-Carlo and yield study: fans the
+/// draws out over workers (each compiles one experiment, then re-binds it),
+/// folds the outcomes in index order, publishes the quarantine, hands
+/// survivors — `(importance weight, measurement)` pairs, the weight 1 for
+/// brute force — and quarantine to `summarize`, then enforces `min_yield`.
+pub(crate) fn sample_study<R>(
+    study: &'static str,
+    sample_span: &'static str,
+    sampler: Sampler<'_>,
+    probe: Probe,
+    topo: &CellTopology,
+    base: &CellParams,
+    summarize: impl FnOnce(Vec<(f64, f64)>, Vec<QuarantinedSample>) -> R,
+) -> Result<R, SramError> {
+    let _span = tfet_obs::span(study);
+    let (n, mc) = sampler.controls();
+    // Seed every sample's bisection from the *nominal* cell's WL_crit,
+    // computed once before the fan-out and shared — never chained sample to
+    // sample. A failing nominal cell yields no hint: samples search cold.
+    let hint = match probe {
+        Probe::WlCrit(assist) => WriteExperiment::compile_on(topo, base, assist)
+            .ok()
+            .and_then(|mut exp| wl_crit_compiled(&mut exp, None).ok())
+            .and_then(|run| run.value.as_finite()),
+        Probe::Drnm(_) => None,
+    };
+    let outcomes = tfet_numerics::parallel::par_map_with(
+        n,
+        mc.threads,
+        || None,
+        |slot, i| {
+            // A *root* span: at one worker the sample runs inline under the
+            // `study` span, at many on a fresh thread — pinning the path keeps
+            // the span tree thread-count invariant.
+            let _span = tfet_obs::root_span(sample_span);
+            // The experiment returns to the slot only after a clean sample: a
+            // failed one must not poison the worker's cache, so later samples
+            // behave exactly as on a fresh worker, whatever the scheduling.
+            let cached = slot.take();
+            let (params, weight) = sampler.draw(base, i)?;
+            let mut exp = match (cached, probe) {
+                (Some(Compiled::Write(mut exp)), _) => {
+                    exp.bind_cell(&params).map(|_| Compiled::Write(exp))
+                }
+                (Some(Compiled::Read(mut exp)), _) => {
+                    exp.bind_cell(&params).map(|_| Compiled::Read(exp))
+                }
+                (None, Probe::WlCrit(a)) => {
+                    WriteExperiment::compile_on(topo, &params, a).map(Compiled::Write)
+                }
+                (None, Probe::Drnm(a)) => {
+                    ReadExperiment::compile_on(topo, &params, a).map(Compiled::Read)
+                }
+            }?;
+            let value = exp.measure(hint, sampler)?;
+            *slot = Some(exp);
+            Ok((weight, value))
+        },
+    );
+    let (survivors, quarantined) = fold_outcomes(sampler, outcomes);
+    let kept = survivors.len();
+    publish_quarantine(study, sampler, &quarantined);
+    let result = summarize(survivors, quarantined);
+    check_yield(kept, n, mc)?;
+    Ok(result)
+}
+
+/// Splits per-sample outcomes (in index order) into survivors and
+/// quarantined samples, each labeled with the draws it replays to.
+pub(crate) fn fold_outcomes<T>(
+    sampler: Sampler<'_>,
+    outcomes: Vec<Result<T, SramError>>,
+) -> (Vec<T>, Vec<QuarantinedSample>) {
+    let mut survivors = Vec::with_capacity(outcomes.len());
+    let mut quarantined = Vec::new();
+    for (index, outcome) in outcomes.into_iter().enumerate() {
+        match outcome {
+            Ok(v) => survivors.push(v),
+            Err(error) => quarantined.push(QuarantinedSample {
+                index,
+                params: sampler.labeled(index),
+                error,
+            }),
+        }
+    }
+    (survivors, quarantined)
+}
+
+/// Publishes quarantined samples — a counter, one run-report record each,
+/// and an `mc_quarantine` forensics bundle per Monte-Carlo sample — on the
+/// caller's thread in index order, so traces are thread-count invariant.
+fn publish_quarantine(
+    study: &'static str,
+    sampler: Sampler<'_>,
+    quarantined: &[QuarantinedSample],
+) {
+    if quarantined.is_empty() || !tfet_obs::enabled() {
+        return;
+    }
+    let seed = sampler.controls().1.seed;
+    let (counter, bundles) = match sampler {
+        Sampler::Paper { .. } => ("mc.quarantined", true),
+        Sampler::Model(_) => ("yield.quarantined", false),
+    };
+    tfet_obs::counter(counter, quarantined.len() as u64);
+    for q in quarantined {
+        tfet_obs::quarantine(tfet_obs::QuarantineRecord {
+            study,
+            index: q.index as u64,
+            seed,
+            params: q.params.clone(),
+            error: q.error.to_string(),
+        });
+        if bundles {
+            tfet_obs::forensics::submit(
+                &tfet_obs::forensics::Bundle::new("mc_quarantine")
+                    .text("study", study)
+                    .int("sample_index", q.index as u64)
+                    .int("seed", seed)
+                    .text("error", q.error.to_string())
+                    .named_nums("tox_deviations", &q.params),
+            );
+        }
+    }
+}
+
+/// Converts excessive quarantine into a typed error: with `min_yield > 0`,
+/// a survivor fraction strictly below it aborts the study.
+pub(crate) fn check_yield(survivors: usize, total: usize, mc: &McConfig) -> Result<(), SramError> {
+    let min_yield = mc.min_yield;
+    if total > 0 && (survivors as f64) < min_yield * total as f64 {
+        return Err(SramError::LowYield {
+            survivors,
+            total,
+            min_yield,
+        });
+    }
+    Ok(())
 }
 
 /// Estimates the write-failure tail probability: the fraction of process
@@ -489,59 +724,16 @@ pub fn yield_write(
             "write budget {budget} must be positive and finite"
         )));
     }
-    let _span = tfet_obs::span("yield_write");
-    let topo = CellTopology::builtin(base.kind);
-    // Nominal bisection hint, as in `mc_wl_crit_topo`: computed once before
-    // the fan-out, shared by every sample.
-    let hint = WriteExperiment::compile_on(&topo, base, assist)
-        .ok()
-        .and_then(|mut exp| wl_crit_compiled(&mut exp, None).ok())
-        .and_then(|run| run.value.as_finite());
     let metric = YieldMetric::WriteMargin { budget };
-    let outcomes = par_map_with(
-        cfg.n,
-        cfg.mc.threads,
-        || None,
-        |slot: &mut Option<WriteExperiment>, i| {
-            let _span = tfet_obs::root_span("yield_sample_write");
-            let result = (|| {
-                let mut rng = cfg.mc.sample_rng(i);
-                let raw = cfg.model.draw_raw(&mut rng, cfg.sigma_scale);
-                let process = cfg.model.build_process(&raw, base.vdd)?;
-                let params = base.clone().with_process(process);
-                match slot {
-                    Some(exp) => exp.bind_cell(&params)?,
-                    None => *slot = Some(WriteExperiment::compile_on(&topo, &params, assist)?),
-                }
-                let exp = slot.as_mut().expect("compiled above");
-                let run = wl_crit_compiled(exp, hint)?;
-                tfet_obs::record_u64("yield.sample_newton_solves", run.effort.newton_solves);
-                match run.value {
-                    WlCrit::Finite(w) => Ok(SampleOutcome {
-                        weight: raw.weight,
-                        fail: w > budget,
-                        value: Some(w),
-                    }),
-                    WlCrit::Infinite => Ok(SampleOutcome {
-                        weight: raw.weight,
-                        fail: true,
-                        value: None,
-                    }),
-                    WlCrit::Unbracketable => {
-                        Err(run.failure.unwrap_or_else(|| SramError::Undefined {
-                            metric: "WL_crit",
-                            reason: "unbracketable search with no recorded cause".into(),
-                        }))
-                    }
-                }
-            })();
-            if result.is_err() {
-                *slot = None;
-            }
-            result
-        },
-    );
-    fold_study("yield_write", metric, cfg, outcomes)
+    sample_study(
+        "yield_write",
+        "yield_sample_write",
+        Sampler::Model(cfg),
+        Probe::WlCrit(assist),
+        &CellTopology::builtin(base.kind),
+        base,
+        |survivors, quarantined| estimate("yield_write", metric, cfg, survivors, quarantined),
+    )
 }
 
 /// Estimates the read-disturb tail probability: the fraction of process
@@ -563,82 +755,42 @@ pub fn yield_read(
             "DRNM threshold {threshold} must be finite"
         )));
     }
-    let _span = tfet_obs::span("yield_read");
-    let topo = CellTopology::builtin(base.kind);
     let metric = YieldMetric::Drnm { threshold };
-    let outcomes = par_map_with(
-        cfg.n,
-        cfg.mc.threads,
-        || None,
-        |slot: &mut Option<ReadExperiment>, i| {
-            let _span = tfet_obs::root_span("yield_sample_read");
-            let result = (|| {
-                let mut rng = cfg.mc.sample_rng(i);
-                let raw = cfg.model.draw_raw(&mut rng, cfg.sigma_scale);
-                let process = cfg.model.build_process(&raw, base.vdd)?;
-                let params = base.clone().with_process(process);
-                match slot {
-                    Some(exp) => exp.bind_cell(&params)?,
-                    None => *slot = Some(ReadExperiment::compile_on(&topo, &params, assist)?),
-                }
-                let exp = slot.as_mut().expect("compiled above");
-                let drnm = read_metrics_compiled(exp)?.drnm;
-                Ok(SampleOutcome {
-                    weight: raw.weight,
-                    fail: drnm < threshold,
-                    value: Some(drnm),
-                })
-            })();
-            if result.is_err() {
-                *slot = None;
-            }
-            result
-        },
-    );
-    fold_study("yield_read", metric, cfg, outcomes)
+    sample_study(
+        "yield_read",
+        "yield_sample_read",
+        Sampler::Model(cfg),
+        Probe::Drnm(assist),
+        &CellTopology::builtin(base.kind),
+        base,
+        |survivors, quarantined| estimate("yield_read", metric, cfg, survivors, quarantined),
+    )
 }
 
-/// Folds per-sample outcomes (in index order) into the study estimate and
-/// publishes it into the observability layer.
-fn fold_study(
+/// Folds the survivors' `(weight, measurement)` pairs (in index order) into
+/// the study estimate and publishes it into the observability layer.
+fn estimate(
     study: &'static str,
     metric: YieldMetric,
     cfg: &YieldConfig,
-    outcomes: Vec<Result<SampleOutcome, SramError>>,
-) -> Result<YieldStudy, SramError> {
-    let n = outcomes.len();
-    let mut weights = Vec::with_capacity(n);
-    let mut weighted_indicators = Vec::with_capacity(n);
-    let mut metric_values = Vec::with_capacity(n);
-    let mut metric_weights = Vec::with_capacity(n);
-    let mut failures = 0usize;
-    let mut quarantined = Vec::new();
-    for (i, outcome) in outcomes.into_iter().enumerate() {
-        match outcome {
-            Ok(s) => {
-                weights.push(s.weight);
-                weighted_indicators.push(if s.fail { s.weight } else { 0.0 });
-                if s.fail {
-                    failures += 1;
-                }
-                if let Some(v) = s.value {
-                    metric_values.push(v);
-                    metric_weights.push(s.weight);
-                }
-            }
-            Err(error) => {
-                // Replay the sample's private stream to recover its draws.
-                let mut rng = cfg.mc.sample_rng(i);
-                let raw = cfg.model.draw_raw(&mut rng, cfg.sigma_scale);
-                quarantined.push(QuarantinedYieldSample {
-                    index: i,
-                    params: cfg.model.labeled_params(&raw),
-                    error,
-                });
-            }
-        }
-    }
-    let survivors = weights.len();
+    kept: Vec<(f64, f64)>,
+    quarantined: Vec<QuarantinedSample>,
+) -> YieldStudy {
+    // An infinite WL_crit (unwritable cell) always fails.
+    let fails = |v: f64| match metric {
+        YieldMetric::WriteMargin { budget } => v > budget,
+        YieldMetric::Drnm { threshold } => v < threshold,
+    };
+    let weighted_indicators: Vec<f64> = kept
+        .iter()
+        .map(|&(w, v)| if fails(v) { w } else { 0.0 })
+        .collect();
+    let (metric_values, metric_weights): (Vec<f64>, Vec<f64>) = kept
+        .iter()
+        .filter(|(_, v)| v.is_finite())
+        .map(|&(w, v)| (v, w))
+        .unzip();
+    let survivors = kept.len();
     let weighted_failures: f64 = weighted_indicators.iter().sum();
     let p_fail = (survivors > 0).then(|| weighted_failures / survivors as f64);
     let std_error = p_fail.filter(|_| survivors > 1).map(|p| {
@@ -652,16 +804,16 @@ fn fold_study(
     let ess = if survivors == 0 {
         0.0
     } else {
-        let sum: f64 = weights.iter().sum();
-        let sum_sq: f64 = weights.iter().map(|w| w * w).sum();
+        let sum: f64 = kept.iter().map(|(w, _)| w).sum();
+        let sum_sq: f64 = kept.iter().map(|(w, _)| w * w).sum();
         sum * sum / sum_sq
     };
     let result = YieldStudy {
         metric,
         sigma_scale: cfg.sigma_scale,
-        samples: n,
+        samples: cfg.n,
         survivors,
-        failures,
+        failures: kept.iter().filter(|&&(_, v)| fails(v)).count(),
         weighted_failures,
         p_fail,
         std_error,
@@ -670,22 +822,17 @@ fn fold_study(
         quarantined,
     };
     publish_study(study, cfg, &result);
-    check_yield(survivors, n, &cfg.mc)?;
-    Ok(result)
+    result
 }
 
-/// Publishes the study into the observability layer: counters, the
-/// run-report `yield` record, and one quarantine record per excluded
-/// sample — all from the coordinating thread, in deterministic order.
+/// Publishes the study into the observability layer: its counters and the
+/// run-report `yield` record, from the coordinating thread.
 fn publish_study(study: &'static str, cfg: &YieldConfig, result: &YieldStudy) {
     if !tfet_obs::enabled() {
         return;
     }
     tfet_obs::counter("yield.samples", result.samples as u64);
     tfet_obs::counter("yield.failures", result.failures as u64);
-    if !result.quarantined.is_empty() {
-        tfet_obs::counter("yield.quarantined", result.quarantined.len() as u64);
-    }
     tfet_obs::yield_study(tfet_obs::YieldStudyRecord {
         study,
         metric: result.metric.name(),
@@ -699,21 +846,12 @@ fn publish_study(study: &'static str, cfg: &YieldConfig, result: &YieldStudy) {
         std_error: result.std_error.unwrap_or(f64::NAN),
         ess: result.ess,
     });
-    for q in &result.quarantined {
-        tfet_obs::quarantine(tfet_obs::QuarantineRecord {
-            study,
-            index: q.index as u64,
-            seed: cfg.mc.seed,
-            params: q.params.clone(),
-            error: q.error.to_string(),
-        });
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::montecarlo::mc_drnm_topo;
+    use crate::montecarlo::{mc_drnm_topo, mc_wl_crit};
     use crate::tech::AccessConfig;
     use tfet_numerics::Summary;
 
@@ -804,6 +942,21 @@ mod tests {
         assert_eq!(summary.min, reference.min, "same draws, same values");
         assert_eq!(summary.max, reference.max);
         assert!((summary.mean - reference.mean).abs() < 1e-12);
+    }
+
+    #[test]
+    fn brute_force_write_matches_montecarlo_wl_crit() {
+        // The write twin of the read cross-check: under a 1 s budget only an
+        // infinite WL_crit fails, so failures are the Monte-Carlo study's
+        // infinite verdicts, and finite values are the same draws' values.
+        let cfg = YieldConfig::new(4, 77).with_model(VariationModel::paper());
+        let study = yield_write(&base(), None, 1.0, &cfg).expect("study runs");
+        let mc = mc_wl_crit(&base(), None, 4, 77).expect("mc runs");
+        let (summary, reference) = (study.metric_summary.unwrap(), Summary::of(&mc.values));
+        assert_eq!(summary.n, mc.values.len());
+        assert_eq!(summary.min, reference.min, "same draws, same values");
+        assert_eq!(summary.max, reference.max);
+        assert_eq!(study.failures, mc.failures, "infinite verdicts agree");
     }
 
     #[test]

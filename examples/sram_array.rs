@@ -1,19 +1,19 @@
 //! Array demo: a 4×4 TFET SRAM macro exercised like a memory.
 //!
-//! Builds a 16-cell array of the paper's proposed cell, writes a text
-//! pattern through the shared wordlines/bitlines (every operation is a full
-//! array transient — half-select effects included), reads it back through
-//! the sense path, and reports the disturb ledger.
+//! Builds a 16-cell array netlist of the paper's proposed cell (wordline
+//! drivers, precharge and write mux included), writes a text pattern
+//! through the shared wordlines/bitlines (every operation is a full array
+//! transient — half-select effects included), reads it back through the
+//! sense path, and reports the disturb ledger.
 //!
 //! Run with: `cargo run --release --example sram_array`
 
-use tfet_sram::array::{ArrayParams, SramArray};
 use tfet_sram::prelude::*;
 
 const ROWS: usize = 4;
 const COLS: usize = 4;
 
-fn show(array: &SramArray) {
+fn show(array: &ArrayNetlist) {
     for r in 0..ROWS {
         let row: String = (0..COLS)
             .map(|c| match array.bit(r, c) {
@@ -31,7 +31,7 @@ fn main() -> Result<(), SramError> {
         .with_beta(0.6)
         .with_vdd(0.8);
     cell.sim.dt = 4e-12; // 16 cells per transient: keep the demo snappy
-    let mut array = SramArray::new(ArrayParams::new(ROWS, COLS, cell))?;
+    let mut array = ArrayNetlist::build(ArraySpec::new(ROWS, COLS, cell))?;
 
     // The pattern to store: a diagonal plus one corner.
     let pattern: [[bool; COLS]; ROWS] = [
@@ -45,9 +45,11 @@ fn main() -> Result<(), SramError> {
     let mut disturbs = 0;
     for (r, row) in pattern.iter().enumerate() {
         for (c, &bit) in row.iter().enumerate() {
-            let report = array.write(r, c, bit)?;
-            assert!(report.success, "write ({r},{c}) failed");
-            disturbs += report.disturbed.len();
+            // A 1.5 ns wordline pulse clears the critical width with margin.
+            let write = array.write_transient(r, c, bit, 1.5e-9)?;
+            assert!(write.success, "write ({r},{c}) failed");
+            disturbs += write.disturbed.len();
+            array.commit(&write.finals);
         }
     }
     println!("stored state (decoded from storage-node voltages):");
@@ -59,7 +61,7 @@ fn main() -> Result<(), SramError> {
     let mut worst_margin = f64::INFINITY;
     for (r, row) in pattern.iter().enumerate() {
         for (c, &expect) in row.iter().enumerate() {
-            let read = array.read(r, c)?;
+            let read = array.read_transient(r, c)?;
             if read.value != expect {
                 errors += 1;
             }
@@ -67,6 +69,7 @@ fn main() -> Result<(), SramError> {
                 println!("  destructive read at ({r},{c})!");
             }
             worst_margin = worst_margin.min(read.sense_margin);
+            array.commit(&read.finals);
         }
     }
     println!(

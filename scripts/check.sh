@@ -20,7 +20,31 @@ echo "== cargo doc -D warnings =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== cargo test =="
+# `cargo test` must leave nothing behind in the tree (diagnostic bundles,
+# reports): compare the full status, ignored files included, before and
+# after; only the build directories may change.
+tree_state() {
+  git status --porcelain --ignored | grep -vE '^!! (perfbench/)?target/$' | sort || true
+}
+tree_before="$(tree_state)"
 cargo test -q --workspace --offline
+tree_new="$(comm -13 <(echo "$tree_before") <(tree_state))"
+if [ -n "$tree_new" ]; then
+  echo "cargo test left files in the source tree:"
+  echo "$tree_new"
+  exit 1
+fi
+echo "cargo test left the source tree untouched"
+
+echo "== allocation accounting, 20 runs per binary =="
+# The counting allocators are process-global; a test that forgets the
+# binary's lock leaks its sibling's allocations into the counting window
+# only sometimes, so one passing run proves little.
+for _ in $(seq 20); do
+  cargo test -q -p tfet-circuit --offline --test alloc
+  cargo test -q -p tfet-sram --offline --test array_alloc
+done
+echo "alloc binaries passed 20 of 20 runs"
 
 echo "== fault-injection suite (rescue ladder, checked searches, MC quarantine, latency guards) =="
 cargo test -q -p tfet-circuit --offline rescue
