@@ -7,47 +7,16 @@
 //! in the `NewtonWorkspace`).
 //!
 //! This lives in an integration test because it installs a counting global
-//! allocator, which needs `unsafe` (the library itself forbids it).
+//! allocator. The counts are the test thread's own: these transients (an RC
+//! chain, no devices to fan out over) never leave it, and the harness's
+//! threads cannot leak into a per-thread count.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::{count_own, serial};
 use tfet_circuit::transient::InitialState;
 use tfet_circuit::{Circuit, NewtonWorkspace, TransientSpec, Waveform};
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Every test holds this lock for its whole body: the counter is
-/// process-global (so worker threads a test fans out to are counted), and a
-/// sibling test would otherwise leak its allocations into the window.
-static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-/// The fewest allocations over three repeats: the harness's main thread may
-/// still allocate in a window (spawning the next test), and foreign
-/// allocations only ever add.
-fn fewest(mut measure: impl FnMut() -> usize) -> usize {
-    (0..3).map(|_| measure()).min().expect("three repeats")
-}
 
 /// A driven RC chain — nonlinear-free, but it exercises the full transient
 /// loop: companion rebuild, assemble, LU, Newton update, result push.
@@ -71,33 +40,28 @@ fn rc_chain() -> Circuit {
 
 fn run(c: &Circuit, steps: usize, ws: &mut NewtonWorkspace) -> usize {
     let spec = TransientSpec::fixed(steps as f64 * 1e-12, 1e-12);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let result = c
-        .transient_with(&spec, &InitialState::Uic(vec![]), ws)
-        .unwrap();
-    assert_eq!(result.len(), steps + 1);
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    let (allocs, result) = count_own(|| c.transient_with(&spec, &InitialState::Uic(vec![]), ws));
+    assert_eq!(result.unwrap().len(), steps + 1);
+    allocs
 }
 
 fn run_adaptive(c: &Circuit, t_stop: f64, ws: &mut NewtonWorkspace) -> usize {
     let spec = TransientSpec::new(t_stop, 1e-12);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    c.transient_with(&spec, &InitialState::Uic(vec![]), ws)
-        .unwrap();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    let (allocs, result) = count_own(|| c.transient_with(&spec, &InitialState::Uic(vec![]), ws));
+    result.unwrap();
+    allocs
 }
 
 #[test]
 fn tracing_is_disabled_by_default_and_its_off_path_never_allocates() {
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = serial();
     // The instrumentation contract: tracing is opt-in, and every
     // instrumentation site on the disabled path is one relaxed atomic load —
     // no branch may reach the registry, so no allocation can happen. The
     // transient tests below then prove the instrumented hot loop as a whole
     // stays allocation-free with tracing off.
     assert!(!tfet_obs::enabled(), "tracing must be opt-in");
-    let allocs = fewest(|| {
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let (allocs, ()) = count_own(|| {
         for i in 0..1024 {
             let _span = tfet_obs::span("hot");
             let _root = tfet_obs::root_span("hot-root");
@@ -107,7 +71,6 @@ fn tracing_is_disabled_by_default_and_its_off_path_never_allocates() {
             tfet_obs::record_f64("alloc.guard_dist", i as f64);
             tfet_obs::record_series("alloc.guard_series", &[i as f64]);
         }
-        ALLOCATIONS.load(Ordering::Relaxed) - before
     });
     assert_eq!(
         allocs, 0,
@@ -117,14 +80,14 @@ fn tracing_is_disabled_by_default_and_its_off_path_never_allocates() {
 
 #[test]
 fn transient_inner_loop_allocates_nothing_per_step() {
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = serial();
     let c = rc_chain();
     let mut ws = NewtonWorkspace::new();
     // Warm-up sizes every workspace buffer.
     run(&c, 64, &mut ws);
 
-    let short = fewest(|| run(&c, 200, &mut ws));
-    let long = fewest(|| run(&c, 400, &mut ws));
+    let short = run(&c, 200, &mut ws);
+    let long = run(&c, 400, &mut ws);
     // With a warm workspace the only allocations left are per-*run* (the
     // returned TransientResult's two pre-sized Vecs and MNA setup), so the
     // count must be independent of the step count.
@@ -136,15 +99,15 @@ fn transient_inner_loop_allocates_nothing_per_step() {
 
 #[test]
 fn adaptive_loop_allocates_nothing_per_step() {
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = serial();
     let c = rc_chain();
     let mut ws = NewtonWorkspace::new();
     // Warm-up sizes every workspace buffer, including the adaptive trial
     // and breakpoint buffers.
     run_adaptive(&c, 1e-9, &mut ws);
 
-    let short = fewest(|| run_adaptive(&c, 2e-9, &mut ws));
-    let long = fewest(|| run_adaptive(&c, 4e-9, &mut ws));
+    let short = run_adaptive(&c, 2e-9, &mut ws);
+    let long = run_adaptive(&c, 4e-9, &mut ws);
     // Doubling the simulated horizon multiplies the number of accepted
     // steps but must not change the allocation count: all trial-step
     // scratch lives in the workspace and the waveform store is pre-sized.
