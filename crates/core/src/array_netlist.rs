@@ -1,11 +1,12 @@
 //! Fast-SPICE bitcell-array engine: real R×C transients with peripherals.
 //!
-//! One [`ArrayNetlist`] composes R rows × C columns of the existing 6T cell
-//! with
+//! One [`ArrayNetlist`] composes R rows × C columns of a 6T cell topology
+//! (built-in or imported) with
 //!
 //! * **shared wordlines and bitlines** — each cell placed on its row/column
-//!   lines via [`build_cell_on_lines`](crate::cell::build_cell_on_lines), so half-selection on the written
-//!   row is physical, not modeled;
+//!   lines by the topology's one placer,
+//!   [`CellTopology::place_on_lines`], so half-selection on the written row
+//!   is physical, not modeled;
 //! * **sram22-style peripherals** — a per-row wordline driver (2-input
 //!   NAND of `row-select · wl_en`, plus an output inverter when the access
 //!   polarity needs an active-high wordline), per-column precharge
@@ -29,11 +30,10 @@
 //! baseline the identity gates diff against). A 64×64 write transient runs
 //! in seconds because >90 % of its device evaluations never happen.
 
-use crate::cell::{CellLines, CellNodes};
 use crate::error::SramError;
 use crate::metrics::{self, WlCrit};
 use crate::tech::{CellKind, CellParams, Role};
-use crate::topology::CellTopology;
+use crate::topology::{CellLines, CellNodes, CellTopology};
 use tfet_circuit::transient::InitialState;
 use tfet_circuit::{
     CellPartition, Circuit, CompiledCircuit, DeviceLatency, GuardKind, NodeId, SolveStats,
@@ -68,7 +68,7 @@ pub struct ArraySpec {
     /// bench compare against.
     pub latency: DeviceLatency,
     /// Optional explicit cell topology. `None` replicates the built-in
-    /// generator for `cell.kind`; `Some` replicates an imported `.subckt`
+    /// recipe for `cell.kind`; `Some` replicates an imported `.subckt`
     /// cell at every (row, column) instead — same peripherals, same latency
     /// partitions, same operation schedule.
     pub topology: Option<CellTopology>,
@@ -94,7 +94,7 @@ impl ArraySpec {
     }
 
     /// Replicates an explicit (typically deck-imported) cell topology
-    /// instead of the built-in generator (builder style).
+    /// instead of the built-in recipe (builder style).
     pub fn with_topology(mut self, topology: CellTopology) -> Self {
         self.topology = Some(topology);
         self
@@ -138,7 +138,7 @@ impl ArraySpec {
     }
 
     /// The effective cell topology: the explicit override, or the built-in
-    /// generator for `cell.kind`.
+    /// recipe for `cell.kind`.
     fn cell_topology(&self) -> CellTopology {
         self.topology
             .clone()

@@ -1,280 +1,17 @@
-//! SRAM cell netlist generators.
-//!
-//! [`build_cell`] places the transistors and storage-node parasitics of the
-//! selected topology into a [`Circuit`] and returns the named nodes. It does
-//! *not* attach sources or bitline loads — each operation (hold, write,
-//! read) wires those differently, which is exactly the job of [`crate::ops`].
-//!
-//! # Orientation rules (the heart of the paper's §3)
-//!
-//! A TFET conducts only from drain to source (n-type) or source to drain
-//! (p-type). For an access transistor between bitline `B` and storage node
-//! `Q`:
-//!
-//! | Config   | Conducts | n/p | Terminal at bitline |
-//! |----------|----------|-----|---------------------|
-//! | inward n | B → Q    | n   | drain               |
-//! | inward p | B → Q    | p   | source              |
-//! | outward n| Q → B    | n   | source              |
-//! | outward p| Q → B    | p   | drain               |
-//!
-//! The cross-coupled inverter devices always conduct in a fixed direction
-//! (pull-up: V_DD → output, pull-down: output → V_SS), so their orientation
-//! is unambiguous.
+//! Placement tests of the built-in cell recipes: the access orientation of
+//! every configuration in the paper's §3 table, the cross-coupled
+//! inverters, β sizing, the 7T read buffer and the CMOS access devices.
 
-use crate::tech::{AccessConfig, CellKind, CellParams, Role};
-use tfet_circuit::{Circuit, NodeId};
-
-/// The named nodes of a placed SRAM cell.
-#[derive(Debug, Clone, Copy)]
-pub struct CellNodes {
-    /// Storage node (left).
-    pub q: NodeId,
-    /// Complementary storage node (right).
-    pub qb: NodeId,
-    /// Bitline on the `q` side (write bitline for the 7T cell).
-    pub bl: NodeId,
-    /// Bitline on the `qb` side.
-    pub blb: NodeId,
-    /// Wordline (write wordline for the 7T cell).
-    pub wl: NodeId,
-    /// Cell supply rail (a distinct node so V_DD assists can reshape it).
-    pub vdd: NodeId,
-    /// Cell ground rail (a distinct node so GND assists can reshape it).
-    pub vss: NodeId,
-    /// 7T only: read bitline.
-    pub rbl: Option<NodeId>,
-    /// 7T only: read wordline (source line of the read buffer).
-    pub rwl: Option<NodeId>,
-}
-
-/// Places an access transistor between `bitline` and `cell` with the given
-/// orientation, gated by `wl`.
-#[allow(clippy::too_many_arguments)] // netlist placement reads best as a terminal list
-fn place_access(
-    c: &mut Circuit,
-    params: &CellParams,
-    role: Role,
-    name: &str,
-    access: AccessConfig,
-    bitline: NodeId,
-    cell: NodeId,
-    wl: NodeId,
-) {
-    let w = params.sizing.w_access_um;
-    let model = params.model(role, !access.is_p_type());
-    let (d, s) = match access {
-        AccessConfig::InwardN => (bitline, cell),
-        AccessConfig::InwardP => (cell, bitline),
-        AccessConfig::OutwardN => (cell, bitline),
-        AccessConfig::OutwardP => (bitline, cell),
-    };
-    c.transistor(name, model, d, wl, s, w);
-}
-
-/// Places one inverter (input `inp`, output `out`) between the cell rails.
-#[allow(clippy::too_many_arguments)] // netlist placement reads best as a terminal list
-fn place_inverter(
-    c: &mut Circuit,
-    params: &CellParams,
-    pu_role: Role,
-    pd_role: Role,
-    label: &str,
-    inp: NodeId,
-    out: NodeId,
-    vdd: NodeId,
-    vss: NodeId,
-) {
-    c.transistor(
-        &format!("MPU_{label}"),
-        params.model(pu_role, false),
-        out,
-        inp,
-        vdd,
-        params.sizing.w_pullup_um,
-    );
-    c.transistor(
-        &format!("MPD_{label}"),
-        params.model(pd_role, true),
-        out,
-        inp,
-        vss,
-        params.sizing.w_pulldown_um(),
-    );
-}
-
-/// Places the selected cell topology into `c` and returns its nodes.
-///
-/// The CMOS cell uses (bidirectional) n-MOS access devices wired like
-/// inward-n TFETs; the distinction is immaterial for a symmetric device.
-///
-/// # Examples
-///
-/// ```
-/// use tfet_circuit::Circuit;
-/// use tfet_sram::cell::build_cell;
-/// use tfet_sram::prelude::*;
-///
-/// let params = CellParams::tfet6t(AccessConfig::InwardP);
-/// let mut c = Circuit::new();
-/// let nodes = build_cell(&mut c, &params);
-/// assert_eq!(c.transistors().len(), 6);
-/// assert_ne!(nodes.q, nodes.qb);
-/// ```
-pub fn build_cell(c: &mut Circuit, params: &CellParams) -> CellNodes {
-    build_cell_named(c, params, "")
-}
-
-/// The shared lines a cell connects to: its column's bitlines, its row's
-/// wordline, and the rails. [`build_cell_on_lines`] lets many cells share
-/// these nodes, which is how arrays are assembled.
-#[derive(Debug, Clone, Copy)]
-pub struct CellLines {
-    /// Bitline (write bitline for the 7T cell).
-    pub bl: NodeId,
-    /// Complement bitline.
-    pub blb: NodeId,
-    /// Wordline.
-    pub wl: NodeId,
-    /// Supply rail.
-    pub vdd: NodeId,
-    /// Ground rail.
-    pub vss: NodeId,
-    /// 7T only: read bitline.
-    pub rbl: Option<NodeId>,
-    /// 7T only: read wordline.
-    pub rwl: Option<NodeId>,
-}
-
-/// Places a cell with every node and instance name prefixed — the building
-/// block for multi-cell circuits (shared wordlines/bitlines for half-select
-/// studies, small arrays). Each cell gets its own line nodes; to share
-/// lines between cells use [`build_cell_on_lines`].
-pub fn build_cell_named(c: &mut Circuit, params: &CellParams, prefix: &str) -> CellNodes {
-    let name = |n: &str| format!("{prefix}{n}");
-    let lines = CellLines {
-        bl: c.node(&name("bl")),
-        blb: c.node(&name("blb")),
-        wl: c.node(&name("wl")),
-        vdd: c.node(&name("vdd_cell")),
-        vss: c.node(&name("vss_cell")),
-        rbl: if params.kind == CellKind::Tfet7T {
-            Some(c.node(&name("rbl")))
-        } else {
-            None
-        },
-        rwl: if params.kind == CellKind::Tfet7T {
-            Some(c.node(&name("rwl")))
-        } else {
-            None
-        },
-    };
-    build_cell_on_lines(c, params, prefix, &lines)
-}
-
-/// Places a cell whose bitlines, wordline and rails are the given (possibly
-/// shared) nodes. Storage nodes and instance names are prefixed.
-///
-/// # Panics
-///
-/// Panics if a 7T cell is placed on lines without `rbl`/`rwl`.
-pub fn build_cell_on_lines(
-    c: &mut Circuit,
-    params: &CellParams,
-    prefix: &str,
-    lines: &CellLines,
-) -> CellNodes {
-    let name = |n: &str| format!("{prefix}{n}");
-    let q = c.node(&name("q"));
-    let qb = c.node(&name("qb"));
-    let bl = lines.bl;
-    let blb = lines.blb;
-    let wl = lines.wl;
-    let vdd = lines.vdd;
-    let vss = lines.vss;
-
-    // Cross-coupled inverters (identical for every topology).
-    place_inverter(
-        c,
-        params,
-        Role::PullUpLeft,
-        Role::PullDownLeft,
-        &name("L"),
-        qb,
-        q,
-        vdd,
-        vss,
-    );
-    place_inverter(
-        c,
-        params,
-        Role::PullUpRight,
-        Role::PullDownRight,
-        &name("R"),
-        q,
-        qb,
-        vdd,
-        vss,
-    );
-
-    // Storage-node wiring parasitics.
-    c.capacitor(q, Circuit::GND, params.c_node);
-    c.capacitor(qb, Circuit::GND, params.c_node);
-
-    let access = params.kind.access();
-    place_access(c, params, Role::AccessLeft, &name("MAL"), access, bl, q, wl);
-    place_access(
-        c,
-        params,
-        Role::AccessRight,
-        &name("MAR"),
-        access,
-        blb,
-        qb,
-        wl,
-    );
-
-    // 7T: single-transistor read buffer — gate on qb, drain on the read
-    // bitline, source on the read wordline (active-low source line).
-    let (rbl, rwl) = if params.kind == CellKind::Tfet7T {
-        let rbl = lines.rbl.expect("7T cell requires an rbl line");
-        let rwl = lines.rwl.expect("7T cell requires an rwl line");
-        c.transistor(
-            &name("MRD"),
-            params.model(Role::ReadBuffer, true),
-            rbl,
-            qb,
-            rwl,
-            params.sizing.w_access_um,
-        );
-        (Some(rbl), Some(rwl))
-    } else {
-        (None, None)
-    };
-
-    CellNodes {
-        q,
-        qb,
-        bl,
-        blb,
-        wl,
-        vdd,
-        vss,
-        rbl,
-        rwl,
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::tech::CellSizing;
+    use crate::tech::{AccessConfig, CellKind, CellParams, CellSizing};
+    use crate::topology::{CellNodes, CellTopology};
+    use tfet_circuit::Circuit;
 
     fn place(kind: CellKind) -> (Circuit, CellNodes, CellParams) {
         let mut params = CellParams::new(kind);
         params.sizing = CellSizing::with_beta(1.5);
         let mut c = Circuit::new();
-        let nodes = build_cell(&mut c, &params);
+        let nodes = CellTopology::builtin(kind).place(&mut c, &params).nodes;
         (c, nodes, params)
     }
 

@@ -7,10 +7,13 @@
 //! * [`tech`] — cell parameterization: technology, access-transistor
 //!   configuration (inward/outward × n/p — the paper's §3 design space),
 //!   cell-ratio β sizing, supply voltage, per-transistor process variation;
-//! * [`cell`] — netlist generators for the 6T cell (CMOS or TFET),
-//!   plus the comparison topologies of §5: the 7T TFET SRAM with a separate
-//!   read port \[Kim, ISLPED'09\] and the asymmetric 6T TFET SRAM
-//!   \[Singh, ASP-DAC'10\];
+//! * [`topology`] — cells as data: each topology is a placement recipe
+//!   (device slots with roles and terminals) placed by one function. The
+//!   built-in recipes are the 6T cell (CMOS or TFET, any access
+//!   configuration) plus the comparison topologies of §5: the 7T TFET SRAM
+//!   with a separate read port \[Kim, ISLPED'09\] and the asymmetric 6T
+//!   TFET SRAM \[Singh, ASP-DAC'10\]; imported `.subckt` decks become
+//!   recipes the same way;
 //! * [`assist`] — the four write-assist and four read-assist techniques of
 //!   §4, each expressed as a reshaped bias waveform at 30 % of V_DD;
 //! * [`ops`] — hold / write / read operation drivers (timing schedules,
@@ -63,7 +66,8 @@
 pub mod area;
 pub mod array_netlist;
 pub mod assist;
-pub mod cell;
+#[cfg(test)]
+mod cell;
 pub mod compare;
 pub mod error;
 pub mod explore;

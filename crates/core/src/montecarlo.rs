@@ -33,7 +33,7 @@
 
 use crate::assist::{ReadAssist, WriteAssist};
 use crate::error::SramError;
-use crate::rare_event::{sample_study, Probe, QuarantinedSample, Sampler};
+use crate::rare_event::{sample_study, Probe, QuarantinedSample, Reporting, Sampler};
 use crate::tech::{CellParams, CellVariations, Role};
 use crate::topology::CellTopology;
 use rand::rngs::StdRng;
@@ -294,6 +294,7 @@ pub fn mc_wl_crit_topo(
     sample_study(
         "mc_wl_crit",
         "mc_sample_wl_crit",
+        &Reporting::MC,
         Sampler::Paper { n, mc: config },
         Probe::WlCrit(assist),
         topo,
@@ -364,6 +365,7 @@ pub fn mc_drnm_topo(
     sample_study(
         "mc_drnm",
         "mc_sample_drnm",
+        &Reporting::MC,
         Sampler::Paper { n, mc: config },
         Probe::Drnm(assist),
         topo,

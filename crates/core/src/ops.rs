@@ -34,10 +34,9 @@
 //! experiment — are bit-identical to the historical build-per-run path.
 
 use crate::assist::{read_bias, write_bias, ReadAssist, WriteAssist, WriteBias};
-use crate::cell::CellNodes;
 use crate::error::SramError;
 use crate::tech::{CellKind, CellParams, SimOptions};
-use crate::topology::CellTopology;
+use crate::topology::{CellNodes, CellTopology};
 use tfet_circuit::transient::InitialState;
 use tfet_circuit::{
     Circuit, CompiledCircuit, NodeId, ParamHandle, SolveStats, SourceId, StopEvent,

@@ -515,6 +515,37 @@ impl Sampler<'_> {
     }
 }
 
+/// How one study family reports into the observability layer: the
+/// Monte-Carlo studies under `mc.*`, the yield studies under `yield.*`.
+pub(crate) struct Reporting {
+    /// Histogram of each `WL_crit` sample's Newton solves.
+    solves: &'static str,
+    /// Histogram of each `WL_crit` sample's Newton iterations, if kept.
+    iters: Option<&'static str>,
+    /// Counter of quarantined samples.
+    quarantined: &'static str,
+    /// Whether each quarantined sample also writes an `mc_quarantine`
+    /// forensics bundle.
+    bundles: bool,
+}
+
+impl Reporting {
+    /// The §4.3 Monte-Carlo studies.
+    pub(crate) const MC: Reporting = Reporting {
+        solves: "mc.sample_newton_solves",
+        iters: Some("mc.sample_newton_iters"),
+        quarantined: "mc.quarantined",
+        bundles: true,
+    };
+    /// The rare-event yield studies.
+    const YIELD: Reporting = Reporting {
+        solves: "yield.sample_newton_solves",
+        iters: None,
+        quarantined: "yield.quarantined",
+        bundles: false,
+    };
+}
+
 /// The single-cell measurement a sampling study takes per sample.
 #[derive(Clone, Copy)]
 pub(crate) enum Probe {
@@ -537,18 +568,15 @@ impl Compiled {
     /// Runs the probe on the bound sample. Records the per-sample solve
     /// cost of a `WL_crit` search as histograms, so outlier samples stand
     /// out.
-    fn measure(&mut self, hint: Option<f64>, sampler: Sampler<'_>) -> Result<f64, SramError> {
+    fn measure(&mut self, hint: Option<f64>, reporting: &Reporting) -> Result<f64, SramError> {
         let exp = match self {
             Compiled::Write(exp) => exp,
             Compiled::Read(exp) => return Ok(read_metrics_compiled(exp)?.drnm),
         };
         let run = wl_crit_compiled(exp, hint)?;
-        let effort = &run.effort;
-        if let Sampler::Paper { .. } = sampler {
-            tfet_obs::record_u64("mc.sample_newton_solves", effort.newton_solves);
-            tfet_obs::record_u64("mc.sample_newton_iters", effort.newton_iters);
-        } else {
-            tfet_obs::record_u64("yield.sample_newton_solves", effort.newton_solves);
+        tfet_obs::record_u64(reporting.solves, run.effort.newton_solves);
+        if let Some(iters) = reporting.iters {
+            tfet_obs::record_u64(iters, run.effort.newton_iters);
         }
         match run.value {
             WlCrit::Finite(w) => Ok(w),
@@ -567,9 +595,12 @@ impl Compiled {
 /// folds the outcomes in index order, publishes the quarantine, hands
 /// survivors — `(importance weight, measurement)` pairs, the weight 1 for
 /// brute force — and quarantine to `summarize`, then enforces `min_yield`.
+/// `reporting` names the study family's histograms, counter and bundles.
+#[allow(clippy::too_many_arguments)] // one call per study reads best as a flat list
 pub(crate) fn sample_study<R>(
     study: &'static str,
     sample_span: &'static str,
+    reporting: &Reporting,
     sampler: Sampler<'_>,
     probe: Probe,
     topo: &CellTopology,
@@ -616,14 +647,14 @@ pub(crate) fn sample_study<R>(
                     ReadExperiment::compile_on(topo, &params, a).map(Compiled::Read)
                 }
             }?;
-            let value = exp.measure(hint, sampler)?;
+            let value = exp.measure(hint, reporting)?;
             *slot = Some(exp);
             Ok((weight, value))
         },
     );
     let (survivors, quarantined) = fold_outcomes(sampler, outcomes);
     let kept = survivors.len();
-    publish_quarantine(study, sampler, &quarantined);
+    publish_quarantine(study, reporting, mc.seed, &quarantined);
     let result = summarize(survivors, quarantined);
     check_yield(kept, n, mc)?;
     Ok(result)
@@ -650,23 +681,20 @@ pub(crate) fn fold_outcomes<T>(
     (survivors, quarantined)
 }
 
-/// Publishes quarantined samples — a counter, one run-report record each,
-/// and an `mc_quarantine` forensics bundle per Monte-Carlo sample — on the
-/// caller's thread in index order, so traces are thread-count invariant.
+/// Publishes quarantined samples — the family's counter, one run-report
+/// record each, and an `mc_quarantine` forensics bundle each where the
+/// family writes bundles — on the caller's thread in index order, so traces
+/// are thread-count invariant.
 fn publish_quarantine(
     study: &'static str,
-    sampler: Sampler<'_>,
+    reporting: &Reporting,
+    seed: u64,
     quarantined: &[QuarantinedSample],
 ) {
     if quarantined.is_empty() || !tfet_obs::enabled() {
         return;
     }
-    let seed = sampler.controls().1.seed;
-    let (counter, bundles) = match sampler {
-        Sampler::Paper { .. } => ("mc.quarantined", true),
-        Sampler::Model(_) => ("yield.quarantined", false),
-    };
-    tfet_obs::counter(counter, quarantined.len() as u64);
+    tfet_obs::counter(reporting.quarantined, quarantined.len() as u64);
     for q in quarantined {
         tfet_obs::quarantine(tfet_obs::QuarantineRecord {
             study,
@@ -675,7 +703,7 @@ fn publish_quarantine(
             params: q.params.clone(),
             error: q.error.to_string(),
         });
-        if bundles {
+        if reporting.bundles {
             tfet_obs::forensics::submit(
                 &tfet_obs::forensics::Bundle::new("mc_quarantine")
                     .text("study", study)
@@ -728,6 +756,7 @@ pub fn yield_write(
     sample_study(
         "yield_write",
         "yield_sample_write",
+        &Reporting::YIELD,
         Sampler::Model(cfg),
         Probe::WlCrit(assist),
         &CellTopology::builtin(base.kind),
@@ -759,6 +788,7 @@ pub fn yield_read(
     sample_study(
         "yield_read",
         "yield_sample_read",
+        &Reporting::YIELD,
         Sampler::Model(cfg),
         Probe::Drnm(assist),
         &CellTopology::builtin(base.kind),

@@ -16,9 +16,9 @@
 //! square that fits inside each butterfly lobe is computed in the rotated
 //! frame; the SNM is the smaller lobe's square.
 
-use crate::cell::build_cell;
 use crate::error::SramError;
-use crate::tech::{CellKind, CellParams};
+use crate::tech::CellParams;
+use crate::topology::CellTopology;
 use tfet_circuit::{Circuit, Waveform};
 use tfet_numerics::{linspace, Lut1d};
 
@@ -47,11 +47,12 @@ fn transfer_curves(
 ) -> Result<(Lut1d, Lut1d), SramError> {
     params.validate()?;
     let vdd = params.vdd;
-    let access = params.kind.access();
+    let topo = CellTopology::builtin(params.kind);
+    let access = topo.access();
 
     let sweep = |drive_qb: bool| -> Result<Lut1d, SramError> {
         let mut c = Circuit::new();
-        let nodes = build_cell(&mut c, params);
+        let nodes = topo.place(&mut c, params).nodes;
         c.vsource("VDD", nodes.vdd, Circuit::GND, Waveform::dc(vdd));
         c.vsource("VSS", nodes.vss, Circuit::GND, Waveform::dc(0.0));
         let wl_level = match condition {
@@ -59,11 +60,7 @@ fn transfer_curves(
             SnmCondition::Read => access.wl_active(vdd),
         };
         c.vsource("WL", nodes.wl, Circuit::GND, Waveform::dc(wl_level));
-        let bl_level = if params.kind == CellKind::Tfet7T {
-            0.0
-        } else {
-            vdd
-        };
+        let bl_level = if topo.bl_idle_low() { 0.0 } else { vdd };
         c.vsource("BL", nodes.bl, Circuit::GND, Waveform::dc(bl_level));
         c.vsource("BLB", nodes.blb, Circuit::GND, Waveform::dc(bl_level));
         if let (Some(rbl), Some(rwl)) = (nodes.rbl, nodes.rwl) {
@@ -180,7 +177,7 @@ pub fn static_noise_margin(params: &CellParams, condition: SnmCondition) -> Resu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tech::AccessConfig;
+    use crate::tech::{AccessConfig, CellKind};
 
     #[test]
     fn hold_snm_is_a_healthy_fraction_of_vdd() {

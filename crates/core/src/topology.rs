@@ -4,22 +4,26 @@
 //! the array engine — needs the same facts about a cell: which ports it
 //! exposes, which transistor plays which [`Role`] (so process variation and
 //! β-sizing bind to the right device), how its access transistors are
-//! oriented, and whether it has a decoupled read port. Historically those
-//! facts were hard-coded against the built-in generators in [`crate::cell`];
-//! a cell that existed only as a SPICE `.subckt` could not run any
-//! experiment.
+//! oriented, and whether it has a decoupled read port.
 //!
-//! [`CellTopology`] reifies them as data. It is constructed either
+//! [`CellTopology`] holds them as data: a *placement recipe* — the device
+//! slots in stamp order, each with its role, polarity and terminals on the
+//! canonical ports `q qb bl blb wl vdd vss [rbl rwl]` — plus any extra
+//! resistors and capacitors. It is constructed either
 //!
-//! * from a built-in [`CellKind`] ([`CellTopology::builtin`]) — placement
-//!   delegates to [`build_cell_on_lines`], so every number produced through
-//!   a builtin topology is bit-identical to the historical path; or
+//! * from a built-in [`CellKind`] ([`CellTopology::builtin`]) — the recipe
+//!   is written down directly, with the access orientation read from the
+//!   paper's §3 table; or
 //! * from a parsed [`Subckt`] ([`CellTopology::from_subckt`]) — the port
 //!   list is canonicalized, every device is classified into a [`Role`] by
 //!   its connectivity, and the access configuration is inferred from the
 //!   access transistors' polarity and orientation. A 7T/9T-style cell whose
 //!   extra devices hang off dedicated `rbl`/`rwl` ports is recognized as a
 //!   read-port topology and runs the decoupled-read experiment.
+//!
+//! Either way the cell places through one function,
+//! [`place_on_lines`](CellTopology::place_on_lines), so a built-in cell and
+//! its exported deck re-imported produce the same circuit byte for byte.
 //!
 //! # The port contract for imported cells
 //!
@@ -40,7 +44,7 @@
 //! keepers); auxiliaries keep their deck orientation and bind the access
 //! width. Capacitors from `q`/`qb` to ground are *absorbed*: storage-node
 //! parasitics always come from [`CellParams::c_node`], so an imported cell
-//! sees exactly the same parasitic model as a generated one. All other
+//! sees exactly the same parasitic model as a built-in one. All other
 //! resistors and capacitors are kept verbatim.
 //!
 //! # Width and variation binding
@@ -50,9 +54,8 @@
 //! [`CellParams`] by role (pull-ups bind `w_pullup_um`, pull-downs
 //! `β·w_access_um`, access and auxiliaries `w_access_um`), which is what
 //! lets one compiled experiment sweep β and Monte-Carlo variations on an
-//! imported cell exactly as on a generated one.
+//! imported cell exactly as on a built-in one.
 
-use crate::cell::{build_cell_on_lines, CellLines, CellNodes};
 use crate::error::SramError;
 use crate::tech::{AccessConfig, CellKind, CellParams, Role};
 use std::collections::HashMap;
@@ -61,13 +64,58 @@ use tfet_circuit::spice::FlatDevice;
 use tfet_circuit::{Circuit, CompiledCircuit, NodeId, Subckt, SubcktCard};
 use tfet_devices::{DeviceModel, Polarity};
 
+/// The named nodes of a placed SRAM cell.
+#[derive(Debug, Clone, Copy)]
+pub struct CellNodes {
+    /// Storage node (left).
+    pub q: NodeId,
+    /// Complementary storage node (right).
+    pub qb: NodeId,
+    /// Bitline on the `q` side (write bitline for a read-port cell).
+    pub bl: NodeId,
+    /// Bitline on the `qb` side.
+    pub blb: NodeId,
+    /// Wordline (write wordline for a read-port cell).
+    pub wl: NodeId,
+    /// Cell supply rail (a distinct node so V_DD assists can reshape it).
+    pub vdd: NodeId,
+    /// Cell ground rail (a distinct node so GND assists can reshape it).
+    pub vss: NodeId,
+    /// Read-port cells only: read bitline.
+    pub rbl: Option<NodeId>,
+    /// Read-port cells only: read wordline (source line of the read buffer).
+    pub rwl: Option<NodeId>,
+}
+
+/// The shared lines a cell connects to: its column's bitlines, its row's
+/// wordline, and the rails.
+/// [`place_on_lines`](CellTopology::place_on_lines) lets many cells share
+/// these nodes, which is how arrays are assembled.
+#[derive(Debug, Clone, Copy)]
+pub struct CellLines {
+    /// Bitline (write bitline for a read-port cell).
+    pub bl: NodeId,
+    /// Complement bitline.
+    pub blb: NodeId,
+    /// Wordline.
+    pub wl: NodeId,
+    /// Supply rail.
+    pub vdd: NodeId,
+    /// Ground rail.
+    pub vss: NodeId,
+    /// Read-port cells only: read bitline.
+    pub rbl: Option<NodeId>,
+    /// Read-port cells only: read wordline.
+    pub rwl: Option<NodeId>,
+}
+
 /// One transistor slot of a topology: its instance name, its electrical
 /// [`Role`] (which selects the variation stream and the width rule), its
 /// polarity, and its index in the placed circuit's device vector (the
 /// stamp order, which is also the bind order).
 #[derive(Debug, Clone)]
 pub struct DeviceSlot {
-    /// Instance name (builder name for builtin cells, deck name for
+    /// Instance name (`MPU_L`… for built-in cells, the deck name for
     /// imported ones).
     pub name: String,
     /// Electrical role — keys the per-device process variation and the
@@ -80,7 +128,11 @@ pub struct DeviceSlot {
     pub index: usize,
 }
 
-/// A canonical node reference inside an imported cell: one of the contract
+/// The canonical cell ports, in export order: seven core ports, then the
+/// optional read-port pair.
+const PORTS: [&str; 9] = ["q", "qb", "bl", "blb", "wl", "vdd", "vss", "rbl", "rwl"];
+
+/// A canonical node reference inside a cell recipe: one of the contract
 /// ports, global ground, or a cell-internal node.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum NodeRef {
@@ -97,11 +149,30 @@ enum NodeRef {
     Internal(String),
 }
 
-/// A device of an imported cell with its terminals resolved to canonical
-/// references. Stored in slot order; the instance name lives on the
-/// matching [`DeviceSlot`].
+impl NodeRef {
+    /// The node's name in an exported `.subckt`.
+    fn deck_name(&self) -> &str {
+        match self {
+            NodeRef::Q => PORTS[0],
+            NodeRef::Qb => PORTS[1],
+            NodeRef::Bl => PORTS[2],
+            NodeRef::Blb => PORTS[3],
+            NodeRef::Wl => PORTS[4],
+            NodeRef::Vdd => PORTS[5],
+            NodeRef::Vss => PORTS[6],
+            NodeRef::Rbl => PORTS[7],
+            NodeRef::Rwl => PORTS[8],
+            NodeRef::Gnd => "0",
+            NodeRef::Internal(n) => n,
+        }
+    }
+}
+
+/// The terminals of one recipe device, resolved to canonical references.
+/// Stored in slot order; the instance name lives on the matching
+/// [`DeviceSlot`].
 #[derive(Debug, Clone)]
-struct DeckDevice {
+struct RecipeDevice {
     d: NodeRef,
     g: NodeRef,
     s: NodeRef,
@@ -115,37 +186,34 @@ struct DeckTwoTerminal {
     value: f64,
 }
 
-/// The placement recipe of an imported cell.
+/// The paper's §3 design space as data: for each access configuration,
+/// whether the device is n-type and whether its drain (rather than its
+/// source) sits at the bitline. See [`CellTopology::builtin`].
+const ORIENTATION: [(AccessConfig, bool, bool); 4] = [
+    (AccessConfig::InwardN, true, true),
+    (AccessConfig::InwardP, false, false),
+    (AccessConfig::OutwardN, true, false),
+    (AccessConfig::OutwardP, false, true),
+];
+
+/// A cell topology as data: ports, device slots with roles, the placement
+/// recipe, access orientation, read-port flag. See the module docs.
 #[derive(Debug, Clone)]
-struct DeckCell {
-    /// The original definition (kept for re-export).
-    subckt: Subckt,
-    /// Devices in slot order (core roles first, auxiliaries after).
-    devices: Vec<DeckDevice>,
+pub struct CellTopology {
+    name: String,
+    /// The built-in kind this recipe was written for.
+    kind: Option<CellKind>,
+    /// The imported definition, kept for re-export.
+    subckt: Option<Subckt>,
+    access: AccessConfig,
+    has_read_port: bool,
+    slots: Vec<DeviceSlot>,
+    /// Device terminals, in slot order.
+    devices: Vec<RecipeDevice>,
     /// Extra resistors, in deck order.
     resistors: Vec<DeckTwoTerminal>,
     /// Extra capacitors (storage-node caps absorbed), in deck order.
     capacitors: Vec<DeckTwoTerminal>,
-}
-
-/// Where a topology came from — and therefore how it places.
-#[derive(Debug, Clone)]
-enum TopoSource {
-    /// A built-in generator; placement delegates to [`crate::cell`].
-    Builtin(CellKind),
-    /// An imported `.subckt`; placement stamps the classified recipe.
-    Deck(Box<DeckCell>),
-}
-
-/// A cell topology as data: ports, device slots with roles, access
-/// orientation, read-port flag. See the module docs.
-#[derive(Debug, Clone)]
-pub struct CellTopology {
-    source: TopoSource,
-    name: String,
-    access: AccessConfig,
-    has_read_port: bool,
-    slots: Vec<DeviceSlot>,
 }
 
 /// A cell placed into a circuit: its contract nodes plus any cell-internal
@@ -155,45 +223,84 @@ pub struct CellTopology {
 pub struct PlacedCell {
     /// The contract nodes.
     pub nodes: CellNodes,
-    /// Cell-internal nodes beyond `q`/`qb` (always empty for builtin
+    /// Cell-internal nodes beyond `q`/`qb` (always empty for built-in
     /// topologies).
     pub internal: Vec<NodeId>,
 }
 
 impl CellTopology {
-    /// The topology of a built-in cell kind. Placement and binding through
-    /// this value are bit-identical to the historical
-    /// [`build_cell`](crate::cell::build_cell) path.
+    /// The topology of a built-in cell kind: two cross-coupled inverters
+    /// (`MPU_L`/`MPD_L` drive `q` from `qb`, `MPU_R`/`MPD_R` drive `qb`
+    /// from `q`; pull-ups source at `vdd`, pull-downs at `vss`), the access
+    /// pair `MAL` (`bl`–`q`) and `MAR` (`blb`–`qb`) gated by `wl`, and for
+    /// the 7T cell the single-transistor read buffer `MRD` (gate `qb`,
+    /// drain `rbl`, source `rwl`, an active-low source line).
+    ///
+    /// A TFET conducts only from drain to source (n-type) or source to
+    /// drain (p-type), so each access configuration of the paper's §3 is a
+    /// terminal order for the access pair:
+    ///
+    /// | Config    | Conducts | n/p | Terminal at bitline |
+    /// |-----------|----------|-----|---------------------|
+    /// | inward n  | B → Q    | n   | drain               |
+    /// | inward p  | B → Q    | p   | source              |
+    /// | outward n | Q → B    | n   | source              |
+    /// | outward p | Q → B    | p   | drain               |
+    ///
+    /// The CMOS cell uses (bidirectional) n-MOS access devices wired like
+    /// inward-n TFETs; the distinction is immaterial for a symmetric
+    /// device. The 7T write port and the asymmetric cell use outward n.
     pub fn builtin(kind: CellKind) -> Self {
-        let n_access = !kind.access().is_p_type();
-        let mut specs = vec![
-            ("MPU_L", Role::PullUpLeft, false),
-            ("MPD_L", Role::PullDownLeft, true),
-            ("MPU_R", Role::PullUpRight, false),
-            ("MPD_R", Role::PullDownRight, true),
-            ("MAL", Role::AccessLeft, n_access),
-            ("MAR", Role::AccessRight, n_access),
+        use NodeRef::{Bl, Blb, Qb, Rbl, Rwl, Vdd, Vss, Wl, Q};
+        let access = kind.access();
+        let &(_, n_access, drain_at_bitline) = ORIENTATION
+            .iter()
+            .find(|o| o.0 == access)
+            .expect("every access configuration is in the orientation table");
+        let access_device = |bitline: NodeRef, cell: NodeRef| {
+            let (d, s) = if drain_at_bitline {
+                (bitline, cell)
+            } else {
+                (cell, bitline)
+            };
+            RecipeDevice { d, g: Wl, s }
+        };
+        let dev = |d, g, s| RecipeDevice { d, g, s };
+        let mut recipe = vec![
+            ("MPU_L", Role::PullUpLeft, false, dev(Q, Qb, Vdd)),
+            ("MPD_L", Role::PullDownLeft, true, dev(Q, Qb, Vss)),
+            ("MPU_R", Role::PullUpRight, false, dev(Qb, Q, Vdd)),
+            ("MPD_R", Role::PullDownRight, true, dev(Qb, Q, Vss)),
+            ("MAL", Role::AccessLeft, n_access, access_device(Bl, Q)),
+            ("MAR", Role::AccessRight, n_access, access_device(Blb, Qb)),
         ];
         let has_read_port = kind == CellKind::Tfet7T;
         if has_read_port {
-            specs.push(("MRD", Role::ReadBuffer, true));
+            recipe.push(("MRD", Role::ReadBuffer, true, dev(Rbl, Qb, Rwl)));
         }
-        let slots = specs
+        let (slots, devices) = recipe
             .into_iter()
             .enumerate()
-            .map(|(index, (name, role, n_type))| DeviceSlot {
-                name: name.to_string(),
-                role,
-                n_type,
-                index,
+            .map(|(index, (name, role, n_type, device))| {
+                let slot = DeviceSlot {
+                    name: name.to_string(),
+                    role,
+                    n_type,
+                    index,
+                };
+                (slot, device)
             })
-            .collect();
+            .unzip();
         CellTopology {
-            source: TopoSource::Builtin(kind),
             name: format!("{kind:?}"),
-            access: kind.access(),
+            kind: Some(kind),
+            subckt: None,
+            access,
             has_read_port,
             slots,
+            devices,
+            resistors: Vec::new(),
+            capacitors: Vec::new(),
         }
     }
 
@@ -242,7 +349,7 @@ impl CellTopology {
             }
             port_map.insert(port.clone(), canon);
         }
-        for required in ["q", "qb", "bl", "blb", "wl", "vdd", "vss"] {
+        for required in &PORTS[..7] {
             if !sub.ports.iter().any(|p| p.eq_ignore_ascii_case(required)) {
                 return Err(bad(format!("missing required port `{required}`")));
             }
@@ -335,17 +442,15 @@ impl CellTopology {
         };
 
         // Access configuration from the access transistors' polarity and
-        // bitline terminal (see the orientation table in `crate::cell`).
+        // bitline terminal, read backwards through the orientation table.
         let access_of = |k: usize, bitline: NodeRef| -> Result<AccessConfig, SramError> {
-            let dev = &flat.devices[k];
             let n = polarity(k)?;
-            let at_drain = noderef(&dev.d) == bitline;
-            Ok(match (n, at_drain) {
-                (true, true) => AccessConfig::InwardN,
-                (true, false) => AccessConfig::OutwardN,
-                (false, false) => AccessConfig::InwardP,
-                (false, true) => AccessConfig::OutwardP,
-            })
+            let at_drain = noderef(&flat.devices[k].d) == bitline;
+            Ok(ORIENTATION
+                .iter()
+                .find(|o| o.1 == n && o.2 == at_drain)
+                .expect("the orientation table covers every polarity and terminal")
+                .0)
         };
         let (al, _) = ordered[4];
         let (ar, _) = ordered[5];
@@ -367,7 +472,7 @@ impl CellTopology {
                 n_type: polarity(k)?,
                 index,
             });
-            devices.push(DeckDevice {
+            devices.push(RecipeDevice {
                 d: noderef(&dev.d),
                 g: noderef(&dev.g),
                 s: noderef(&dev.s),
@@ -395,20 +500,19 @@ impl CellTopology {
             .collect();
 
         Ok(CellTopology {
-            source: TopoSource::Deck(Box::new(DeckCell {
-                subckt: sub.clone(),
-                devices,
-                resistors,
-                capacitors,
-            })),
             name: sub.name.clone(),
+            kind: None,
+            subckt: Some(sub.clone()),
             access,
             has_read_port,
             slots,
+            devices,
+            resistors,
+            capacitors,
         })
     }
 
-    /// The topology's name: the `CellKind` debug form for builtin cells,
+    /// The topology's name: the `CellKind` debug form for built-in cells,
     /// the `.subckt` name for imported ones.
     pub fn name(&self) -> &str {
         &self.name
@@ -416,10 +520,7 @@ impl CellTopology {
 
     /// The built-in kind, if this topology came from one.
     pub fn kind(&self) -> Option<CellKind> {
-        match self.source {
-            TopoSource::Builtin(kind) => Some(kind),
-            TopoSource::Deck(_) => None,
-        }
+        self.kind
     }
 
     /// The access-transistor configuration (orientation × polarity).
@@ -461,13 +562,30 @@ impl CellTopology {
     }
 
     /// Places the cell into `c` with fresh (unshared) lines and no prefix —
-    /// the single-cell experiment form.
+    /// the single-cell experiment form. It does *not* attach sources or
+    /// bitline loads — each operation (hold, write, read) wires those
+    /// differently, which is exactly the job of [`crate::ops`].
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use tfet_circuit::Circuit;
+    /// use tfet_sram::prelude::*;
+    ///
+    /// let params = CellParams::tfet6t(AccessConfig::InwardP);
+    /// let mut c = Circuit::new();
+    /// let nodes = CellTopology::builtin(params.kind).place(&mut c, &params).nodes;
+    /// assert_eq!(c.transistors().len(), 6);
+    /// assert_ne!(nodes.q, nodes.qb);
+    /// ```
     pub fn place(&self, c: &mut Circuit, params: &CellParams) -> PlacedCell {
         self.place_named(c, params, "")
     }
 
     /// Places the cell with every node and instance name prefixed, creating
-    /// its own line nodes.
+    /// its own line nodes — the building block for multi-cell circuits
+    /// (half-select studies, small arrays). To share lines between cells
+    /// use [`place_on_lines`](Self::place_on_lines).
     pub fn place_named(&self, c: &mut Circuit, params: &CellParams, prefix: &str) -> PlacedCell {
         let name = |n: &str| format!("{prefix}{n}");
         let lines = CellLines {
@@ -476,23 +594,17 @@ impl CellTopology {
             wl: c.node(&name("wl")),
             vdd: c.node(&name("vdd_cell")),
             vss: c.node(&name("vss_cell")),
-            rbl: if self.has_read_port {
-                Some(c.node(&name("rbl")))
-            } else {
-                None
-            },
-            rwl: if self.has_read_port {
-                Some(c.node(&name("rwl")))
-            } else {
-                None
-            },
+            rbl: self.has_read_port.then(|| c.node(&name("rbl"))),
+            rwl: self.has_read_port.then(|| c.node(&name("rwl"))),
         };
         self.place_on_lines(c, params, prefix, &lines)
     }
 
-    /// Places the cell on the given (possibly shared) lines — the array
-    /// building block. Builtin topologies delegate to
-    /// [`build_cell_on_lines`] and are bit-identical to it.
+    /// Places the cell on the given (possibly shared) lines — the one
+    /// placer every topology goes through. Stamps the storage nodes, then
+    /// the recipe's devices in slot order with the storage-node parasitics
+    /// between the inverter pair and the access devices, then any kept
+    /// extras. Instance and internal node names are prefixed.
     ///
     /// # Panics
     ///
@@ -504,30 +616,17 @@ impl CellTopology {
         prefix: &str,
         lines: &CellLines,
     ) -> PlacedCell {
-        match &self.source {
-            TopoSource::Builtin(_) => PlacedCell {
-                nodes: build_cell_on_lines(c, params, prefix, lines),
-                internal: Vec::new(),
-            },
-            TopoSource::Deck(cell) => self.place_deck(cell, c, params, prefix, lines),
-        }
-    }
-
-    /// Stamps an imported cell: storage nodes, then the core devices and
-    /// storage caps in the builder's canonical order, then auxiliaries and
-    /// kept extras. For a builder-exported 6T deck this reproduces the
-    /// builder's circuit node-for-node and element-for-element.
-    fn place_deck(
-        &self,
-        cell: &DeckCell,
-        c: &mut Circuit,
-        params: &CellParams,
-        prefix: &str,
-        lines: &CellLines,
-    ) -> PlacedCell {
         let name = |n: &str| format!("{prefix}{n}");
         let q = c.node(&name("q"));
         let qb = c.node(&name("qb"));
+        let (rbl, rwl) = if self.has_read_port {
+            (
+                Some(lines.rbl.expect("read-port cell requires an rbl line")),
+                Some(lines.rwl.expect("read-port cell requires an rwl line")),
+            )
+        } else {
+            (None, None)
+        };
         let mut internal: Vec<NodeId> = Vec::new();
         let mut interned: HashMap<String, NodeId> = HashMap::new();
         let mut resolve = |c: &mut Circuit, r: &NodeRef| -> NodeId {
@@ -539,30 +638,22 @@ impl CellTopology {
                 NodeRef::Wl => lines.wl,
                 NodeRef::Vdd => lines.vdd,
                 NodeRef::Vss => lines.vss,
-                NodeRef::Rbl => lines.rbl.expect("read-port cell requires an rbl line"),
-                NodeRef::Rwl => lines.rwl.expect("read-port cell requires an rwl line"),
+                NodeRef::Rbl => rbl.expect("read-port cell requires an rbl line"),
+                NodeRef::Rwl => rwl.expect("read-port cell requires an rwl line"),
                 NodeRef::Gnd => Circuit::GND,
-                NodeRef::Internal(n) => {
-                    if let Some(&id) = interned.get(n) {
-                        id
-                    } else {
-                        let id = c.node(&name(n));
-                        interned.insert(n.clone(), id);
-                        internal.push(id);
-                        id
-                    }
-                }
+                NodeRef::Internal(n) => *interned.entry(n.clone()).or_insert_with(|| {
+                    let id = c.node(&name(n));
+                    internal.push(id);
+                    id
+                }),
             }
         };
 
-        for (k, slot) in self.slots.iter().enumerate() {
+        for (k, (slot, dev)) in self.slots.iter().zip(&self.devices).enumerate() {
             if k == 4 {
-                // Storage-node parasitics between the inverter pair and the
-                // access devices — the builder's stamp order.
                 c.capacitor(q, Circuit::GND, params.c_node);
                 c.capacitor(qb, Circuit::GND, params.c_node);
             }
-            let dev = &cell.devices[k];
             let d = resolve(c, &dev.d);
             let g = resolve(c, &dev.g);
             let s = resolve(c, &dev.s);
@@ -575,25 +666,17 @@ impl CellTopology {
                 self.width_for(slot.role, params),
             );
         }
-        for r in &cell.resistors {
+        for r in &self.resistors {
             let a = resolve(c, &r.a);
             let b = resolve(c, &r.b);
             c.resistor(a, b, r.value);
         }
-        for cap in &cell.capacitors {
+        for cap in &self.capacitors {
             let a = resolve(c, &cap.a);
             let b = resolve(c, &cap.b);
             c.capacitor(a, b, cap.value);
         }
 
-        let (rbl, rwl) = if self.has_read_port {
-            (
-                Some(lines.rbl.expect("read-port cell requires an rbl line")),
-                Some(lines.rwl.expect("read-port cell requires an rwl line")),
-            )
-        } else {
-            (None, None)
-        };
         PlacedCell {
             nodes: CellNodes {
                 q,
@@ -637,60 +720,40 @@ impl CellTopology {
 
     /// Exports the cell as a `.subckt` definition with the canonical port
     /// list, sized by `params`. An imported topology returns its original
-    /// definition (renamed); a builtin topology is built once in a scratch
-    /// circuit and serialized. Round-trips through
+    /// definition (renamed); a built-in topology serializes its recipe in
+    /// stamp order, storage caps included. Round-trips through
     /// [`CellTopology::from_subckt`] to an equivalent topology.
     pub fn export_subckt(&self, params: &CellParams, name: &str) -> Subckt {
-        if let TopoSource::Deck(cell) = &self.source {
-            let mut sub = cell.subckt.clone();
+        if let Some(sub) = &self.subckt {
+            let mut sub = sub.clone();
             sub.name = name.to_string();
             return sub;
         }
-        let mut scratch = Circuit::new();
-        let _ = crate::cell::build_cell(&mut scratch, params);
-        let canon = |id: NodeId| -> String {
-            match scratch.node_name(id) {
-                "vdd_cell" => "vdd".to_string(),
-                "vss_cell" => "vss".to_string(),
-                other => other.to_string(),
-            }
+        let storage_cap = |name: &str, node: &str| SubcktCard::Capacitor {
+            name: name.to_string(),
+            a: node.to_string(),
+            b: "0".to_string(),
+            farads: params.c_node,
         };
-        let mut ports: Vec<String> = ["q", "qb", "bl", "blb", "wl", "vdd", "vss"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        if self.has_read_port {
-            ports.push("rbl".to_string());
-            ports.push("rwl".to_string());
-        }
         let mut cards = Vec::new();
-        for (k, t) in scratch.transistors().iter().enumerate() {
+        for (k, (slot, dev)) in self.slots.iter().zip(&self.devices).enumerate() {
             if k == 4 {
-                cards.push(SubcktCard::Capacitor {
-                    name: "Q".to_string(),
-                    a: "q".to_string(),
-                    b: "0".to_string(),
-                    farads: params.c_node,
-                });
-                cards.push(SubcktCard::Capacitor {
-                    name: "QB".to_string(),
-                    a: "qb".to_string(),
-                    b: "0".to_string(),
-                    farads: params.c_node,
-                });
+                cards.push(storage_cap("Q", "q"));
+                cards.push(storage_cap("QB", "qb"));
             }
             cards.push(SubcktCard::Device {
-                name: t.name.clone(),
-                d: canon(t.d),
-                g: canon(t.g),
-                s: canon(t.s),
-                model: t.model.name().to_string(),
-                width_um: t.width_um,
+                name: slot.name.clone(),
+                d: dev.d.deck_name().to_string(),
+                g: dev.g.deck_name().to_string(),
+                s: dev.s.deck_name().to_string(),
+                model: params.model(slot.role, slot.n_type).name().to_string(),
+                width_um: self.width_for(slot.role, params),
             });
         }
+        let n_ports = if self.has_read_port { 9 } else { 7 };
         Subckt {
             name: name.to_string(),
-            ports,
+            ports: PORTS[..n_ports].iter().map(|p| p.to_string()).collect(),
             cards,
         }
     }
@@ -742,34 +805,43 @@ mod tests {
         }
     }
 
+    /// Every built-in kind, in the paper's order.
+    const KINDS: [CellKind; 7] = [
+        CellKind::Cmos6T,
+        CellKind::Tfet6T(AccessConfig::InwardN),
+        CellKind::Tfet6T(AccessConfig::InwardP),
+        CellKind::Tfet6T(AccessConfig::OutwardN),
+        CellKind::Tfet6T(AccessConfig::OutwardP),
+        CellKind::TfetAsym6T,
+        CellKind::Tfet7T,
+    ];
+
     #[test]
     fn exported_deck_places_byte_identically_to_builder() {
-        // The heart of the PR: a builder-exported 6T deck, re-imported and
-        // placed, must reproduce the builder's circuit exactly — node
-        // names, stamp order, models, widths.
-        let params = CellParams::tfet6t(AccessConfig::InwardP).with_beta(0.6);
-        let topo = roundtrip(params.kind, &params);
-        let mut from_deck = Circuit::new();
-        topo.place(&mut from_deck, &params);
-        let mut from_builder = Circuit::new();
-        crate::cell::build_cell(&mut from_builder, &params);
-        assert_eq!(
-            from_deck.to_spice("cell"),
-            from_builder.to_spice("cell"),
-            "deck placement must be byte-identical to the builder"
-        );
+        // A built-in recipe exported, re-imported and placed must reproduce
+        // the built-in placement exactly — node names, stamp order, models,
+        // widths — for every kind, and under an instance prefix.
+        for kind in KINDS {
+            let params = CellParams::new(kind).with_beta(0.6);
+            let builtin = CellTopology::builtin(kind);
+            let topo = roundtrip(kind, &params);
+            for prefix in ["", "r3c5_"] {
+                let mut from_deck = Circuit::new();
+                topo.place_named(&mut from_deck, &params, prefix);
+                let mut from_builtin = Circuit::new();
+                builtin.place_named(&mut from_builtin, &params, prefix);
+                assert_eq!(
+                    from_deck.to_spice("cell"),
+                    from_builtin.to_spice("cell"),
+                    "{kind:?} `{prefix}`: deck placement must be byte-identical"
+                );
+            }
+        }
     }
 
     #[test]
     fn every_builtin_kind_roundtrips_access_and_ports() {
-        for kind in [
-            CellKind::Cmos6T,
-            CellKind::Tfet6T(AccessConfig::InwardN),
-            CellKind::Tfet6T(AccessConfig::InwardP),
-            CellKind::Tfet6T(AccessConfig::OutwardN),
-            CellKind::Tfet6T(AccessConfig::OutwardP),
-            CellKind::Tfet7T,
-        ] {
+        for kind in KINDS {
             let params = CellParams::new(kind);
             let topo = roundtrip(kind, &params);
             assert_eq!(topo.access(), kind.access(), "{kind:?}");

@@ -1,7 +1,7 @@
 //! Deck-driven topologies through the compiled-experiment layer.
 //!
 //! The SPICE decks under `examples/decks/` are first-class cell
-//! definitions: importing one must reproduce the built-in generator
+//! definitions: importing one must reproduce the built-in recipe
 //! bit-for-bit (6T, 7T), and a cell that exists *only* as a deck (the
 //! 9T) must run write/read/WL_crit with no topology-specific Rust.
 //!

@@ -19,6 +19,12 @@ cargo clippy -p tfet-bench --all-targets --offline -- -D warnings
 echo "== cargo doc -D warnings =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
+echo "== perfbench build (the benchmark's imports of the public API) =="
+# perfbench is its own Cargo workspace, so the workspace steps above never
+# compile it: removing a public item it imports must fail here, not first
+# in a benchmark run.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== cargo test =="
 # `cargo test` must leave nothing behind in the tree (diagnostic bundles,
 # reports): compare the full status, ignored files included, before and

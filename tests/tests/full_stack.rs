@@ -7,7 +7,6 @@ use tfet_circuit::transient::InitialState;
 use tfet_circuit::{Circuit, TransientSpec, Waveform};
 use tfet_devices::model::DeviceModel;
 use tfet_devices::{LutDevice, NTfet, PTfet};
-use tfet_sram::cell::build_cell_named;
 use tfet_sram::ops::run_write;
 use tfet_sram::prelude::*;
 
@@ -56,8 +55,9 @@ fn half_selected_cell_retains_state() {
 
     let mut c = Circuit::new();
     // Selected cell (column 0) and half-selected cell (column 1).
-    let sel = build_cell_named(&mut c, &params, "c0_");
-    let half = build_cell_named(&mut c, &params, "c1_");
+    let topo = CellTopology::builtin(params.kind);
+    let sel = topo.place_named(&mut c, &params, "c0_").nodes;
+    let half = topo.place_named(&mut c, &params, "c1_").nodes;
 
     // Common rails.
     for n in [sel.vdd, half.vdd] {
@@ -135,7 +135,9 @@ fn cell_retains_both_states_over_long_idle() {
 
     for q_high in [true, false] {
         let mut c = Circuit::new();
-        let nodes = build_cell_named(&mut c, &params, "");
+        let nodes = CellTopology::builtin(params.kind)
+            .place(&mut c, &params)
+            .nodes;
         c.vsource("VDD", nodes.vdd, Circuit::GND, Waveform::dc(vdd));
         c.vsource("VSS", nodes.vss, Circuit::GND, Waveform::dc(0.0));
         c.vsource("WL", nodes.wl, Circuit::GND, Waveform::dc(vdd)); // inactive
@@ -178,7 +180,9 @@ fn ops_layer_matches_hand_built_write() {
     // Hand-built equivalent (same timing constants as ops defaults).
     let vdd = params.vdd;
     let mut c = Circuit::new();
-    let nodes = build_cell_named(&mut c, &params, "");
+    let nodes = CellTopology::builtin(params.kind)
+        .place(&mut c, &params)
+        .nodes;
     c.vsource("VDD", nodes.vdd, Circuit::GND, Waveform::dc(vdd));
     c.vsource("VSS", nodes.vss, Circuit::GND, Waveform::dc(0.0));
     c.vsource(
