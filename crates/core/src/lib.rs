@@ -66,8 +66,6 @@
 pub mod area;
 pub mod array_netlist;
 pub mod assist;
-#[cfg(test)]
-mod cell;
 pub mod compare;
 pub mod error;
 pub mod explore;

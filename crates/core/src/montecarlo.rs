@@ -7,6 +7,13 @@
 //! deviation for every transistor in the cell; [`mc_wl_crit`] /
 //! [`mc_drnm`] run the metric per sample.
 //!
+//! This Monte-Carlo *is* the factor variation model of
+//! [`crate::rare_event`] at σ-scale 1: [`VariationModel::paper`] draws
+//! t_ox alone, every weight is exactly 1, and a study here is a yield
+//! study's sampling loop under the `mc.*` report names. A cell on
+//! [`DeviceEval::CachedLut`](crate::tech::DeviceEval::CachedLut) keeps its
+//! shared tables, since every drawn point is t_ox-only.
+//!
 //! # Parallelism and determinism
 //!
 //! Samples are independent, so the study fans out over worker threads
@@ -20,7 +27,7 @@
 //!
 //! A sample whose simulation fails no longer aborts the study. It is
 //! *quarantined*: excluded from the survivor statistics and recorded — with
-//! its index, the exact process point it drew, and the structured error —
+//! its index, its `<role>.tox` draws, and the structured error —
 //! in [`McWlCrit::quarantined`] / [`McDrnm::quarantined`], in the run
 //! report's `quarantined` section, and (when tracing is on) as a
 //! `mc_quarantine` forensics bundle. The quarantine set is deterministic:
@@ -28,17 +35,16 @@
 //! bit-identical at any worker count and the RNG streams of surviving
 //! samples are untouched. [`McConfig::min_yield`] converts excessive
 //! quarantine into a typed [`SramError::LowYield`] error.
-//!
-//! Each study is a thin wrapper over the sampling loop of [`crate::rare_event`].
 
 use crate::assist::{ReadAssist, WriteAssist};
 use crate::error::SramError;
-use crate::rare_event::{sample_study, Probe, QuarantinedSample, Reporting, Sampler};
-use crate::tech::{CellParams, CellVariations, Role};
+use crate::rare_event::{
+    sample_study, Probe, QuarantinedSample, Reporting, VariationModel, YieldConfig,
+};
+use crate::tech::{CellParams, CellVariations};
 use crate::topology::CellTopology;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tfet_devices::ProcessVariation;
 
 /// The paper's fabrication-control bound: ±5 % gate-oxide thickness.
 pub const TOX_BOUND: f64 = 0.05;
@@ -86,27 +92,24 @@ pub fn draw_truncated_normal(rng: &mut StdRng, sigma: f64, bound: f64) -> f64 {
     (sigma * tfet_numerics::inv_norm_cdf(lo + u * mass)).clamp(-bound, bound)
 }
 
-/// Draws a truncated-Gaussian deviation in `[-TOX_BOUND, TOX_BOUND]`.
-fn draw_deviation(rng: &mut StdRng) -> f64 {
-    draw_truncated_normal(rng, TOX_SIGMA, TOX_BOUND)
-}
-
-/// Draws an independent process point for every transistor role.
+/// Draws an independent t_ox point for every transistor role — one sample
+/// of [`VariationModel::paper`] at σ-scale 1, the draw every study of this
+/// module takes from its per-sample stream.
 pub fn sample_variations(rng: &mut StdRng) -> CellVariations {
-    let mut v = CellVariations::nominal();
-    for role in Role::ALL {
-        v = v.with(role, ProcessVariation::from_deviation(draw_deviation(rng)));
-    }
-    v
+    let paper = VariationModel::paper();
+    // The paper model has no supply factor, so the supply never enters.
+    paper
+        .build_variations(&paper.draw_raw(rng, 1.0), 0.0)
+        .expect("±5 % t_ox draws lie inside the model's validity range")
 }
 
-/// A sample's per-role t_ox deviations, labeled by [`Role::label`] in
-/// [`Role::ALL`] order — the `params` of a quarantined Monte-Carlo sample.
-pub(crate) fn role_deviations(v: &CellVariations) -> Vec<(String, f64)> {
-    Role::ALL
-        .iter()
-        .map(|&role| (role.label().to_string(), v.of(role).deviation()))
-        .collect()
+/// The brute-force study of `n` samples: the paper model at σ-scale 1
+/// under `config`'s execution controls.
+fn paper_study(n: usize, config: McConfig) -> YieldConfig {
+    YieldConfig {
+        mc: config,
+        ..YieldConfig::new(n, config.seed)
+    }
 }
 
 /// Execution controls for a Monte-Carlo study.
@@ -278,8 +281,8 @@ pub fn mc_wl_crit_with(
 
 /// [`mc_wl_crit_with`] for an explicit topology — Monte-Carlo `WL_crit` on
 /// a cell that exists only as an imported `.subckt`. Variations bind to
-/// devices by [`Role`], so an imported 6T sees exactly the process space a
-/// generated one does.
+/// devices by [`Role`](crate::tech::Role), so an imported 6T sees exactly
+/// the process space a generated one does.
 ///
 /// # Errors
 ///
@@ -295,7 +298,7 @@ pub fn mc_wl_crit_topo(
         "mc_wl_crit",
         "mc_sample_wl_crit",
         &Reporting::MC,
-        Sampler::Paper { n, mc: config },
+        &paper_study(n, config),
         Probe::WlCrit(assist),
         topo,
         base,
@@ -366,7 +369,7 @@ pub fn mc_drnm_topo(
         "mc_drnm",
         "mc_sample_drnm",
         &Reporting::MC,
-        Sampler::Paper { n, mc: config },
+        &paper_study(n, config),
         Probe::Drnm(assist),
         topo,
         base,
@@ -381,8 +384,21 @@ pub fn mc_drnm_topo(
 mod tests {
     use super::*;
     use crate::rare_event::{check_yield, fold_outcomes};
-    use crate::tech::{AccessConfig, CellKind};
+    use crate::tech::{AccessConfig, CellKind, Role};
     use tfet_numerics::Summary;
+
+    /// Sample `i`'s quarantine record: its seven t_ox draws, replayed from
+    /// its stream and keyed `<role>.tox`.
+    fn tox_draws(config: McConfig, i: usize) -> Vec<(String, f64)> {
+        let mut rng = config.sample_rng(i);
+        Role::ALL
+            .iter()
+            .map(|role| {
+                let dev = draw_truncated_normal(&mut rng, TOX_SIGMA, TOX_BOUND);
+                (format!("{}.tox", role.label()), dev)
+            })
+            .collect()
+    }
 
     fn fast(params: CellParams) -> CellParams {
         let mut p = params;
@@ -395,7 +411,7 @@ mod tests {
     fn deviations_respect_bound() {
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..2000 {
-            let d = draw_deviation(&mut rng);
+            let d = draw_truncated_normal(&mut rng, TOX_SIGMA, TOX_BOUND);
             assert!(d.abs() <= TOX_BOUND);
         }
     }
@@ -403,7 +419,9 @@ mod tests {
     #[test]
     fn deviations_have_expected_spread() {
         let mut rng = StdRng::seed_from_u64(11);
-        let draws: Vec<f64> = (0..4000).map(|_| draw_deviation(&mut rng)).collect();
+        let draws: Vec<f64> = (0..4000)
+            .map(|_| draw_truncated_normal(&mut rng, TOX_SIGMA, TOX_BOUND))
+            .collect();
         let s = Summary::of(&draws);
         assert!(s.mean.abs() < 0.003, "mean = {}", s.mean);
         assert!((s.std_dev - TOX_SIGMA).abs() < 0.005, "std = {}", s.std_dev);
@@ -459,7 +477,7 @@ mod tests {
     fn samples_differ_across_roles() {
         let mut rng = StdRng::seed_from_u64(1);
         let v = sample_variations(&mut rng);
-        let devs: Vec<f64> = Role::ALL.iter().map(|&r| v.of(r).deviation()).collect();
+        let devs: Vec<f64> = Role::ALL.iter().map(|&r| v.of(r).tox.deviation()).collect();
         let distinct = devs
             .iter()
             .filter(|&&d| (d - devs[0]).abs() > 1e-12)
@@ -549,8 +567,7 @@ mod tests {
                 q.error
             );
             // The recorded process point replays the sample's RNG stream.
-            let mut rng = McConfig::new(5).sample_rng(i);
-            assert_eq!(q.params, role_deviations(&sample_variations(&mut rng)));
+            assert_eq!(q.params, tox_draws(McConfig::new(5), i));
         }
         // Survivor statistics degrade cleanly to "no data", not a panic.
         assert!(Summary::try_of(&mc.values).is_none());
@@ -592,13 +609,12 @@ mod tests {
             Err(SramError::InvalidParameter("boom".into())),
             Ok(2.0),
         ];
-        let (survivors, quarantined) = fold_outcomes(Sampler::Paper { n: 3, mc: config }, outcomes);
+        let (survivors, quarantined) = fold_outcomes(&paper_study(3, config), outcomes);
         assert_eq!(survivors, vec![1.0, 2.0]);
         assert_eq!(quarantined.len(), 1);
         assert_eq!(quarantined[0].index, 1);
-        let replayed = role_deviations(&sample_variations(&mut config.sample_rng(1)));
-        assert_eq!(quarantined[0].params, replayed);
-        assert_eq!(quarantined[0].params[0].0, "pull_up_left");
+        assert_eq!(quarantined[0].params, tox_draws(config, 1));
+        assert_eq!(quarantined[0].params[0].0, "pull_up_left.tox");
         assert!(check_yield(2, 3, &config).is_ok());
         assert!(check_yield(2, 3, &config.with_min_yield(2.0 / 3.0)).is_ok());
         assert!(check_yield(2, 3, &config.with_min_yield(0.9)).is_err());

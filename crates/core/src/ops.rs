@@ -1072,4 +1072,39 @@ mod tests {
             Err(SramError::InvalidParameter(_))
         ));
     }
+
+    /// `run_read` on `p` must refuse it with a typed error, not panic inside
+    /// the circuit builder or the transient spec.
+    fn assert_rejected(p: &CellParams) {
+        assert!(
+            matches!(run_read(p, None), Err(SramError::InvalidParameter(_))),
+            "c_bitline {}, c_node {}, dt {}",
+            p.c_bitline,
+            p.c_node,
+            p.sim.dt
+        );
+    }
+
+    #[test]
+    fn nan_bitline_capacitance_is_a_typed_error() {
+        let mut p = CellParams::tfet6t(AccessConfig::InwardP);
+        p.c_bitline = f64::NAN;
+        assert_rejected(&p);
+    }
+
+    #[test]
+    fn nan_node_capacitance_is_a_typed_error() {
+        let mut p = CellParams::tfet6t(AccessConfig::InwardP);
+        p.c_node = f64::NAN;
+        assert_rejected(&p);
+    }
+
+    #[test]
+    fn bad_time_step_is_a_typed_error() {
+        for dt in [0.0, -1e-12, f64::NAN] {
+            let mut p = CellParams::tfet6t(AccessConfig::InwardP);
+            p.sim.dt = dt;
+            assert_rejected(&p);
+        }
+    }
 }

@@ -39,12 +39,13 @@
 //!
 //! # One sampling loop
 //!
-//! These yield studies and the [`crate::montecarlo`] studies share one
-//! sampling loop: counter-based per-sample RNG streams, outcomes folded in
-//! sample order, so estimate, standard error and ESS are bit-identical at
-//! any worker-thread count. A draw outside a factor's perturbative validity
-//! bound — expected when `sigma_scale` pushes a wide-bound factor past the
-//! device model's range — surfaces as a typed
+//! These yield studies and the [`crate::montecarlo`] studies — a
+//! [`VariationModel::paper`] study at σ-scale 1 — share one sampling loop
+//! over a [`YieldConfig`]: counter-based per-sample RNG streams, outcomes
+//! folded in sample order, so estimate, standard error and ESS are
+//! bit-identical at any worker-thread count. A draw outside a factor's
+//! perturbative validity bound — expected when `sigma_scale` pushes a
+//! wide-bound factor past the device model's range — surfaces as a typed
 //! [`VariationError`](tfet_devices::VariationError), and the sample is
 //! quarantined through the same per-sample path as simulation failures,
 //! never a panicking worker.
@@ -52,11 +53,9 @@
 use crate::assist::{ReadAssist, WriteAssist};
 use crate::error::SramError;
 use crate::metrics::{read_metrics_compiled, wl_crit_compiled, WlCrit};
-use crate::montecarlo::{
-    draw_truncated_normal, role_deviations, sample_variations, McConfig, TOX_BOUND, TOX_SIGMA,
-};
+use crate::montecarlo::{draw_truncated_normal, McConfig, TOX_BOUND, TOX_SIGMA};
 use crate::ops::{ReadExperiment, WriteExperiment};
-use crate::tech::{CellParams, CellProcess, Role};
+use crate::tech::{CellParams, CellVariations, Role};
 use crate::topology::CellTopology;
 use rand::rngs::StdRng;
 use tfet_devices::ProcessPoint;
@@ -221,7 +220,7 @@ impl VariationModel {
     /// disabled factor consumes no RNG words. The draw *always* runs to
     /// completion — the stream position after a sample is independent of
     /// whether its values are valid.
-    fn draw_raw(&self, rng: &mut StdRng, scale: f64) -> RawDraws {
+    pub(crate) fn draw_raw(&self, rng: &mut StdRng, scale: f64) -> RawDraws {
         let mut weight = 1.0;
         let globals = [
             self.tox_global.draw(rng, scale, &mut weight),
@@ -246,10 +245,14 @@ impl VariationModel {
     /// Assembles the per-transistor process points from raw draws,
     /// validating every factor combination against the device model's
     /// perturbative bounds. The *first* out-of-range role fails the sample.
-    fn build_process(&self, raw: &RawDraws, vdd: f64) -> Result<CellProcess, SramError> {
+    pub(crate) fn build_variations(
+        &self,
+        raw: &RawDraws,
+        vdd: f64,
+    ) -> Result<CellVariations, SramError> {
         // Supply droop → common-mode threshold shift (see the field docs).
         let supply_vth = -vdd * raw.globals[2];
-        let mut process = CellProcess::nominal();
+        let mut variations = CellVariations::nominal();
         for (i, role) in Role::ALL.into_iter().enumerate() {
             let [l_tox, l_vth, l_drive] = raw.locals[i];
             let point = ProcessPoint::try_new(
@@ -257,9 +260,9 @@ impl VariationModel {
                 raw.globals[1] + l_vth + supply_vth,
                 l_drive,
             )?;
-            process = process.with(role, point);
+            variations = variations.with(role, point);
         }
-        Ok(process)
+        Ok(variations)
     }
 
     /// The labeled draw list of a sample, for quarantine records — active
@@ -291,7 +294,7 @@ impl VariationModel {
 }
 
 /// One sample's raw factor draws plus its importance weight.
-struct RawDraws {
+pub(crate) struct RawDraws {
     /// `[tox_global, vth_global, supply]`.
     globals: [f64; 3],
     /// Per role (in [`Role::ALL`] order): `[tox, vth, drive]`.
@@ -385,6 +388,25 @@ impl YieldConfig {
         }
         self.model.validate()
     }
+
+    /// Sample `i`'s cell and importance weight. The draw always runs to
+    /// completion before its factor combination is validated.
+    fn draw(&self, base: &CellParams, i: usize) -> Result<(CellParams, f64), SramError> {
+        let raw = self
+            .model
+            .draw_raw(&mut self.mc.sample_rng(i), self.sigma_scale);
+        let variations = self.model.build_variations(&raw, base.vdd)?;
+        Ok((base.clone().with_variations(variations), raw.weight))
+    }
+
+    /// Sample `i`'s labeled draws, replayed from its private stream — the
+    /// exact draws the worker took.
+    fn labeled(&self, i: usize) -> Vec<(String, f64)> {
+        let raw = self
+            .model
+            .draw_raw(&mut self.mc.sample_rng(i), self.sigma_scale);
+        self.model.labeled_params(&raw)
+    }
 }
 
 /// One quarantined sample: excluded from the survivor statistics instead of
@@ -394,9 +416,9 @@ impl YieldConfig {
 pub struct QuarantinedSample {
     /// Sample index within the study.
     pub index: usize,
-    /// Labeled draws, in draw order: per-role t_ox deviations keyed by
-    /// [`Role::label`] for a [`crate::montecarlo`] study, the active factors
-    /// (`global.vth`, `<role>.tox`, …) for a yield study.
+    /// Labeled draws of the active factors, in draw order: `global.vth`,
+    /// `<role>.tox`, … with `<role>` a [`Role::label`]. A
+    /// [`crate::montecarlo`] study records the seven `<role>.tox` draws.
     pub params: Vec<(String, f64)>,
     /// Why the sample was excluded: an out-of-validity-range draw or a
     /// failed simulation.
@@ -460,59 +482,6 @@ pub fn array_fail_prob(p_cell: f64, cells: u64) -> f64 {
 /// Array-level yield (probability every one of `cells` cells works).
 pub fn array_yield(p_cell: f64, cells: u64) -> f64 {
     1.0 - array_fail_prob(p_cell, cells)
-}
-
-/// The process space a sampling study draws from, with its execution
-/// controls.
-#[derive(Clone, Copy)]
-pub(crate) enum Sampler<'a> {
-    /// The paper's §4.3 brute-force Monte-Carlo over `n` samples: per-role
-    /// t_ox deviations from [`sample_variations`], bound through
-    /// [`CellParams::with_variations`] so the cell's device-evaluation path
-    /// (analytic or cached LUT) stays in force. Every weight is 1.
-    Paper { n: usize, mc: McConfig },
-    /// A yield study's factor model under its σ-scaled proposal.
-    Model(&'a YieldConfig),
-}
-
-impl Sampler<'_> {
-    /// Sample count and execution controls.
-    fn controls(&self) -> (usize, &McConfig) {
-        match self {
-            Sampler::Paper { n, mc } => (*n, mc),
-            Sampler::Model(cfg) => (cfg.n, &cfg.mc),
-        }
-    }
-
-    /// Sample `i`'s cell and importance weight. The draw always runs to
-    /// completion before its factor combination is validated.
-    fn draw(&self, base: &CellParams, i: usize) -> Result<(CellParams, f64), SramError> {
-        let mut rng = self.controls().1.sample_rng(i);
-        match self {
-            Sampler::Paper { .. } => {
-                let params = base.clone().with_variations(sample_variations(&mut rng));
-                Ok((params, 1.0))
-            }
-            Sampler::Model(cfg) => {
-                let raw = cfg.model.draw_raw(&mut rng, cfg.sigma_scale);
-                let process = cfg.model.build_process(&raw, base.vdd)?;
-                Ok((base.clone().with_process(process), raw.weight))
-            }
-        }
-    }
-
-    /// Sample `i`'s labeled draws, replayed from its private stream — the
-    /// exact draws the worker took.
-    fn labeled(&self, i: usize) -> Vec<(String, f64)> {
-        let mut rng = self.controls().1.sample_rng(i);
-        match self {
-            Sampler::Paper { .. } => role_deviations(&sample_variations(&mut rng)),
-            Sampler::Model(cfg) => {
-                let raw = cfg.model.draw_raw(&mut rng, cfg.sigma_scale);
-                cfg.model.labeled_params(&raw)
-            }
-        }
-    }
 }
 
 /// How one study family reports into the observability layer: the
@@ -591,24 +560,24 @@ impl Compiled {
 }
 
 /// The sampling loop behind every Monte-Carlo and yield study: fans the
-/// draws out over workers (each compiles one experiment, then re-binds it),
-/// folds the outcomes in index order, publishes the quarantine, hands
-/// survivors — `(importance weight, measurement)` pairs, the weight 1 for
-/// brute force — and quarantine to `summarize`, then enforces `min_yield`.
-/// `reporting` names the study family's histograms, counter and bundles.
+/// draws of `cfg` out over workers (each compiles one experiment, then
+/// re-binds it), folds the outcomes in index order, publishes the
+/// quarantine, hands survivors — `(importance weight, measurement)` pairs,
+/// the weight 1 for brute force — and quarantine to `summarize`, then
+/// enforces `min_yield`. `reporting` names the study family's histograms,
+/// counter and bundles.
 #[allow(clippy::too_many_arguments)] // one call per study reads best as a flat list
 pub(crate) fn sample_study<R>(
     study: &'static str,
     sample_span: &'static str,
     reporting: &Reporting,
-    sampler: Sampler<'_>,
+    cfg: &YieldConfig,
     probe: Probe,
     topo: &CellTopology,
     base: &CellParams,
     summarize: impl FnOnce(Vec<(f64, f64)>, Vec<QuarantinedSample>) -> R,
 ) -> Result<R, SramError> {
     let _span = tfet_obs::span(study);
-    let (n, mc) = sampler.controls();
     // Seed every sample's bisection from the *nominal* cell's WL_crit,
     // computed once before the fan-out and shared — never chained sample to
     // sample. A failing nominal cell yields no hint: samples search cold.
@@ -620,8 +589,8 @@ pub(crate) fn sample_study<R>(
         Probe::Drnm(_) => None,
     };
     let outcomes = tfet_numerics::parallel::par_map_with(
-        n,
-        mc.threads,
+        cfg.n,
+        cfg.mc.threads,
         || None,
         |slot, i| {
             // A *root* span: at one worker the sample runs inline under the
@@ -632,7 +601,7 @@ pub(crate) fn sample_study<R>(
             // failed one must not poison the worker's cache, so later samples
             // behave exactly as on a fresh worker, whatever the scheduling.
             let cached = slot.take();
-            let (params, weight) = sampler.draw(base, i)?;
+            let (params, weight) = cfg.draw(base, i)?;
             let mut exp = match (cached, probe) {
                 (Some(Compiled::Write(mut exp)), _) => {
                     exp.bind_cell(&params).map(|_| Compiled::Write(exp))
@@ -652,18 +621,18 @@ pub(crate) fn sample_study<R>(
             Ok((weight, value))
         },
     );
-    let (survivors, quarantined) = fold_outcomes(sampler, outcomes);
+    let (survivors, quarantined) = fold_outcomes(cfg, outcomes);
     let kept = survivors.len();
-    publish_quarantine(study, reporting, mc.seed, &quarantined);
+    publish_quarantine(study, reporting, cfg.mc.seed, &quarantined);
     let result = summarize(survivors, quarantined);
-    check_yield(kept, n, mc)?;
+    check_yield(kept, cfg.n, &cfg.mc)?;
     Ok(result)
 }
 
 /// Splits per-sample outcomes (in index order) into survivors and
 /// quarantined samples, each labeled with the draws it replays to.
 pub(crate) fn fold_outcomes<T>(
-    sampler: Sampler<'_>,
+    cfg: &YieldConfig,
     outcomes: Vec<Result<T, SramError>>,
 ) -> (Vec<T>, Vec<QuarantinedSample>) {
     let mut survivors = Vec::with_capacity(outcomes.len());
@@ -673,7 +642,7 @@ pub(crate) fn fold_outcomes<T>(
             Ok(v) => survivors.push(v),
             Err(error) => quarantined.push(QuarantinedSample {
                 index,
-                params: sampler.labeled(index),
+                params: cfg.labeled(index),
                 error,
             }),
         }
@@ -757,7 +726,7 @@ pub fn yield_write(
         "yield_write",
         "yield_sample_write",
         &Reporting::YIELD,
-        Sampler::Model(cfg),
+        cfg,
         Probe::WlCrit(assist),
         &CellTopology::builtin(base.kind),
         base,
@@ -789,7 +758,7 @@ pub fn yield_read(
         "yield_read",
         "yield_sample_read",
         &Reporting::YIELD,
-        Sampler::Model(cfg),
+        cfg,
         Probe::Drnm(assist),
         &CellTopology::builtin(base.kind),
         base,
@@ -959,19 +928,21 @@ mod tests {
     fn brute_force_samples_the_montecarlo_process_space() {
         // At sigma_scale 1 with the paper model, a yield study draws the
         // exact per-role t_ox deviations of `montecarlo` (same per-sample
-        // streams, same draw order) and evaluates them identically.
-        let base = base();
-        let n = 6;
-        let cfg = YieldConfig::new(n, 77);
-        let study = yield_read(&base, None, -1.0, &cfg).expect("study runs");
-        let topo = CellTopology::builtin(base.kind);
-        let mc = mc_drnm_topo(&topo, &base, None, n, cfg.mc).expect("mc runs");
-        let summary = study.metric_summary.expect("all samples finite");
-        let reference = Summary::of(&mc.values);
-        assert_eq!(summary.n, n);
-        assert_eq!(summary.min, reference.min, "same draws, same values");
-        assert_eq!(summary.max, reference.max);
-        assert!((summary.mean - reference.mean).abs() < 1e-12);
+        // streams, same draw order) and evaluates them identically — on a
+        // cached-LUT cell too, whose t_ox-only points read the shared tables.
+        for base in [base(), base().with_lut_devices()] {
+            let n = 6;
+            let cfg = YieldConfig::new(n, 77);
+            let study = yield_read(&base, None, -1.0, &cfg).expect("study runs");
+            let topo = CellTopology::builtin(base.kind);
+            let mc = mc_drnm_topo(&topo, &base, None, n, cfg.mc).expect("mc runs");
+            let summary = study.metric_summary.expect("all samples finite");
+            let reference = Summary::of(&mc.values);
+            assert_eq!(summary.n, n);
+            assert_eq!(summary.min, reference.min, "{:?}: same values", base.eval);
+            assert_eq!(summary.max, reference.max);
+            assert!((summary.mean - reference.mean).abs() < 1e-12);
+        }
     }
 
     #[test]

@@ -11,9 +11,7 @@ use crate::error::SramError;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use tfet_devices::model::{DeviceKind, DeviceModel};
-use tfet_devices::{
-    MosfetParams, NTfet, Nmos, PTfet, Pmos, ProcessPoint, ProcessVariation, TfetParams,
-};
+use tfet_devices::{MosfetParams, NTfet, Nmos, PTfet, Pmos, ProcessPoint, TfetParams};
 
 /// How transistor I-V characteristics are evaluated during simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -25,7 +23,10 @@ pub enum DeviceEval {
     /// ([`tfet_devices::shared_lut`]): each quantized process corner is
     /// tabulated once and shared by every cell instance and every thread.
     /// This is the fast path for Monte-Carlo and sweeps, at the cost of the
-    /// LUT's interpolation error (≲ a few percent in the on region).
+    /// LUT's interpolation error (≲ a few percent in the on region). The
+    /// cache is keyed on t_ox alone, so only t_ox-only process points
+    /// (`vth_shift == 0`, `drive_ratio == 1`) come from it; any other
+    /// point evaluates analytically.
     CachedLut,
 }
 
@@ -238,52 +239,19 @@ impl Role {
     }
 }
 
-/// Per-transistor process variation assignment (±5 % gate-oxide thickness,
-/// paper §4.3). Defaults to the nominal process for every device.
+/// Per-transistor process assignment: one [`ProcessPoint`] (t_ox, Vth
+/// shift, drive strength) per [`Role`]. The paper's §4.3 Monte-Carlo fills
+/// in t_ox alone; a yield study's factor model may set every factor.
+/// Defaults to the nominal process for every device.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellVariations {
-    deviations: [ProcessVariation; 7],
+    points: [ProcessPoint; 7],
 }
 
 impl CellVariations {
     /// The nominal process for every transistor.
     pub fn nominal() -> Self {
         CellVariations {
-            deviations: [ProcessVariation::nominal(); 7],
-        }
-    }
-
-    /// Sets one transistor's variation (builder style).
-    pub fn with(mut self, role: Role, v: ProcessVariation) -> Self {
-        self.deviations[role.index()] = v;
-        self
-    }
-
-    /// The variation assigned to a role.
-    pub fn of(&self, role: Role) -> ProcessVariation {
-        self.deviations[role.index()]
-    }
-}
-
-impl Default for CellVariations {
-    fn default() -> Self {
-        CellVariations::nominal()
-    }
-}
-
-/// Per-transistor multi-factor process assignment (t_ox + Vth mismatch +
-/// drive strength) for rare-event yield studies. The paper-faithful default
-/// path keeps using [`CellVariations`]; a cell only carries a `CellProcess`
-/// when the factor variation model is explicitly enabled.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CellProcess {
-    points: [ProcessPoint; 7],
-}
-
-impl CellProcess {
-    /// The nominal process for every transistor.
-    pub fn nominal() -> Self {
-        CellProcess {
             points: [ProcessPoint::nominal(); 7],
         }
     }
@@ -300,9 +268,9 @@ impl CellProcess {
     }
 }
 
-impl Default for CellProcess {
+impl Default for CellVariations {
     fn default() -> Self {
-        CellProcess::nominal()
+        CellVariations::nominal()
     }
 }
 
@@ -418,7 +386,8 @@ impl Default for SimOptions {
 }
 
 /// Complete description of a cell experiment: topology, sizing, supply,
-/// parasitics, process point, and simulation controls.
+/// parasitics, one [`ProcessPoint`] per transistor role, the device
+/// evaluation strategy, and simulation controls.
 #[derive(Debug, Clone)]
 pub struct CellParams {
     /// Cell topology.
@@ -432,14 +401,8 @@ pub struct CellParams {
     pub c_bitline: f64,
     /// Extra wiring capacitance on each storage node, F.
     pub c_node: f64,
-    /// Per-transistor process variation.
+    /// Per-transistor process points.
     pub variations: CellVariations,
-    /// Per-transistor multi-factor process points. `None` (the default, and
-    /// the paper-faithful configuration) routes device construction through
-    /// [`CellVariations`] exactly as before; `Some` takes precedence and
-    /// always evaluates analytically — the compiled-LUT corner cache is
-    /// keyed on t_ox alone and cannot represent the extra factors.
-    pub process: Option<CellProcess>,
     /// Operating temperature, K (applied to every device model).
     pub temp_k: f64,
     /// Device evaluation strategy (analytic vs. cached LUT).
@@ -469,7 +432,6 @@ impl CellParams {
             c_bitline: 20e-15,
             c_node: 0.15e-15,
             variations: CellVariations::nominal(),
-            process: None,
             temp_k: 300.0,
             eval: DeviceEval::default(),
             sim: SimOptions::default(),
@@ -488,17 +450,9 @@ impl CellParams {
         self
     }
 
-    /// Sets the per-transistor process variations (builder style).
+    /// Sets the per-transistor process points (builder style).
     pub fn with_variations(mut self, v: CellVariations) -> Self {
         self.variations = v;
-        self
-    }
-
-    /// Sets the per-transistor multi-factor process points (builder style),
-    /// switching device construction to the factor variation model. See
-    /// [`CellParams::process`].
-    pub fn with_process(mut self, p: CellProcess) -> Self {
-        self.process = Some(p);
         self
     }
 
@@ -531,21 +485,23 @@ impl CellParams {
                 self.vdd
             )));
         }
-        if self.c_bitline <= 0.0 || self.c_node <= 0.0 {
+        if !(self.c_bitline > 0.0 && self.c_node > 0.0) {
             return Err(SramError::InvalidParameter(
                 "parasitic capacitances must be positive".into(),
             ));
+        }
+        if !(self.sim.dt > 0.0 && self.sim.dt.is_finite()) {
+            return Err(SramError::InvalidParameter(format!(
+                "time step dt {} must be positive and finite",
+                self.sim.dt
+            )));
         }
         Ok(())
     }
 
     /// Builds the device model for a role, applying that transistor's
-    /// process variation. `n_type` selects the polarity within the
-    /// technology.
+    /// process point. `n_type` selects the polarity within the technology.
     pub(crate) fn model(&self, role: Role, n_type: bool) -> Arc<dyn DeviceModel> {
-        if let Some(process) = &self.process {
-            return self.model_with_point(process.of(role), n_type);
-        }
         self.model_with(self.variations.of(role), n_type)
     }
 
@@ -554,46 +510,25 @@ impl CellParams {
     /// precharge, write mux) sit outside the cell's per-role variation
     /// model and always use the nominal process.
     pub(crate) fn periph_model(&self, n_type: bool) -> Arc<dyn DeviceModel> {
-        self.model_with(ProcessVariation::nominal(), n_type)
+        self.model_with(ProcessPoint::nominal(), n_type)
     }
 
-    /// Builds a device model from a multi-factor process point. Always
-    /// analytic: the shared LUT corner cache is keyed on
-    /// [`ProcessVariation`] (t_ox only) and would silently drop the Vth and
-    /// drive factors.
-    fn model_with_point(&self, point: ProcessPoint, n_type: bool) -> Arc<dyn DeviceModel> {
-        if self.kind.is_tfet() {
-            let p = point
-                .apply_tfet(&TfetParams::nominal())
-                .at_temperature(self.temp_k);
-            if n_type {
-                Arc::new(NTfet::new(p))
-            } else {
-                Arc::new(PTfet::new(p))
-            }
-        } else {
-            let p = point
-                .apply_mosfet(&MosfetParams::nominal_32nm_lp())
-                .at_temperature(self.temp_k);
-            if n_type {
-                Arc::new(Nmos::new(p))
-            } else {
-                Arc::new(Pmos::new(p))
-            }
-        }
-    }
-
-    fn model_with(&self, var: ProcessVariation, n_type: bool) -> Arc<dyn DeviceModel> {
-        if self.eval == DeviceEval::CachedLut {
+    /// Builds a device model at a process point. Under
+    /// [`DeviceEval::CachedLut`] a t_ox-only point is served from the shared
+    /// corner cache; a point with a Vth shift or a drive factor evaluates
+    /// analytically, because the cache is keyed on t_ox alone.
+    fn model_with(&self, point: ProcessPoint, n_type: bool) -> Arc<dyn DeviceModel> {
+        let tox_only = point.vth_shift == 0.0 && point.drive_ratio == 1.0;
+        if self.eval == DeviceEval::CachedLut && tox_only {
             let kind = if self.kind.is_tfet() {
                 DeviceKind::Tfet
             } else {
                 DeviceKind::Mosfet
             };
-            return tfet_devices::shared_lut(kind, n_type, var, self.temp_k);
+            return tfet_devices::shared_lut(kind, n_type, point.tox, self.temp_k);
         }
         if self.kind.is_tfet() {
-            let p = var
+            let p = point
                 .apply_tfet(&TfetParams::nominal())
                 .at_temperature(self.temp_k);
             if n_type {
@@ -602,7 +537,7 @@ impl CellParams {
                 Arc::new(PTfet::new(p))
             }
         } else {
-            let p = var
+            let p = point
                 .apply_mosfet(&MosfetParams::nominal_32nm_lp())
                 .at_temperature(self.temp_k);
             if n_type {
@@ -669,10 +604,10 @@ mod tests {
 
     #[test]
     fn variations_address_individual_transistors() {
-        let v = CellVariations::nominal()
-            .with(Role::AccessLeft, ProcessVariation::from_deviation(0.05));
-        assert!((v.of(Role::AccessLeft).deviation() - 0.05).abs() < 1e-12);
-        assert_eq!(v.of(Role::AccessRight).deviation(), 0.0);
+        let point = ProcessPoint::try_new(0.05, 0.0, 0.0).unwrap();
+        let v = CellVariations::nominal().with(Role::AccessLeft, point);
+        assert!((v.of(Role::AccessLeft).tox.deviation() - 0.05).abs() < 1e-12);
+        assert!(v.of(Role::AccessRight).is_nominal());
     }
 
     #[test]
@@ -703,17 +638,21 @@ mod tests {
     }
 
     #[test]
-    fn process_points_take_precedence_and_stay_analytic() {
-        let point = ProcessPoint::try_new(0.0, 0.05, 0.0).unwrap();
+    fn lut_cells_cache_tox_only_points_and_evaluate_the_rest() {
+        let vth = ProcessPoint::try_new(0.0, 0.05, 0.0).unwrap();
+        let tox = ProcessPoint::try_new(0.03, 0.0, 0.0).unwrap();
         let p = CellParams::tfet6t(AccessConfig::InwardP)
             .with_lut_devices()
-            .with_process(CellProcess::nominal().with(Role::PullDownLeft, point));
-        // Factor-model devices never come from the LUT corner cache.
+            .with_variations(
+                CellVariations::nominal()
+                    .with(Role::PullDownLeft, vth)
+                    .with(Role::PullDownRight, tox),
+            );
+        // The corner cache is keyed on t_ox: a Vth shift evaluates analytically.
         assert_eq!(p.model(Role::PullDownLeft, true).name(), "ntfet");
-        // A nominal process assignment reproduces the nominal analytic model.
-        let nominal =
-            CellParams::tfet6t(AccessConfig::InwardP).with_process(CellProcess::nominal());
-        assert_eq!(nominal.model(Role::AccessLeft, true).name(), "ntfet");
+        // A t_ox-only point is the shared table of its corner.
+        let cached = tfet_devices::shared_lut(DeviceKind::Tfet, true, tox.tox, p.temp_k);
+        assert!(Arc::ptr_eq(&p.model(Role::PullDownRight, true), &cached));
     }
 
     #[test]

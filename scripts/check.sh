@@ -73,7 +73,7 @@ for b in solver_throughput mc_throughput wl_crit_throughput array_throughput yie
   TFET_BENCH_QUICK=1 cargo bench -q -p tfet-bench --bench "$b" --offline
 done
 
-echo "== sparse-vs-dense figure-CSV bit-identity (--quick, 1 and 8 threads) =="
+echo "== sparse-vs-dense and golden figure-CSV bit-identity (--quick, 1 and 8 threads) =="
 # Solver tiers agree to ~1e-5 relative; every figure formatter caps its
 # display resolution above that scale (see `fixed1_sig4` in tfet-bench),
 # so the CSVs must be byte-identical — no tolerance fallback.
@@ -86,6 +86,12 @@ for threads in 1 8; do
     --bin figures -- --quick --dense --out "$figtmp/dense_t$threads" >/dev/null
   diff -r "$figtmp/sparse_t$threads" "$figtmp/dense_t$threads"
   echo "threads=$threads: sparse and dense figure CSVs are bit-identical"
+  # Tiers that agree with each other can still move together (a reordered
+  # Monte-Carlo draw moves both): the default run must also match the
+  # committed goldens. A change meant to move a figure regenerates them with
+  # `figures --quick --out results/quick` and says why.
+  diff -r results/quick "$figtmp/sparse_t$threads"
+  echo "threads=$threads: figure CSVs match the committed results/quick goldens"
 done
 
 echo "== latency-tier figure-CSV bit-identity (--quick, 1 and 8 threads) =="
