@@ -36,7 +36,7 @@
 use crate::dc::{DcResult, SolverStrategy};
 use crate::error::SimError;
 use crate::mna::Mna;
-use crate::netlist::{Circuit, SourceId};
+use crate::netlist::{Circuit, NodeId, SourceId};
 use crate::probe::{SolveStats, TransientResult};
 use crate::transient::{InitialState, StopEvent, TransientSpec};
 use crate::waveform::Waveform;
@@ -159,9 +159,43 @@ impl CompiledCircuit {
         initial: &InitialState,
         events: &[StopEvent],
     ) -> Result<TransientResult, SimError> {
-        let mut result = self
-            .circuit
-            .transient_events_with(spec, initial, events, &mut self.ws)?;
+        self.run_recorded(spec, initial, events, None)
+    }
+
+    /// Like [`run`](CompiledCircuit::run), but the result keeps the traces
+    /// of `probes` only, plus every node's final voltage. Results, stats and
+    /// partition telemetry are bit-identical to a full run; only the
+    /// waveform store shrinks — on a large array from every node at every
+    /// step to a handful of columns. Reading the trace of a node outside
+    /// `probes` panics, naming the node.
+    ///
+    /// # Errors
+    ///
+    /// As [`run`](CompiledCircuit::run).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a probe is not a node of this circuit.
+    pub fn run_probed(
+        &mut self,
+        spec: &TransientSpec,
+        initial: &InitialState,
+        events: &[StopEvent],
+        probes: &[NodeId],
+    ) -> Result<TransientResult, SimError> {
+        self.run_recorded(spec, initial, events, Some(probes))
+    }
+
+    fn run_recorded(
+        &mut self,
+        spec: &TransientSpec,
+        initial: &InitialState,
+        events: &[StopEvent],
+        probes: Option<&[NodeId]>,
+    ) -> Result<TransientResult, SimError> {
+        let mut result =
+            self.circuit
+                .transient_recorded(spec, initial, events, probes, &mut self.ws)?;
         result.stats.circuit_builds = std::mem::take(&mut self.pending_builds);
         result.stats.param_binds = std::mem::take(&mut self.pending_binds);
         self.lifetime.absorb(&result.stats);
@@ -198,7 +232,7 @@ impl CompiledCircuit {
     ///
     /// Propagates Newton failures ([`SimError::NoConvergence`],
     /// [`SimError::SingularMatrix`]).
-    pub fn dc_op(&mut self, guess: &[(crate::NodeId, f64)]) -> Result<DcResult, SimError> {
+    pub fn dc_op(&mut self, guess: &[(NodeId, f64)]) -> Result<DcResult, SimError> {
         tfet_obs::counter("compiled.dc_ops", 1);
         let mna = Mna::new(&self.circuit)?;
         let x = self
@@ -220,7 +254,6 @@ impl CompiledCircuit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::netlist::NodeId;
     use tfet_devices::NTfet;
 
     fn rc(level: f64) -> (Circuit, SourceId, NodeId) {
@@ -334,6 +367,86 @@ mod tests {
         assert_eq!(compiled.circuit().transistors()[0].width_um, 0.2);
         let op = compiled.dc_op(&[]).unwrap();
         assert!(op.total_power() > 0.0);
+    }
+
+    /// Runs `c` twice on fresh compiled copies — recording every node,
+    /// then only `probes` — and asserts the probed result is the full one
+    /// restricted to the probes, bit for bit.
+    fn assert_probed_matches_full(
+        c: &Circuit,
+        spec: &TransientSpec,
+        initial: &InitialState,
+        probes: &[NodeId],
+    ) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let full = CompiledCircuit::compile(c.clone())
+            .unwrap()
+            .run(spec, initial, &[])
+            .unwrap();
+        let probed = CompiledCircuit::compile(c.clone())
+            .unwrap()
+            .run_probed(spec, initial, &[], probes)
+            .unwrap();
+        assert_eq!(bits(probed.times()), bits(full.times()));
+        for &n in probes {
+            assert_eq!(bits(&probed.trace(n)), bits(&full.trace(n)), "{n:?}");
+        }
+        for i in 0..c.node_count() {
+            assert_eq!(
+                probed.final_voltage(NodeId(i)).to_bits(),
+                full.final_voltage(NodeId(i)).to_bits(),
+                "final voltage of {}",
+                c.node_name(NodeId(i))
+            );
+        }
+        assert_eq!(probed.stats, full.stats);
+        assert!(full.stats.accepted_steps > 10, "{:?}", full.stats);
+    }
+
+    #[test]
+    fn probed_run_matches_full_run_on_rc() {
+        let (c, _, out) = rc(1.0);
+        let initial = InitialState::Uic(vec![]);
+        for spec in [
+            TransientSpec::new(3e-9, 2e-12),
+            TransientSpec::fixed(1e-9, 10e-12),
+        ] {
+            assert_probed_matches_full(&c, &spec, &initial, &[out]);
+        }
+    }
+
+    #[test]
+    fn probed_run_matches_full_run_on_6t_write_deck() {
+        let deck = crate::Deck::parse(
+            include_str!("../tests/golden/write_6t.sp"),
+            &tfet_devices::standard_models(),
+        )
+        .unwrap();
+        let spec = deck.analyses[0].transient_spec().unwrap();
+        let node = |name| deck.circuit.find_node(name).unwrap();
+        assert_probed_matches_full(
+            &deck.circuit,
+            &spec,
+            &deck.initial_state(),
+            &[node("q"), node("qb")],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "node `in` was not recorded by this run (recorded: out)")]
+    fn reading_an_unrecorded_trace_names_the_node() {
+        let (c, _, out) = rc(1.0);
+        let input = c.find_node("in").unwrap();
+        let res = CompiledCircuit::compile(c)
+            .unwrap()
+            .run_probed(
+                &TransientSpec::fixed(1e-10, 1e-11),
+                &InitialState::Uic(vec![]),
+                &[],
+                &[out],
+            )
+            .unwrap();
+        res.trace(input);
     }
 
     #[test]

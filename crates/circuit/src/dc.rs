@@ -319,6 +319,8 @@ fn newton_sparse(
                     } else {
                         None
                     };
+                    // Written in full: nothing left to compose.
+                    s.inc.stale = false;
                     mna.assemble_into(&x, t, gmin, anchor, caps, &mut s.jac, &mut bufs.f, cache)
                 }
             };

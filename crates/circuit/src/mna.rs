@@ -8,8 +8,9 @@
 //! its Jacobian at a candidate `x` so Newton–Raphson can iterate.
 
 use crate::error::SimError;
-use crate::latency::{assembly_threads, LatencyState, PAR_EVAL_MIN};
+use crate::latency::{assembly_threads, partition_signature, LatencyState, PAR_EVAL_MIN};
 use crate::netlist::{Circuit, NodeId};
+use std::sync::OnceLock;
 use tfet_numerics::{par_for_each_mut, GroupedIndices, Matrix, SparseMatrix, SparsityPattern};
 
 /// Jacobian assembly target: dense [`Matrix`] or pattern-backed
@@ -88,12 +89,15 @@ const NO_SLOT: usize = usize::MAX;
 ///   subtract-old/add-new deltas through per-device precomputed slots
 ///   whenever a device is freshly evaluated.
 ///
-/// The full matrix is composed per iteration as one O(nnz) vector add —
-/// replacing O(devices) slot-searched stamps. Repeated subtract/add cycles
-/// drift `trans_values` by at most a few ulps per refresh (the deltas are
-/// exact floating-point values, not accumulated sums), far inside Newton's
-/// convergence tolerance, and every mutation is serial in netlist order so
-/// results stay independent of thread count.
+/// The full matrix is composed as one O(nnz) vector add — replacing
+/// O(devices) slot-searched stamps — and only when something reads it: an
+/// assembly marks the matrix [`stale`](Self::stale), and the solver composes
+/// before a refactorization or a consistency check, the only readers. An
+/// iteration that reuses a factorization never pays for it. Repeated
+/// subtract/add cycles drift `trans_values` by at most a few ulps per
+/// refresh (the deltas are exact floating-point values, not accumulated
+/// sums), far inside Newton's convergence tolerance, and every mutation is
+/// serial in netlist order so results stay independent of thread count.
 #[derive(Debug, Default)]
 pub(crate) struct IncrementalJac {
     /// Per-transistor slots `[(rd,cg),(rd,rd),(rd,cs),(rs,cg),(rs,cd),(rs,rs)]`,
@@ -120,6 +124,11 @@ pub(crate) struct IncrementalJac {
     lin_gmin: f64,
     /// False until the first linear rebuild.
     lin_valid: bool,
+    /// True when the latest assembly changed the split values without
+    /// composing them into the matrix; cleared by
+    /// [`compose_into`](Self::compose_into), and by any assembly that writes
+    /// the matrix directly.
+    pub(crate) stale: bool,
 }
 
 impl IncrementalJac {
@@ -192,6 +201,7 @@ impl IncrementalJac {
             lin_gen: 0,
             lin_gmin: 0.0,
             lin_valid: false,
+            stale: false,
         }
     }
 
@@ -283,8 +293,14 @@ impl IncrementalJac {
         self.stamped[idx] = *e;
     }
 
-    /// Writes `lin_values + trans_values` into `jac`'s value storage.
-    fn compose_into(&self, jac: &mut SparseMatrix) {
+    /// Writes `lin_values + trans_values` into `jac`'s value storage if the
+    /// latest assembly left it [`stale`](Self::stale); a no-op otherwise.
+    pub(crate) fn compose_into(&mut self, jac: &mut SparseMatrix) {
+        if !self.stale {
+            return;
+        }
+        self.stale = false;
+        let _s = tfet_obs::span("compose");
         let vals = jac.values_mut();
         for ((v, l), t) in vals
             .iter_mut()
@@ -388,6 +404,11 @@ impl CompanionCaps {
 
 /// Assembled view of a circuit, ready for repeated Jacobian/residual
 /// evaluation.
+///
+/// One `Mna` serves one analysis (a transient run or a DC solve) over a
+/// borrowed, immutable circuit, so the topology it describes cannot change
+/// while it lives: the structural signatures the solver workspace keys its
+/// cached state on are computed on first use and memoised here.
 #[derive(Debug)]
 pub struct Mna<'c> {
     circuit: &'c Circuit,
@@ -395,6 +416,10 @@ pub struct Mna<'c> {
     n_v: usize,
     /// Total unknowns (`n_v` + voltage-source branch currents).
     n_x: usize,
+    /// Memoised [`Mna::pattern_signature`].
+    pattern_sig: OnceLock<u64>,
+    /// Memoised [`Mna::partition_signature`].
+    partition_sig: OnceLock<u64>,
 }
 
 impl<'c> Mna<'c> {
@@ -415,7 +440,13 @@ impl<'c> Mna<'c> {
             ));
         }
         let n_x = n_v + circuit.vsource_count();
-        Ok(Mna { circuit, n_v, n_x })
+        Ok(Mna {
+            circuit,
+            n_v,
+            n_x,
+            pattern_sig: OnceLock::new(),
+            partition_sig: OnceLock::new(),
+        })
     }
 
     /// Number of unknowns.
@@ -711,17 +742,20 @@ impl<'c> Mna<'c> {
     ///    linearization does, so only freshly evaluated devices touch the
     ///    matrix (subtract the previously stamped linearization, add the new
     ///    one, through per-device precomputed slots — no slot searches). The
-    ///    full matrix is then composed as `linear part + transistor part`,
-    ///    where the linear part (resistors, companion-capacitor
-    ///    conductances, voltage-source unit entries, g_min diagonal) is
-    ///    rebuilt only when its values actually change — at most once per
-    ///    transient step, and only when device capacitances moved.
+    ///    full matrix is `linear part + transistor part`, where the linear
+    ///    part (resistors, companion-capacitor conductances, voltage-source
+    ///    unit entries, g_min diagonal) is rebuilt only when its values
+    ///    actually change — at most once per transient step, and only when
+    ///    device capacitances moved. `jac` itself is left stale: the sum is
+    ///    composed only when the solver reads the matrix
+    ///    ([`IncrementalJac::compose_into`]).
     ///
     /// On an array where >90 % of cells are dormant this turns the dominant
     /// per-iteration cost — thousands of slot-searched stamps for devices
-    /// whose conductances have not changed — into a single O(nnz) vector
-    /// add. The fixed serial order of every matrix mutation keeps results
-    /// independent of thread count.
+    /// whose conductances have not changed — into slot updates for the
+    /// freshly evaluated devices alone, plus one O(nnz) vector add per
+    /// refactorization or consistency check. The fixed serial order of every matrix mutation
+    /// keeps results independent of thread count.
     #[allow(clippy::too_many_arguments)] // solver-internal hot path
     pub(crate) fn assemble_sparse_latent(
         &self,
@@ -879,9 +913,8 @@ impl<'c> Mna<'c> {
         }
 
         drop(_s_stamp);
-        // Compose the full Jacobian: one vector add over the pattern.
-        let _s = tfet_obs::span("compose");
-        inc.compose_into(jac);
+        // The split values changed; the matrix is composed when read.
+        inc.stale = true;
         stats
     }
 
@@ -969,10 +1002,21 @@ impl<'c> Mna<'c> {
 
     /// FNV-1a hash over the structural pattern (dimension + coordinates).
     ///
-    /// Cheap (no allocation) and deterministic: the thread-local solver
-    /// workspace keys its sparse state on this, so same-topology runs reuse
-    /// the symbolic analysis and a topology change forces a rebuild.
+    /// Deterministic and computed once per `Mna` (the walk visits every
+    /// Jacobian entry, which at array scale costs milliseconds): the
+    /// thread-local solver workspace keys its sparse state on this, so
+    /// same-topology runs reuse the symbolic analysis and a topology change
+    /// forces a rebuild.
     pub(crate) fn pattern_signature(&self) -> u64 {
+        *self
+            .pattern_sig
+            .get_or_init(|| self.compute_pattern_signature())
+    }
+
+    /// The walk behind [`Mna::pattern_signature`], uncached.
+    pub(crate) fn compute_pattern_signature(&self) -> u64 {
+        #[cfg(test)]
+        tests::SIGNATURES_COMPUTED.with(|n| n.set(n.get() + 1));
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut mix = |v: u64| {
             h ^= v;
@@ -982,12 +1026,28 @@ impl<'c> Mna<'c> {
         self.for_each_jacobian_entry(|r, c| mix((r * self.n_x + c + 1) as u64));
         h
     }
+
+    /// The pattern signature combined with the circuit's latency
+    /// partitions, memoised like it: the key of the workspace's
+    /// latency-tier state.
+    pub(crate) fn partition_signature(&self) -> u64 {
+        *self.partition_sig.get_or_init(|| {
+            partition_signature(self.pattern_signature(), self.circuit.latency_partitions())
+        })
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::waveform::Waveform;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Pattern-signature computations on this thread: the memo must
+        /// walk the pattern once per `Mna`, never once per solve.
+        pub(crate) static SIGNATURES_COMPUTED: Cell<u64> = const { Cell::new(0) };
+    }
 
     #[test]
     fn divider_residual_is_zero_at_solution() {
@@ -1041,6 +1101,30 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn memoised_signatures_equal_fresh_computations() {
+        let mut c = Circuit::new();
+        let a = c.node("a");
+        let b = c.node("b");
+        c.vsource("V", a, Circuit::GND, Waveform::dc(1.0));
+        c.resistor(a, b, 1e3);
+        c.capacitor(b, Circuit::GND, 1e-15);
+        let mna = Mna::new(&c).unwrap();
+        let before = SIGNATURES_COMPUTED.with(Cell::get);
+        let sig = mna.pattern_signature();
+        let part = mna.partition_signature();
+        assert_eq!(mna.pattern_signature(), sig);
+        assert_eq!(mna.partition_signature(), part);
+        assert_eq!(
+            SIGNATURES_COMPUTED.with(Cell::get) - before,
+            1,
+            "one pattern walk per Mna"
+        );
+        assert_eq!(sig, mna.compute_pattern_signature());
+        assert_eq!(part, partition_signature(sig, c.latency_partitions()));
+        assert_eq!(sig, Mna::new(&c).unwrap().pattern_signature());
     }
 
     #[test]

@@ -127,7 +127,9 @@ impl Transistor {
 /// primary in-tree users.
 #[derive(Debug, Clone, Default)]
 pub struct Circuit {
-    node_names: Vec<String>,
+    /// Shared so a probe-recorded [`TransientResult`](crate::TransientResult)
+    /// can name nodes without copying the table.
+    node_names: Arc<Vec<String>>,
     node_index: HashMap<String, NodeId>,
     /// Resistors.
     pub(crate) resistors: Vec<Resistor>,
@@ -151,7 +153,7 @@ impl Circuit {
     /// Creates an empty circuit (ground pre-registered as node `"0"`).
     pub fn new() -> Self {
         let mut c = Circuit {
-            node_names: Vec::new(),
+            node_names: Arc::new(Vec::new()),
             node_index: HashMap::new(),
             resistors: Vec::new(),
             capacitors: Vec::new(),
@@ -170,7 +172,7 @@ impl Circuit {
             return id;
         }
         let id = NodeId(self.node_names.len());
-        self.node_names.push(name.to_string());
+        Arc::make_mut(&mut self.node_names).push(name.to_string());
         self.node_index.insert(name.to_string(), id);
         id
     }
@@ -199,6 +201,12 @@ impl Circuit {
     /// Panics if the id does not belong to this circuit.
     pub fn node_name(&self, id: NodeId) -> &str {
         &self.node_names[id.0]
+    }
+
+    /// The node-name table, indexed like [`NodeId`], shared rather than
+    /// copied.
+    pub(crate) fn node_names(&self) -> Arc<Vec<String>> {
+        Arc::clone(&self.node_names)
     }
 
     /// Total number of nodes including ground.

@@ -1,12 +1,14 @@
 //! Transient waveform storage and measurements.
 //!
-//! [`TransientResult`] holds every node voltage at every time point and
-//! provides the measurements the SRAM metrics are built from: interpolated
+//! [`TransientResult`] holds the recorded node voltages at every time point
+//! (every node, or a probe set plus the final state) and provides the
+//! measurements the SRAM metrics are built from: interpolated
 //! values, threshold crossings, and windowed minimum node differences (the
 //! paper's dynamic read noise margin is `min over the read window of
 //! `V(q) − V(qb)`).
 
 use crate::netlist::NodeId;
+use std::sync::Arc;
 
 /// Solver-effort statistics of one transient run — always collected (a few
 /// counter increments per step), so benches and tests can assert effort
@@ -124,17 +126,28 @@ impl SolveStats {
 
 /// Recorded node-voltage waveforms of a transient run.
 ///
-/// Samples are stored in one flat row-major buffer (`node_count` voltages
-/// per time point) so that recording a step never allocates: the transient
-/// loop pre-sizes the buffer for the whole run and each push is a plain
-/// append into reserved capacity.
+/// Samples are stored in one flat row-major buffer (one voltage per
+/// recorded node per time point) so that recording a step never allocates:
+/// the transient loop pre-sizes the buffer for the whole run and each push
+/// is a plain append into reserved capacity.
+///
+/// A run records every node by default. A probed run
+/// ([`CompiledCircuit::run_probed`](crate::CompiledCircuit::run_probed))
+/// keeps the traces of the named nodes only, plus the full state at the
+/// final time point: [`final_voltage`](Self::final_voltage) answers for
+/// every node either way, while the waveform accessors panic, naming the
+/// node, when asked for a node the run did not record.
 #[derive(Debug, Clone)]
 pub struct TransientResult {
     times: Vec<f64>,
-    /// Flattened `[step][node_index]` voltages, including ground at node
-    /// index 0 (always 0.0); the row stride is `node_count`.
+    /// Flattened `[step][column]` voltages. Recording every node, column
+    /// `i` is node `i`, ground (always 0.0) included; recording probes,
+    /// column `k` is `probes.nodes[k]`.
     data: Vec<f64>,
     node_count: usize,
+    /// The recorded subset; `None` when every node is recorded. Boxed so
+    /// the common full recording carries one pointer for it.
+    probes: Option<Box<Probes>>,
     /// Solver-effort counters for **this run only** (snapshot-differenced
     /// around the run, never cumulative across a shared workspace); see the
     /// [`SolveStats`] docs for the aggregated views.
@@ -147,12 +160,46 @@ pub struct TransientResult {
     pub partitions: Vec<crate::latency::PartitionTelemetry>,
 }
 
+/// The nodes a probed run records, and the full state it keeps in their
+/// place.
+#[derive(Debug, Clone)]
+struct Probes {
+    nodes: Vec<NodeId>,
+    /// Every node's voltage at the latest recorded step, ground included.
+    last: Vec<f64>,
+    /// The circuit's node names, for the unrecorded-node panic.
+    names: Arc<Vec<String>>,
+}
+
 impl TransientResult {
     pub(crate) fn with_capacity(node_count: usize, steps: usize) -> Self {
         TransientResult {
             times: Vec::with_capacity(steps),
             data: Vec::with_capacity(steps * node_count),
             node_count,
+            probes: None,
+            stats: SolveStats::default(),
+            partitions: Vec::new(),
+        }
+    }
+
+    /// A store recording only `nodes`' traces (plus the final full state)
+    /// of a circuit whose node table is `names`.
+    pub(crate) fn probed(names: Arc<Vec<String>>, nodes: &[NodeId], steps: usize) -> Self {
+        let node_count = names.len();
+        assert!(
+            nodes.iter().all(|n| n.index() < node_count),
+            "probe node outside the circuit"
+        );
+        TransientResult {
+            times: Vec::with_capacity(steps),
+            data: Vec::with_capacity(steps * nodes.len()),
+            node_count,
+            probes: Some(Box::new(Probes {
+                nodes: nodes.to_vec(),
+                last: vec![0.0; node_count],
+                names,
+            })),
             stats: SolveStats::default(),
             partitions: Vec::new(),
         }
@@ -160,14 +207,51 @@ impl TransientResult {
 
     pub(crate) fn push(&mut self, t: f64, volts: impl Fn(NodeId) -> f64) {
         self.times.push(t);
-        self.data
-            .extend((0..self.node_count).map(|i| volts(NodeId(i))));
+        match &mut self.probes {
+            None => self
+                .data
+                .extend((0..self.node_count).map(|i| volts(NodeId(i)))),
+            Some(p) => {
+                for (i, v) in p.last.iter_mut().enumerate() {
+                    *v = volts(NodeId(i));
+                }
+                self.data.extend(p.nodes.iter().map(|n| p.last[n.index()]));
+            }
+        }
+    }
+
+    /// Voltages per recorded step.
+    fn stride(&self) -> usize {
+        self.probes
+            .as_ref()
+            .map_or(self.node_count, |p| p.nodes.len())
+    }
+
+    /// The column holding `node`'s trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the node, if the run did not record it.
+    fn column(&self, node: NodeId) -> usize {
+        let Some(p) = &self.probes else {
+            return node.index();
+        };
+        p.nodes.iter().position(|&n| n == node).unwrap_or_else(|| {
+            let name = |n: NodeId| p.names.get(n.index()).map_or("?", String::as_str);
+            let recorded: Vec<&str> = p.nodes.iter().map(|&n| name(n)).collect();
+            panic!(
+                "node `{}` was not recorded by this run (recorded: {})",
+                name(node),
+                recorded.join(", ")
+            )
+        })
     }
 
     /// The voltage row recorded at step `k`.
     #[inline]
     fn row(&self, k: usize) -> &[f64] {
-        &self.data[k * self.node_count..(k + 1) * self.node_count]
+        let stride = self.stride();
+        &self.data[k * stride..(k + 1) * stride]
     }
 
     /// The time axis, s.
@@ -189,7 +273,7 @@ impl TransientResult {
     ///
     /// [`times`]: TransientResult::times
     pub fn trace(&self, node: NodeId) -> Vec<f64> {
-        let idx = node.index();
+        let idx = self.column(node);
         (0..self.len()).map(|k| self.row(k)[idx]).collect()
     }
 
@@ -200,7 +284,7 @@ impl TransientResult {
     /// Panics if the result is empty.
     pub fn voltage_at(&self, node: NodeId, t: f64) -> f64 {
         assert!(!self.is_empty(), "empty transient result");
-        let idx = node.index();
+        let idx = self.column(node);
         if t <= self.times[0] {
             return self.row(0)[idx];
         }
@@ -221,13 +305,16 @@ impl TransientResult {
     /// Panics if the result is empty.
     pub fn final_voltage(&self, node: NodeId) -> f64 {
         assert!(!self.is_empty(), "empty transient result");
-        self.row(self.len() - 1)[node.index()]
+        match &self.probes {
+            Some(p) => p.last[node.index()],
+            None => self.row(self.len() - 1)[node.index()],
+        }
     }
 
     /// The first time ≥ `t_after` at which the node crosses `level` in the
     /// given direction (linear interpolation between samples), or `None`.
     pub fn crossing(&self, node: NodeId, level: f64, rising: bool, t_after: f64) -> Option<f64> {
-        let idx = node.index();
+        let idx = self.column(node);
         for k in 0..self.times.len().saturating_sub(1) {
             if self.times[k + 1] < t_after {
                 continue;
@@ -256,7 +343,7 @@ impl TransientResult {
     ///
     /// Panics if the result is empty or the window selects no samples.
     pub fn min_difference(&self, a: NodeId, b: NodeId, t_from: f64, t_to: f64) -> f64 {
-        let (ia, ib) = (a.index(), b.index());
+        let (ia, ib) = (self.column(a), self.column(b));
         let mut min = f64::INFINITY;
         for (k, &t) in self.times.iter().enumerate() {
             if t < t_from || t > t_to {
@@ -278,7 +365,7 @@ impl TransientResult {
     ///
     /// Panics if the result is empty.
     pub fn max_voltage(&self, node: NodeId) -> f64 {
-        let idx = node.index();
+        let idx = self.column(node);
         (0..self.len())
             .map(|k| self.row(k)[idx])
             .fold(f64::NEG_INFINITY, f64::max)
@@ -290,7 +377,7 @@ impl TransientResult {
     ///
     /// Panics if the result is empty.
     pub fn min_voltage(&self, node: NodeId) -> f64 {
-        let idx = node.index();
+        let idx = self.column(node);
         (0..self.len())
             .map(|k| self.row(k)[idx])
             .fold(f64::INFINITY, f64::min)

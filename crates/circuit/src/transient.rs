@@ -301,6 +301,7 @@ fn build_companions(
     use_be: bool,
     out: &mut CompanionCaps,
 ) {
+    let _span = tfet_obs::span("companions");
     out.entries.clear();
     for br in branches {
         let v_ab = mna.voltage_of(x, br.a) - mna.voltage_of(x, br.b);
@@ -326,6 +327,7 @@ fn relinearize(
     companions: &CompanionCaps,
     out: &mut Vec<CapBranch>,
 ) {
+    let _span = tfet_obs::span("relinearize");
     circuit.fill_cap_branches(|n| mna.voltage_of(x, n), out);
     for (nb, comp) in out.iter_mut().zip(&companions.entries) {
         let v_ab_new = mna.voltage_of(x, comp.0) - mna.voltage_of(x, comp.1);
@@ -628,8 +630,8 @@ impl Circuit {
         Ok(result)
     }
 
-    /// The full transient engine: caller-owned scratch plus early-exit
-    /// events. All other transient entry points delegate here.
+    /// A transient run with caller-owned scratch plus early-exit events,
+    /// recording every node.
     ///
     /// # Errors
     ///
@@ -640,6 +642,27 @@ impl Circuit {
         spec: &TransientSpec,
         initial: &InitialState,
         events: &[StopEvent],
+        ws: &mut NewtonWorkspace,
+    ) -> Result<TransientResult, SimError> {
+        self.transient_recorded(spec, initial, events, None, ws)
+    }
+
+    /// The full transient engine: caller-owned scratch, early-exit events,
+    /// and the nodes whose traces the result keeps (`None`: every node; a
+    /// probe list keeps those traces plus the final state of every node).
+    /// All transient entry points delegate here. What is recorded never
+    /// changes what is computed.
+    ///
+    /// # Errors
+    ///
+    /// Propagates DC/Newton failures ([`SimError::NoConvergence`],
+    /// [`SimError::SingularMatrix`], [`SimError::InvalidCircuit`]).
+    pub(crate) fn transient_recorded(
+        &self,
+        spec: &TransientSpec,
+        initial: &InitialState,
+        events: &[StopEvent],
+        probes: Option<&[NodeId]>,
         ws: &mut NewtonWorkspace,
     ) -> Result<TransientResult, SimError> {
         let _span = tfet_obs::span("transient");
@@ -728,7 +751,10 @@ impl Circuit {
                 (spec.t_stop / spec.dt).ceil() as usize + 2 * ws.breakpoints.len() + 9
             }
         };
-        let mut result = TransientResult::with_capacity(self.node_count(), capacity);
+        let mut result = match probes {
+            None => TransientResult::with_capacity(self.node_count(), capacity),
+            Some(nodes) => TransientResult::probed(self.node_names(), nodes, capacity),
+        };
         result.push(0.0, |node| mna.voltage_of(&x, node));
 
         self.fill_cap_branches(|n| mna.voltage_of(&x, n), &mut ws.branches);
@@ -802,7 +828,10 @@ impl Circuit {
                     std::mem::swap(&mut ws.branches, &mut ws.branches_next);
 
                     ws.step_trace.record(t_new, spec.dt);
-                    result.push(t_new, |node| mna.voltage_of(&x, node));
+                    {
+                        let _span = tfet_obs::span("record");
+                        result.push(t_new, |node| mna.voltage_of(&x, node));
+                    }
                     result.stats.accepted_steps += 1;
                     if event_fired(events, &mna, &x, t_new) {
                         result.stats.early_exit = true;
@@ -944,7 +973,10 @@ impl Circuit {
                             t = t_new;
                             first_step = false;
                             ws.step_trace.record(t, h_try);
-                            result.push(t, |node| mna.voltage_of(&x, node));
+                            {
+                                let _span = tfet_obs::span("record");
+                                result.push(t, |node| mna.voltage_of(&x, node));
+                            }
                             result.stats.accepted_steps += 1;
                             // First-order controller: next step from this
                             // step's error, bounded growth/shrink.
@@ -1002,7 +1034,10 @@ impl Circuit {
                                     t = t_new;
                                     first_step = false;
                                     ws.step_trace.record(t, h_try);
-                                    result.push(t, |node| mna.voltage_of(&x, node));
+                                    {
+                                        let _span = tfet_obs::span("record");
+                                        result.push(t, |node| mna.voltage_of(&x, node));
+                                    }
                                     result.stats.accepted_steps += 1;
                                     // Restart the controller at the floor:
                                     // whatever defeated Newton here is still

@@ -17,7 +17,7 @@
 //! [`transient_with`](crate::netlist::Circuit) calls — can own one
 //! directly.
 
-use crate::latency::{partition_signature, LatencyState};
+use crate::latency::LatencyState;
 use crate::mna::{CompanionCaps, DeviceLin, IncrementalJac, Mna};
 use crate::transient::CapBranch;
 use std::cell::Cell;
@@ -107,7 +107,10 @@ pub(crate) struct SparseState {
     pub(crate) factor_valid: bool,
     /// Incremental assembly state for the latency-tier transient path
     /// ([`Mna::assemble_sparse_latent`]): linear/transistor value split and
-    /// per-device stamp slots over `jac`'s pattern.
+    /// per-device stamp slots over `jac`'s pattern. After such an assembly
+    /// `jac` is stale until [`IncrementalJac::compose_into`] runs, which the
+    /// two readers of `jac` ([`SolverBufs::sparse_refactor`],
+    /// [`SolverBufs::sparse_update_consistent`]) do first.
     pub(crate) inc: IncrementalJac,
 }
 
@@ -174,8 +177,9 @@ impl SolverBufs {
 
     /// Ensures sparse state matching `mna`'s topology exists, building the
     /// pattern (allocating) only when the signature changed. Same-topology
-    /// runs — every sweep and Monte-Carlo loop — hit the cheap signature
-    /// check and keep their symbolic analysis.
+    /// runs — every sweep and Monte-Carlo loop — keep their symbolic
+    /// analysis; the check itself reads the signature `mna` memoised, so
+    /// every solve after an analysis's first costs one comparison.
     pub(crate) fn ensure_sparse(&mut self, mna: &Mna<'_>) {
         let sig = mna.pattern_signature();
         if self.sparse.as_ref().is_some_and(|s| s.sig == sig) {
@@ -204,7 +208,7 @@ impl SolverBufs {
             self.latency = None;
             return;
         }
-        let sig = partition_signature(mna.pattern_signature(), parts);
+        let sig = mna.partition_signature();
         if self.latency.as_ref().is_some_and(|l| l.sig == sig) {
             return;
         }
@@ -229,6 +233,7 @@ impl SolverBufs {
         let _span = tfet_obs::span("refactor");
         let mut analyses = 0u64;
         let s = self.sparse.as_mut().expect("sparse state prepared");
+        s.inc.compose_into(&mut s.jac);
         let r = if !s.lu.is_analyzed() {
             analyses += 1;
             s.lu.analyze(&s.jac)
@@ -259,7 +264,8 @@ impl SolverBufs {
     /// `|Δv| < v_tol` test vacuously while solving the wrong system. The
     /// check catches exactly that and forces a refactorization.
     pub(crate) fn sparse_update_consistent(&mut self) -> bool {
-        let s = self.sparse.as_ref().expect("sparse state prepared");
+        let s = self.sparse.as_mut().expect("sparse state prepared");
+        s.inc.compose_into(&mut s.jac);
         s.jac.mul_vec(&self.dx, &mut self.scratch);
         let mut err = 0.0f64;
         for (r, v) in self.scratch.iter().zip(&self.f) {
@@ -381,6 +387,127 @@ pub(crate) fn with_workspace<R>(f: impl FnOnce(&mut NewtonWorkspace) -> R) -> R 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::latency::{partition_signature, CellPartition, DeviceLatency, GuardKind};
+    use crate::mna::tests::SIGNATURES_COMPUTED;
+    use crate::netlist::{Circuit, NodeId};
+    use crate::probe::TransientResult;
+    use crate::transient::{InitialState, TransientSpec};
+    use crate::waveform::Waveform;
+    use crate::SolverStrategy;
+    use std::sync::Arc;
+    use tfet_devices::{NTfet, PTfet};
+
+    /// A TFET latch written through a resistor from a pulsed source, its
+    /// four devices in partitions `parts`; `extra` adds an RC tail (a
+    /// different topology).
+    fn latch(parts: &[&[usize]], extra: bool) -> Circuit {
+        let mut c = Circuit::new();
+        let vdd = c.node("vdd");
+        let q = c.node("q");
+        let qb = c.node("qb");
+        let d = c.node("d");
+        c.vsource("VDD", vdd, Circuit::GND, Waveform::dc(0.8));
+        c.vsource(
+            "D",
+            d,
+            Circuit::GND,
+            Waveform::pulse(0.8, 0.0, 0.1e-9, 0.2e-9, 20e-12),
+        );
+        c.transistor("PL", Arc::new(PTfet::nominal()), q, qb, vdd, 0.1);
+        c.transistor("NL", Arc::new(NTfet::nominal()), q, qb, Circuit::GND, 0.1);
+        c.transistor("PR", Arc::new(PTfet::nominal()), qb, q, vdd, 0.1);
+        c.transistor("NR", Arc::new(NTfet::nominal()), qb, q, Circuit::GND, 0.1);
+        c.resistor(d, q, 20e3);
+        c.capacitor(q, Circuit::GND, 1e-15);
+        c.capacitor(qb, Circuit::GND, 1e-15);
+        if extra {
+            let x = c.node("x");
+            c.resistor(q, x, 1e4);
+            c.capacitor(x, Circuit::GND, 1e-15);
+        }
+        c.set_latency_partitions(
+            parts
+                .iter()
+                .map(|devices| CellPartition {
+                    devices: devices.to_vec(),
+                    watch: vec![q, qb],
+                    guard: vec![vdd, d],
+                    guard_kinds: vec![GuardKind::Rail, GuardKind::Other],
+                })
+                .collect(),
+        );
+        c
+    }
+
+    fn assert_bit_identical(a: &TransientResult, b: &TransientResult, n_nodes: usize) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a.times()), bits(b.times()));
+        for i in 0..n_nodes {
+            assert_eq!(
+                bits(&a.trace(NodeId(i))),
+                bits(&b.trace(NodeId(i))),
+                "node {i}"
+            );
+        }
+        assert_eq!(a.stats, b.stats);
+        assert_eq!(a.partitions, b.partitions);
+    }
+
+    #[test]
+    fn signature_memo_cannot_go_stale_across_circuits() {
+        let a = latch(&[&[0, 1, 2, 3]], false);
+        let b = latch(&[&[0, 1, 2, 3]], true);
+        let a_split = latch(&[&[0, 1], &[2, 3]], false);
+        let spec = TransientSpec::fixed(0.4e-9, 4e-12)
+            .with_solver(SolverStrategy::Sparse)
+            .with_device_latency(DeviceLatency::On);
+        let q = a.find_node("q").unwrap();
+        let init = InitialState::Uic(vec![(q, 0.8)]);
+        let mut ws = NewtonWorkspace::new();
+        let mut last_sigs = None;
+        for (name, c) in [("A", &a), ("B", &b), ("A", &a), ("A split", &a_split)] {
+            let analyses0 = ws.bufs.sparse_analyses;
+            let computed0 = SIGNATURES_COMPUTED.with(Cell::get);
+            let shared = c.transient_with(&spec, &init, &mut ws).unwrap();
+            assert_eq!(
+                SIGNATURES_COMPUTED.with(Cell::get) - computed0,
+                1,
+                "{name}: one pattern walk per run"
+            );
+            assert!(
+                shared.stats.newton_solves > 50,
+                "{name}: {:?}",
+                shared.stats
+            );
+
+            // The workspace now holds state keyed on this circuit, and the
+            // memoised keys equal a fresh computation.
+            let mna = Mna::new(c).unwrap();
+            let sigs = (mna.pattern_signature(), mna.partition_signature());
+            assert_eq!(sigs.0, mna.compute_pattern_signature(), "{name}");
+            assert_eq!(
+                sigs.1,
+                partition_signature(sigs.0, c.latency_partitions()),
+                "{name}"
+            );
+            assert_eq!(ws.bufs.sparse.as_ref().unwrap().sig, sigs.0, "{name}");
+            assert_eq!(ws.bufs.latency.as_ref().unwrap().sig, sigs.1, "{name}");
+            // Every switch rebuilds: a new pattern re-analyses the sparse
+            // LU; a new partition set alone keeps the pattern's analysis.
+            if let Some((pattern, part)) = last_sigs {
+                assert_ne!(part, sigs.1, "{name}: latency state rebuilt");
+                if pattern != sigs.0 {
+                    assert!(ws.bufs.sparse_analyses > analyses0, "{name}: re-analysed");
+                }
+            }
+            last_sigs = Some(sigs);
+
+            let fresh = c
+                .transient_with(&spec, &init, &mut NewtonWorkspace::new())
+                .unwrap();
+            assert_bit_identical(&shared, &fresh, c.node_count());
+        }
+    }
 
     #[test]
     fn ensure_is_idempotent_at_fixed_size() {

@@ -36,8 +36,8 @@ use crate::tech::{CellKind, CellParams, Role};
 use crate::topology::{CellLines, CellNodes, CellTopology};
 use tfet_circuit::transient::InitialState;
 use tfet_circuit::{
-    CellPartition, Circuit, CompiledCircuit, DeviceLatency, GuardKind, NodeId, SolveStats,
-    SourceId, TransientResult, TransientSpec, Waveform,
+    CellPartition, Circuit, CompiledCircuit, DeviceLatency, GuardKind, NodeId, PartitionTelemetry,
+    SolveStats, SourceId, TransientResult, TransientSpec, Waveform,
 };
 use tfet_numerics::roots::{critical_threshold_checked, Threshold};
 
@@ -161,8 +161,9 @@ pub struct ArrayWrite {
     /// Solver-effort counters for this transient (`device_evals`,
     /// `devices_dormant`, `cells_refreshed`, …).
     pub stats: SolveStats,
-    /// The full transient, for waveform inspection.
-    pub result: TransientResult,
+    /// Per-cell dormancy telemetry of the transient, row-major (empty
+    /// with the latency tier off).
+    pub partitions: Vec<PartitionTelemetry>,
 }
 
 /// Outcome of one array read transient.
@@ -179,8 +180,9 @@ pub struct ArrayRead {
     pub finals: Vec<(f64, f64)>,
     /// Solver-effort counters for this transient.
     pub stats: SolveStats,
-    /// The full transient, for waveform inspection.
-    pub result: TransientResult,
+    /// Per-cell dormancy telemetry of the transient, row-major (empty
+    /// with the latency tier off).
+    pub partitions: Vec<PartitionTelemetry>,
 }
 
 /// An R×C bitcell array with peripherals, compiled once and re-run under
@@ -616,8 +618,42 @@ impl ArrayNetlist {
         self.bound = Some((row, col));
     }
 
-    /// Runs one operation transient from the carried state (which is NOT
-    /// mutated — fold the returned finals back with [`commit`](Self::commit)).
+    /// Binds an operation on `(row, col)` and returns its transient spec and
+    /// initial state: the carried storage state (which is NOT mutated —
+    /// fold a run's finals back with [`commit`](Self::commit)) on top of
+    /// the state-independent initial conditions.
+    fn prepare_op(
+        &mut self,
+        row: usize,
+        col: usize,
+        write: Option<bool>,
+        pulse: f64,
+    ) -> (TransientSpec, InitialState) {
+        self.bind_op(row, col, write, pulse);
+        let sim = &self.spec.cell.sim;
+        let t_end = sim.t_settle + T_WL_DELAY + pulse + sim.t_post_write;
+        // Fixed uniform grid, deliberately: adaptive step-doubling solves
+        // every step at two different dt's, which changes the companion
+        // conductances between consecutive solves and forces a sparse
+        // refactorization per step — ruinous at array scale (the LU is the
+        // single most expensive object in a 25k-device netlist). A
+        // constant dt lets the modified-Newton tier reuse one
+        // factorization across hundreds of steps, and makes the time grid
+        // identical across latency modes and thread counts.
+        let spec = TransientSpec::fixed(t_end, sim.dt).with_device_latency(self.spec.latency);
+        let mut uic = self.base_uic.clone();
+        for (k, n) in self.cells.iter().enumerate() {
+            let (vq, vqb) = self.state[k];
+            uic.push((n.q, vq));
+            uic.push((n.qb, vqb));
+        }
+        (spec, InitialState::Uic(uic))
+    }
+
+    /// Runs one operation transient from the carried state. Only the
+    /// addressed column's bitline pair is recorded as a waveform — the
+    /// ops read nothing else over time; the per-cell finals come from the
+    /// result's full final state.
     fn run_op(
         &mut self,
         row: usize,
@@ -645,25 +681,9 @@ impl ArrayNetlist {
                 ("col".into(), tfet_obs::Value::UInt(col as u64)),
             ]),
         );
-        self.bind_op(row, col, write, pulse);
-        let sim = &self.spec.cell.sim;
-        let t_end = sim.t_settle + T_WL_DELAY + pulse + sim.t_post_write;
-        // Fixed uniform grid, deliberately: adaptive step-doubling solves
-        // every step at two different dt's, which changes the companion
-        // conductances between consecutive solves and forces a sparse
-        // refactorization per step — ruinous at array scale (the LU is the
-        // single most expensive object in a 25k-device netlist). A
-        // constant dt lets the modified-Newton tier reuse one
-        // factorization across hundreds of steps, and makes the time grid
-        // identical across latency modes and thread counts.
-        let spec = TransientSpec::fixed(t_end, sim.dt).with_device_latency(self.spec.latency);
-        let mut uic = self.base_uic.clone();
-        for (k, n) in self.cells.iter().enumerate() {
-            let (vq, vqb) = self.state[k];
-            uic.push((n.q, vq));
-            uic.push((n.qb, vqb));
-        }
-        Ok(self.compiled.run(&spec, &InitialState::Uic(uic), &[])?)
+        let (spec, initial) = self.prepare_op(row, col, write, pulse);
+        let (bl, blb) = self.bitlines[col];
+        Ok(self.compiled.run_probed(&spec, &initial, &[], &[bl, blb])?)
     }
 
     fn finals(&self, result: &TransientResult) -> Vec<(f64, f64)> {
@@ -741,9 +761,20 @@ impl ArrayNetlist {
     ) -> Result<ArrayWrite, SramError> {
         assert!(pulse > 0.0, "pulse width must be positive");
         tfet_obs::counter("array_netlist.writes", 1);
-        let vdd = self.spec.cell.vdd;
         let result = self.run_op(row, col, Some(value), pulse)?;
         self.record_partition_telemetry("array_write", &result);
+        Ok(self.write_outcome(row, col, value, result))
+    }
+
+    /// Decodes a write transient: success, half-select victims, finals.
+    fn write_outcome(
+        &self,
+        row: usize,
+        col: usize,
+        value: bool,
+        result: TransientResult,
+    ) -> ArrayWrite {
+        let vdd = self.spec.cell.vdd;
         let finals = self.finals(&result);
         let victim = self.idx(row, col);
         let mut disturbed = Vec::new();
@@ -757,13 +788,13 @@ impl ArrayNetlist {
             }
         }
         let (vq, vqb) = finals[victim];
-        Ok(ArrayWrite {
+        ArrayWrite {
             success: decode(vq, vqb, vdd) == Some(value),
             disturbed,
             finals,
             stats: result.stats,
-            result,
-        })
+            partitions: result.partitions,
+        }
     }
 
     /// Simulates a read of the addressed cell: the row's driver fires for
@@ -779,12 +810,17 @@ impl ArrayNetlist {
     /// Panics if the address is out of range.
     pub fn read_transient(&mut self, row: usize, col: usize) -> Result<ArrayRead, SramError> {
         tfet_obs::counter("array_netlist.reads", 1);
+        let result = self.run_op(row, col, None, self.spec.cell.sim.t_read)?;
+        self.record_partition_telemetry("array_read", &result);
+        Ok(self.read_outcome(col, result))
+    }
+
+    /// Decodes a read transient: the addressed column's differential at
+    /// wordline close, and whether any cell was corrupted.
+    fn read_outcome(&self, col: usize, result: TransientResult) -> ArrayRead {
         let vdd = self.spec.cell.vdd;
         let sim = self.spec.cell.sim;
-        let pulse = sim.t_read;
-        let result = self.run_op(row, col, None, pulse)?;
-        self.record_partition_telemetry("array_read", &result);
-        let t_sense = sim.t_settle + T_WL_DELAY + pulse;
+        let t_sense = sim.t_settle + T_WL_DELAY + sim.t_read;
         let (bl, blb) = self.bitlines[col];
         let diff = result.voltage_at(bl, t_sense) - result.voltage_at(blb, t_sense);
         let finals = self.finals(&result);
@@ -792,14 +828,14 @@ impl ArrayNetlist {
             .iter()
             .zip(&self.state)
             .any(|(&(vq, vqb), &(v0, v0b))| decode(vq, vqb, vdd) != decode(v0, v0b, vdd));
-        Ok(ArrayRead {
+        ArrayRead {
             value: diff > 0.0,
             sense_margin: diff.abs(),
             destructive,
             finals,
             stats: result.stats,
-            result,
-        })
+            partitions: result.partitions,
+        }
     }
 
     /// Critical wordline-enable pulse width for writing the opposite of
@@ -919,5 +955,64 @@ fn decode(vq: f64, vqb: f64, vdd: f64) -> Option<bool> {
         Some(false)
     } else {
         None
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tech::AccessConfig;
+
+    fn array() -> ArrayNetlist {
+        let mut cell = CellParams::tfet6t(AccessConfig::InwardP).with_beta(0.6);
+        cell.sim.dt = 4e-12;
+        let mut a = ArrayNetlist::build(ArraySpec::new(8, 8, cell)).unwrap();
+        for k in 0..64 {
+            a.set_bit(k / 8, k % 8, k % 3 == 0);
+        }
+        a
+    }
+
+    fn bits(finals: &[(f64, f64)]) -> Vec<(u64, u64)> {
+        finals
+            .iter()
+            .map(|&(q, qb)| (q.to_bits(), qb.to_bits()))
+            .collect()
+    }
+
+    /// The ops record only the sense pair; decoding the same operation
+    /// from a full recording must give the same outcome, bit for bit.
+    #[test]
+    fn sense_pair_recording_matches_full_recording() {
+        let (row, col) = (5, 2);
+        let value = !array().bit(row, col).unwrap();
+        let mut probed = array();
+        let mut full = array();
+
+        let w = probed.write_transient(row, col, value, 1.5e-9).unwrap();
+        let (spec, initial) = full.prepare_op(row, col, Some(value), 1.5e-9);
+        let result = full.compiled.run(&spec, &initial, &[]).unwrap();
+        let w_full = full.write_outcome(row, col, value, result);
+        assert!(w.success && w.disturbed.is_empty());
+        assert_eq!(bits(&w.finals), bits(&w_full.finals));
+        assert_eq!(w.disturbed, w_full.disturbed);
+        assert_eq!(w.stats, w_full.stats);
+        assert_eq!(w.partitions, w_full.partitions);
+        assert_eq!(w.partitions.len(), 64);
+        probed.commit(&w.finals);
+        full.commit(&w_full.finals);
+
+        let r = probed.read_transient(row, col).unwrap();
+        let sim = full.spec.cell.sim;
+        let (spec, initial) = full.prepare_op(row, col, None, sim.t_read);
+        let result = full.compiled.run(&spec, &initial, &[]).unwrap();
+        let r_full = full.read_outcome(col, result);
+        assert_eq!(r.value, value);
+        assert_eq!(r.value, r_full.value);
+        assert_eq!(r.sense_margin.to_bits(), r_full.sense_margin.to_bits());
+        assert_eq!(r.destructive, r_full.destructive);
+        assert_eq!(bits(&r.finals), bits(&r_full.finals));
+        assert_eq!(r.stats, r_full.stats);
+        assert_eq!(r.partitions, r_full.partitions);
     }
 }

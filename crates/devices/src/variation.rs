@@ -81,22 +81,11 @@ impl ProcessVariation {
     }
 
     /// Creates a variation from a relative thickness deviation, e.g.
-    /// `from_deviation(0.05)` for +5 %.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the deviation is not in `(-0.5, 0.5)` — the model is a
-    /// small-signal perturbation, not valid for gross thickness changes.
-    /// Samplers that can legitimately draw outside that range (scaled-sigma
-    /// studies) must use [`ProcessVariation::try_from_deviation`] instead.
-    pub fn from_deviation(dev: f64) -> Self {
-        ProcessVariation::try_from_deviation(dev).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible counterpart of [`ProcessVariation::from_deviation`]: returns
-    /// a typed [`VariationError`] instead of panicking when the deviation is
-    /// outside the perturbative range `(-0.5, 0.5)`, so per-sample draws can
-    /// be quarantined rather than killing a worker thread.
+    /// `try_from_deviation(0.05)` for +5 %. Returns a typed
+    /// [`VariationError`] when the deviation is outside the perturbative
+    /// range `(-0.5, 0.5)` — the model is a small-signal perturbation, not
+    /// valid for gross thickness changes — so per-sample draws can be
+    /// quarantined rather than killing a worker thread.
     pub fn try_from_deviation(dev: f64) -> Result<Self, VariationError> {
         check_bound("t_ox", dev, TOX_DEVIATION_BOUND)?;
         Ok(ProcessVariation {
@@ -240,10 +229,16 @@ mod tests {
     #[test]
     fn thicker_oxide_weakens_tfet_on_current() {
         let nom = NTfet::nominal();
-        let thick =
-            NTfet::new(ProcessVariation::from_deviation(0.05).apply_tfet(&TfetParams::nominal()));
-        let thin =
-            NTfet::new(ProcessVariation::from_deviation(-0.05).apply_tfet(&TfetParams::nominal()));
+        let thick = NTfet::new(
+            ProcessVariation::try_from_deviation(0.05)
+                .unwrap()
+                .apply_tfet(&TfetParams::nominal()),
+        );
+        let thin = NTfet::new(
+            ProcessVariation::try_from_deviation(-0.05)
+                .unwrap()
+                .apply_tfet(&TfetParams::nominal()),
+        );
         let i_nom = nom.ids_per_um(0.8, 0.8, 0.0);
         let i_thick = thick.ids_per_um(0.8, 0.8, 0.0);
         let i_thin = thin.ids_per_um(0.8, 0.8, 0.0);
@@ -259,20 +254,22 @@ mod tests {
     fn thicker_oxide_weakens_mosfet() {
         let nom = Nmos::nominal();
         let thick = Nmos::new(
-            ProcessVariation::from_deviation(0.05).apply_mosfet(&MosfetParams::nominal_32nm_lp()),
+            ProcessVariation::try_from_deviation(0.05)
+                .unwrap()
+                .apply_mosfet(&MosfetParams::nominal_32nm_lp()),
         );
         assert!(thick.ids_per_um(0.8, 0.8, 0.0) < nom.ids_per_um(0.8, 0.8, 0.0));
     }
 
     #[test]
-    #[should_panic(expected = "perturbative")]
     fn gross_deviation_rejected() {
-        ProcessVariation::from_deviation(0.9);
+        let e = ProcessVariation::try_from_deviation(0.9).unwrap_err();
+        assert!(e.to_string().contains("perturbative"), "{e}");
     }
 
     #[test]
     fn deviation_roundtrip() {
-        let v = ProcessVariation::from_deviation(0.03);
+        let v = ProcessVariation::try_from_deviation(0.03).unwrap();
         assert!((v.deviation() - 0.03).abs() < 1e-15);
     }
 
@@ -303,7 +300,7 @@ mod tests {
         // to the paper's t_ox-only mapping — this is what keeps every
         // existing figure byte-stable when the factor model is off.
         let p = ProcessPoint::try_new(0.04, 0.0, 0.0).unwrap();
-        let v = ProcessVariation::from_deviation(0.04);
+        let v = ProcessVariation::try_from_deviation(0.04).unwrap();
         assert_eq!(
             p.apply_tfet(&TfetParams::nominal()),
             v.apply_tfet(&TfetParams::nominal())

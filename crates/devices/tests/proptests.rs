@@ -103,8 +103,8 @@ proptest! {
     fn variation_is_monotone_in_tox(dev1 in -0.05f64..0.05, dev2 in -0.05f64..0.05) {
         // Thicker oxide never increases the on-current.
         let (lo, hi) = if dev1 <= dev2 { (dev1, dev2) } else { (dev2, dev1) };
-        let thin = NTfet::new(ProcessVariation::from_deviation(lo).apply_tfet(&TfetParams::nominal()));
-        let thick = NTfet::new(ProcessVariation::from_deviation(hi).apply_tfet(&TfetParams::nominal()));
+        let thin = NTfet::new(ProcessVariation::try_from_deviation(lo).unwrap().apply_tfet(&TfetParams::nominal()));
+        let thick = NTfet::new(ProcessVariation::try_from_deviation(hi).unwrap().apply_tfet(&TfetParams::nominal()));
         prop_assert!(thick.ids_per_um(0.8, 0.8, 0.0) <= thin.ids_per_um(0.8, 0.8, 0.0) * (1.0 + 1e-12));
     }
 

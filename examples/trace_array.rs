@@ -93,7 +93,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("heatmap : {csv_path}");
 
     // Headline dormancy summary from the run's own telemetry.
-    let parts = &write.result.partitions;
+    let parts = &write.partitions;
     let decisions: u64 = parts.iter().map(|t| t.decisions).sum();
     let dormant: u64 = parts.iter().map(|t| t.dormant).sum();
     if decisions > 0 {

@@ -4,6 +4,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The gate must leave the tree as it found it (see the final step).
+status_before="$(git status --porcelain)"
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
@@ -62,23 +65,42 @@ cargo test -q -p tfet-circuit --offline --test latency
 echo "== cargo bench --no-run (compile coverage) =="
 cargo bench --workspace --offline --no-run
 
+figtmp="$(mktemp -d)"
+mkdir -p "$figtmp/bench"
+# Moves the bench reports the quick benches wrote into the temp dir and
+# restores the committed ones; the trap runs it if a bench fails midway.
+bench_reports_pending=0
+restore_bench_reports() {
+  for f in results/BENCH_*.json; do
+    if [ -e "$f" ]; then mv -f "$f" "$figtmp/bench/"; fi
+  done
+  git checkout -- 'results/BENCH_*.json'
+  bench_reports_pending=0
+}
+cleanup() {
+  if [ "$bench_reports_pending" = 1 ]; then restore_bench_reports; fi
+  rm -rf "$figtmp"
+}
+trap cleanup EXIT
+
 echo "== bench acceptance asserts (quick mode: closures run once, floors executed) =="
 # TFET_BENCH_QUICK=1 makes the criterion stub run each bench body exactly
 # once (no calibration or sampling loops), so the cost-ratio floors and
 # rare-event acceptance assertions inside the bench functions actually
 # execute — `--no-run` above only proves they compile. These runs also
-# rewrite results/BENCH_*.json from the current code, which the history
-# gate below then diffs against the committed baselines.
+# rewrite results/BENCH_*.json from the current code; those fresh reports
+# move to the temp dir, where the history gate below diffs them against
+# the committed baselines, and the committed reports are restored.
+bench_reports_pending=1
 for b in solver_throughput mc_throughput wl_crit_throughput array_throughput yield_throughput; do
   TFET_BENCH_QUICK=1 cargo bench -q -p tfet-bench --bench "$b" --offline
 done
+restore_bench_reports
 
 echo "== sparse-vs-dense and golden figure-CSV bit-identity (--quick, 1 and 8 threads) =="
 # Solver tiers agree to ~1e-5 relative; every figure formatter caps its
 # display resolution above that scale (see `fixed1_sig4` in tfet-bench),
 # so the CSVs must be byte-identical — no tolerance fallback.
-figtmp="$(mktemp -d)"
-trap 'rm -rf "$figtmp"' EXIT
 for threads in 1 8; do
   RAYON_NUM_THREADS=$threads cargo run -q --release --offline -p tfet-bench \
     --bin figures -- --quick --out "$figtmp/sparse_t$threads" >/dev/null
@@ -195,9 +217,10 @@ grep -q '^array_write,4,4,' "$figtmp/trace_t1/trace_array8x8_partitions.csv"
 echo "trace: partition heatmap byte-identical at 1 and 8 threads"
 
 echo "== bench history (machine-independent cost counters vs committed baseline) =="
-# Positive: the committed BENCH_*.json reports must match the committed
-# results/history baselines within tolerance.
-cargo run -q --release --offline -p tfet-bench --bin tfet-bench -- history check
+# Positive: the reports this run's quick benches wrote must match the
+# committed results/history baselines within tolerance.
+cargo run -q --release --offline -p tfet-bench --bin tfet-bench -- \
+  history check --bench-dir "$figtmp/bench"
 # Negative: a tampered cost counter must fail the gate with exit code 1.
 histneg="$figtmp/history_neg"
 mkdir -p "$histneg"
@@ -216,5 +239,14 @@ if cargo run -q --release --offline -p tfet-bench --bin tfet-bench -- \
   exit 1
 fi
 echo "history: baselines pass; tampered newton.jac_refactored correctly fails"
+
+echo "== the gate left the tree as it found it =="
+status_after="$(git status --porcelain)"
+if [ "$status_after" != "$status_before" ]; then
+  echo "scripts/check.sh changed the working tree:"
+  diff <(echo "$status_before") <(echo "$status_after") || true
+  exit 1
+fi
+echo "git status unchanged"
 
 echo "All checks passed."
