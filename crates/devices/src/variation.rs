@@ -262,9 +262,10 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "perturbative")]
     fn gross_deviation_rejected() {
-        let e = ProcessVariation::try_from_deviation(0.9).unwrap_err();
-        assert!(e.to_string().contains("perturbative"), "{e}");
+        // A caller that cannot proceed surfaces the error's message.
+        ProcessVariation::try_from_deviation(0.9).unwrap_or_else(|e| panic!("{e}"));
     }
 
     #[test]
