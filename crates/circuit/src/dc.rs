@@ -16,7 +16,7 @@ use crate::error::SimError;
 use crate::latency::DeviceLatency;
 use crate::mna::{CompanionCaps, Mna};
 use crate::netlist::{Circuit, NodeId, SourceId};
-use crate::workspace::{with_workspace, NewtonWorkspace, SolverBufs};
+use crate::workspace::{with_workspace, JacSource, JacStale, NewtonWorkspace, SolverBufs};
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Linear-solve strategy for the Newton loop.
@@ -151,7 +151,7 @@ fn newton_dense(
 ) -> Result<Vec<f64>, (Vec<f64>, SimError)> {
     let n = mna.unknown_count();
     let n_v = mna.voltage_count();
-    bufs.ensure(n);
+    bufs.ensure(n, mna.circuit().transistors.len());
     bufs.newton_solves += 1;
     bufs.res_history.clear();
     let _span = tfet_obs::span("newton");
@@ -160,7 +160,17 @@ fn newton_dense(
     let mut last_residual = f64::INFINITY;
     for iter in 0..opts.max_iter {
         bufs.newton_iters += 1;
-        let stats = mna.assemble_into(&x, t, gmin, anchor, caps, &mut bufs.j, &mut bufs.f, None);
+        let stats = mna.assemble_into(
+            &x,
+            t,
+            gmin,
+            anchor,
+            caps,
+            &mut bufs.j,
+            &mut bufs.f,
+            &mut bufs.lins,
+            false,
+        );
         bufs.device_evals += stats.evals;
         // Residual infinity-norm: convergence is decided on |Δv| below, but
         // the history is what a post-mortem of a failed solve needs. The
@@ -226,22 +236,26 @@ fn newton_dense(
 
 /// The sparse modified-Newton loop.
 ///
-/// Per iteration it assembles into the pattern-backed sparse Jacobian (with
-/// device-evaluation bypass) and, when a valid factorization from an earlier
-/// iteration or step is available and `gmin == 0`, *reuses* it instead of
-/// refactorizing. A reused factor that stops contracting the update —
-/// `|Δv| ≥ v_tol` and shrinking by less than ~1.4× versus the previous
-/// chord iteration (the first iteration of a solve is exempt, so a factor
-/// carried across transient steps gets one chord probe before it can be
-/// declared stale) — triggers a full refactorization at the current iterate
-/// and an immediate re-solve, bounded to once per iteration; gmin-laddered
-/// solves (the PR-5 rescue path, untouched above this function) always refactorize
-/// and never publish their factors for reuse.
+/// Per iteration it assembles the residual (with device-evaluation bypass)
+/// and, when a valid factorization from an earlier iteration or step is
+/// available and `gmin == 0`, *reuses* it instead of refactorizing. The
+/// pattern-backed sparse Jacobian is stamped only when it is read — by a
+/// refactorization or the consistency check below — so the chord iterations
+/// that reuse a factor never pay for one.
+///
+/// A reused factor that stops contracting the update — `|Δv| ≥ v_tol` and
+/// shrinking by less than ~1.4× versus the previous chord iteration (the
+/// first iteration of a solve is exempt, so a factor carried across
+/// transient steps gets one chord probe before it can be declared stale) —
+/// triggers a full refactorization at the current iterate and an immediate
+/// re-solve, bounded to once per iteration; gmin-laddered solves (the rescue
+/// path, untouched above this function) always refactorize and never publish
+/// their factors for reuse.
 ///
 /// Convergence is declared on the same undamped `|Δv| < v_tol` test as the
 /// dense loop, with one extra safeguard: a convergence claim produced by a
 /// *reused* factor is only accepted after a mat-vec consistency check
-/// against the freshly assembled Jacobian
+/// against the Jacobian at the current iterate
 /// ([`SolverBufs::sparse_update_consistent`]) — an inconsistent factor
 /// triggers refactorization and a re-solve of the same right-hand side.
 /// Together the stall guard and the consistency check bound how stale a
@@ -261,7 +275,7 @@ fn newton_sparse(
 ) -> Result<Vec<f64>, (Vec<f64>, SimError)> {
     let n = mna.unknown_count();
     let n_v = mna.voltage_count();
-    bufs.ensure(n);
+    bufs.ensure(n, mna.circuit().transistors.len());
     bufs.ensure_sparse(mna);
     bufs.ensure_latency(mna);
     bufs.newton_solves += 1;
@@ -271,6 +285,22 @@ fn newton_sparse(
     // Factor reuse is only sound for the physical (gmin = 0) system: ladder
     // rungs perturb the diagonal, so their factors are never kept.
     let allow_reuse = gmin == 0.0;
+    // Device bypass (and the partition tier above it) is a transient-only
+    // optimization: those solves are LTE-controlled, so the (second-order)
+    // extrapolation error stays far inside the step-acceptance budget. DC
+    // operating points are solved with full evaluations — they are rare,
+    // and they anchor accuracy contracts (VTC sweeps, SNM extraction) at the
+    // Newton tolerance itself. `DeviceLatency::Off` disables both layers,
+    // giving the clean full-evaluation baseline the figure-identity gate
+    // compares against. Partitioned circuits additionally get incremental
+    // Jacobian maintenance (`assemble_sparse_latent`).
+    let use_cache = caps.is_some() && opts.latency == DeviceLatency::On;
+    let src = JacSource {
+        mna,
+        gmin,
+        caps,
+        bypass: use_cache,
+    };
     let mut last_delta = f64::INFINITY;
     let mut last_residual = f64::INFINITY;
     // Starting at ∞ (not zero) exempts the *first* chord iteration from the
@@ -288,40 +318,36 @@ fn newton_sparse(
         bufs.newton_iters += 1;
         {
             let _span = tfet_obs::span("assemble");
+            // Every assembly writes the residual only and leaves the
+            // Jacobian stale: the stall guard, the consistency check or a
+            // non-reusing iteration rebuilds it when it reads it
+            // (`SolverBufs::fresh_jacobian`), so chord iterations — nearly
+            // all of them — never stamp one.
             let s = bufs.sparse.as_mut().expect("ensure_sparse ran");
-            // Device bypass (and the partition tier above it) is a
-            // transient-only optimization: those solves are LTE-controlled,
-            // so the (second-order) extrapolation error stays far inside
-            // the step-acceptance budget. DC operating points are solved
-            // with full evaluations — they are rare, and they anchor
-            // accuracy contracts (VTC sweeps, SNM extraction) at the Newton
-            // tolerance itself. `DeviceLatency::Off` disables both layers,
-            // giving the clean full-evaluation baseline the figure-identity
-            // gate compares against. Partitioned circuits additionally get
-            // incremental Jacobian maintenance (`assemble_sparse_latent`).
-            let use_cache = caps.is_some() && opts.latency == DeviceLatency::On;
             let stats = match (use_cache, bufs.latency.as_mut(), caps) {
-                (true, Some(lat), Some(caps)) => mna.assemble_sparse_latent(
-                    &x,
-                    t,
-                    gmin,
-                    anchor,
-                    caps,
-                    &mut s.jac,
-                    &mut s.inc,
-                    &mut bufs.f,
-                    &mut bufs.device_cache,
-                    lat,
-                ),
+                (true, Some(lat), Some(caps)) => {
+                    s.stale = JacStale::Compose;
+                    mna.assemble_sparse_latent(
+                        &x,
+                        t,
+                        gmin,
+                        anchor,
+                        caps,
+                        &mut s.jac,
+                        &mut s.inc,
+                        &mut bufs.f,
+                        &mut bufs.device_cache,
+                        lat,
+                    )
+                }
                 _ => {
-                    let cache = if use_cache {
-                        Some(&mut bufs.device_cache)
+                    s.stale = JacStale::Stamp;
+                    let lins = if use_cache {
+                        &mut bufs.device_cache
                     } else {
-                        None
+                        &mut bufs.lins
                     };
-                    // Written in full: nothing left to compose.
-                    s.inc.stale = false;
-                    mna.assemble_into(&x, t, gmin, anchor, caps, &mut s.jac, &mut bufs.f, cache)
+                    mna.assemble_residual(&x, t, gmin, anchor, caps, &mut bufs.f, lins, use_cache)
                 }
             };
             bufs.device_evals += stats.evals;
@@ -342,7 +368,7 @@ fn newton_sparse(
                 .is_some_and(|s| s.factor_valid && s.lu.is_factored());
         if reused {
             bufs.jac_reused += 1;
-        } else if let Err(e) = bufs.sparse_refactor(allow_reuse) {
+        } else if let Err(e) = bufs.sparse_refactor(allow_reuse, &src) {
             tfet_obs::record_u64("newton.iters_per_solve", iter as u64 + 1);
             return Err((x, SimError::from_solve(e, time_label)));
         }
@@ -360,14 +386,14 @@ fn newton_sparse(
 
         // Stall guard: a reused factor whose update has stopped shrinking
         // (contraction worse than ~1.4× per chord iteration) gets replaced
-        // by a fresh factorization of the *already assembled* current
-        // Jacobian, and the step is re-solved within this same iteration.
+        // by a fresh factorization of the Jacobian at the current iterate,
+        // and the step is re-solved within this same iteration.
         // The threshold trades chord iterations against refactorizations:
         // chord iterations whose terminal movement sits inside the bypass
         // window cost no device evaluations, so tolerating a slower but
         // still geometric contraction is cheaper than refactoring.
         if reused && max_dv.is_finite() && max_dv >= opts.v_tol && max_dv > 0.7 * prev_max_dv {
-            if let Err(e) = bufs.sparse_refactor(allow_reuse) {
+            if let Err(e) = bufs.sparse_refactor(allow_reuse, &src) {
                 tfet_obs::record_u64("newton.iters_per_solve", iter as u64 + 1);
                 return Err((x, SimError::from_solve(e, time_label)));
             }
@@ -390,9 +416,9 @@ fn newton_sparse(
         if solved_with_reuse
             && max_dv.is_finite()
             && max_dv < opts.v_tol
-            && !bufs.sparse_update_consistent()
+            && !bufs.sparse_update_consistent(&src)
         {
-            if let Err(e) = bufs.sparse_refactor(allow_reuse) {
+            if let Err(e) = bufs.sparse_refactor(allow_reuse, &src) {
                 tfet_obs::record_u64("newton.iters_per_solve", iter as u64 + 1);
                 return Err((x, SimError::from_solve(e, time_label)));
             }

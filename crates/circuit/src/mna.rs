@@ -9,7 +9,7 @@
 
 use crate::error::SimError;
 use crate::latency::{assembly_threads, partition_signature, LatencyState, PAR_EVAL_MIN};
-use crate::netlist::{Circuit, NodeId};
+use crate::netlist::{Circuit, NodeId, Transistor};
 use std::sync::OnceLock;
 use tfet_numerics::{par_for_each_mut, GroupedIndices, Matrix, SparseMatrix, SparsityPattern};
 
@@ -91,9 +91,10 @@ const NO_SLOT: usize = usize::MAX;
 ///
 /// The full matrix is composed as one O(nnz) vector add — replacing
 /// O(devices) slot-searched stamps — and only when something reads it: an
-/// assembly marks the matrix [`stale`](Self::stale), and the solver composes
-/// before a refactorization or a consistency check, the only readers. An
-/// iteration that reuses a factorization never pays for it. Repeated
+/// assembly leaves the matrix stale
+/// ([`JacStale::Compose`](crate::workspace::JacStale::Compose)), and the
+/// solver composes before a refactorization or a consistency check, the only
+/// readers. An iteration that reuses a factorization never pays for it. Repeated
 /// subtract/add cycles drift `trans_values` by at most a few ulps per
 /// refresh (the deltas are exact floating-point values, not accumulated
 /// sums), far inside Newton's convergence tolerance, and every mutation is
@@ -124,11 +125,6 @@ pub(crate) struct IncrementalJac {
     lin_gmin: f64,
     /// False until the first linear rebuild.
     lin_valid: bool,
-    /// True when the latest assembly changed the split values without
-    /// composing them into the matrix; cleared by
-    /// [`compose_into`](Self::compose_into), and by any assembly that writes
-    /// the matrix directly.
-    pub(crate) stale: bool,
 }
 
 impl IncrementalJac {
@@ -201,7 +197,6 @@ impl IncrementalJac {
             lin_gen: 0,
             lin_gmin: 0.0,
             lin_valid: false,
-            stale: false,
         }
     }
 
@@ -293,13 +288,8 @@ impl IncrementalJac {
         self.stamped[idx] = *e;
     }
 
-    /// Writes `lin_values + trans_values` into `jac`'s value storage if the
-    /// latest assembly left it [`stale`](Self::stale); a no-op otherwise.
-    pub(crate) fn compose_into(&mut self, jac: &mut SparseMatrix) {
-        if !self.stale {
-            return;
-        }
-        self.stale = false;
+    /// Writes `lin_values + trans_values` into `jac`'s value storage.
+    pub(crate) fn compose_into(&self, jac: &mut SparseMatrix) {
         let _s = tfet_obs::span("compose");
         let vals = jac.values_mut();
         for ((v, l), t) in vals
@@ -335,6 +325,26 @@ pub(crate) struct DeviceLin {
     pub gss: f64,
 }
 
+impl DeviceLin {
+    /// A full model evaluation of transistor `m` at terminal voltages
+    /// `vg/vd/vs`, scaled by its width.
+    #[inline]
+    fn evaluate(m: &Transistor, vg: f64, vd: f64, vs: f64) -> DeviceLin {
+        let w = m.width_um;
+        let (i, gm, gds, gs) = m.model.linearize_per_um(vg, vd, vs);
+        DeviceLin {
+            valid: true,
+            vg,
+            vd,
+            vs,
+            i: w * i,
+            gm: w * gm,
+            gds: w * gds,
+            gss: w * gs,
+        }
+    }
+}
+
 /// Terminal-voltage movement below which a cached device linearization is
 /// reused instead of re-evaluating the model.
 ///
@@ -354,7 +364,7 @@ pub(crate) const BYPASS_VTOL: f64 = 150e-6;
 /// or skipped wholesale by the cell-dormancy tier — plus the tier's refresh
 /// activity. The solver accumulates these into the workspace's monotone
 /// counters, which [`SolveStats`](crate::SolveStats) snapshots per run.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct AssemblyStats {
     /// Full device-model evaluations.
     pub(crate) evals: u64,
@@ -546,20 +556,21 @@ impl<'c> Mna<'c> {
         f: &mut [f64],
     ) {
         assert_eq!(j.rows(), self.n_x, "jacobian rows");
-        self.assemble_into(x, t, gmin, anchor, caps, j, f, None);
+        let mut lins = vec![DeviceLin::default(); self.circuit.transistors.len()];
+        self.assemble_into(x, t, gmin, anchor, caps, j, f, &mut lins, false);
     }
 
-    /// Target-generic assembly with optional device-evaluation bypass.
+    /// Full assembly: the residual pass ([`Mna::assemble_residual`]) then
+    /// the Jacobian pass ([`Mna::stamp_jacobian`]) over the linearizations
+    /// it recorded in `lins`.
     ///
     /// Like [`Mna::assemble`], but stamps into any [`JacTarget`] (dense or
-    /// pattern-backed sparse). When `cache` is given, transistors whose
-    /// terminal voltages all moved less than [`BYPASS_VTOL`] since their last
-    /// full evaluation are stamped from the cached linearization instead of
-    /// re-evaluating the device model (see [`DeviceLin`]); the cache is
-    /// resized to the transistor count on entry, and entries are refreshed on
-    /// every full evaluation. Partition-latency transient solves go through
-    /// [`Mna::assemble_sparse_latent`] instead, which adds the cell-dormancy
-    /// tier and incremental Jacobian maintenance on top of the same stamps.
+    /// pattern-backed sparse) and optionally bypasses device evaluation
+    /// (see [`Mna::assemble_residual`]). The sparse Newton loop runs the two
+    /// passes apart instead, stamping the Jacobian only when it is read;
+    /// partition-latency transient solves go through
+    /// [`Mna::assemble_sparse_latent`], which adds the cell-dormancy tier and
+    /// incremental Jacobian maintenance on top of the same stamps.
     #[allow(clippy::too_many_arguments)] // solver-internal hot path; a config struct would obscure the MNA math
     pub(crate) fn assemble_into<J: JacTarget>(
         &self,
@@ -570,18 +581,51 @@ impl<'c> Mna<'c> {
         caps: Option<&CompanionCaps>,
         j: &mut J,
         f: &mut [f64],
-        mut cache: Option<&mut Vec<DeviceLin>>,
+        lins: &mut [DeviceLin],
+        bypass: bool,
+    ) -> AssemblyStats {
+        let stats = self.assemble_residual(x, t, gmin, anchor, caps, f, lins, bypass);
+        self.stamp_jacobian(gmin, caps, lins, j);
+        stats
+    }
+
+    /// The residual pass: evaluates `f(x)` (cleared first) and records each
+    /// transistor's linearization — the `(i, gm, gds, gss)` its stamp uses
+    /// — in `lins`, one entry per transistor in netlist order.
+    ///
+    /// With `bypass`, `lins` is the bypass cache: a transistor whose terminal
+    /// voltages all moved less than [`BYPASS_VTOL`] since its last full
+    /// evaluation is served from its entry (see [`DeviceLin`]) and the entry
+    /// is kept; every other transistor is evaluated and its entry replaced.
+    /// Without it every transistor is evaluated.
+    ///
+    /// The Jacobian at `x` is then [`Mna::stamp_jacobian`] over the same
+    /// `lins`, `gmin` and `caps`, whenever it runs.
+    #[allow(clippy::too_many_arguments)] // solver-internal hot path; a config struct would obscure the MNA math
+    pub(crate) fn assemble_residual(
+        &self,
+        x: &[f64],
+        t: f64,
+        gmin: f64,
+        anchor: Option<&[f64]>,
+        caps: Option<&CompanionCaps>,
+        f: &mut [f64],
+        lins: &mut [DeviceLin],
+        bypass: bool,
     ) -> AssemblyStats {
         assert_eq!(x.len(), self.n_x, "state vector length");
         assert_eq!(f.len(), self.n_x, "residual length");
-        j.clear();
+        assert_eq!(
+            lins.len(),
+            self.circuit.transistors.len(),
+            "linearization buffer length"
+        );
         f.fill(0.0);
 
         // Resistors.
         for r in &self.circuit.resistors {
             let g = 1.0 / r.ohms;
             let i = g * (self.voltage_of(x, r.a) - self.voltage_of(x, r.b));
-            self.stamp_conductance(j, r.a, r.b, g);
             self.stamp_current(f, r.a, r.b, i);
         }
 
@@ -589,7 +633,6 @@ impl<'c> Mna<'c> {
         if let Some(caps) = caps {
             for &(a, b, geq, ieq) in &caps.entries {
                 let i = geq * (self.voltage_of(x, a) - self.voltage_of(x, b)) + ieq;
-                self.stamp_conductance(j, a, b, geq);
                 self.stamp_current(f, a, b, i);
             }
         }
@@ -599,14 +642,34 @@ impl<'c> Mna<'c> {
             self.stamp_current(f, s.from, s.to, s.wave.value(t));
         }
 
-        // Transistors: nonlinear three-terminal stamps, with optional bypass
-        // of the (expensive) model evaluation when the operating point is
-        // within BYPASS_VTOL of the cached one.
+        // Transistors: nonlinear three-terminal currents, with optional
+        // bypass of the (expensive) model evaluation when the operating
+        // point is within BYPASS_VTOL of the cached one.
         let mut stats = AssemblyStats::default();
-        if let Some(c) = cache.as_deref_mut() {
-            c.resize(self.circuit.transistors.len(), DeviceLin::default());
+        {
+            let _s = tfet_obs::span("eval");
+            for (m, e) in self.circuit.transistors.iter().zip(lins.iter_mut()) {
+                let vg = self.voltage_of(x, m.g);
+                let vd = self.voltage_of(x, m.d);
+                let vs = self.voltage_of(x, m.s);
+                let i = if bypass
+                    && e.valid
+                    && (vg - e.vg).abs() < BYPASS_VTOL
+                    && (vd - e.vd).abs() < BYPASS_VTOL
+                    && (vs - e.vs).abs() < BYPASS_VTOL
+                {
+                    stats.bypassed += 1;
+                    e.i + e.gm * (vg - e.vg) + e.gds * (vd - e.vd) + e.gss * (vs - e.vs)
+                } else {
+                    stats.evals += 1;
+                    *e = DeviceLin::evaluate(m, vg, vd, vs);
+                    e.i
+                };
+                // Current i enters the drain terminal and leaves the source
+                // terminal; the gate carries no DC current.
+                self.stamp_current(f, m.d, m.s, i);
+            }
         }
-        self.stamp_transistors_plain(x, cache, j, f, &mut stats);
 
         // Voltage sources: branch current unknowns + branch equations.
         for (k, v) in self.circuit.vsources.iter().enumerate() {
@@ -615,20 +678,12 @@ impl<'c> Mna<'c> {
             // KCL: branch current leaves `plus`, enters `minus`.
             if let Some(rp) = self.row(v.plus) {
                 f[rp] += i_br;
-                j.add(rp, bi, 1.0);
             }
             if let Some(rm) = self.row(v.minus) {
                 f[rm] -= i_br;
-                j.add(rm, bi, -1.0);
             }
             // Branch equation: v_plus − v_minus = V(t).
             f[bi] = self.voltage_of(x, v.plus) - self.voltage_of(x, v.minus) - v.wave.value(t);
-            if let Some(rp) = self.row(v.plus) {
-                j.add(bi, rp, 1.0);
-            }
-            if let Some(rm) = self.row(v.minus) {
-                j.add(bi, rm, -1.0);
-            }
         }
 
         // g_min convergence aid: a conductance from every node toward its
@@ -638,7 +693,6 @@ impl<'c> Mna<'c> {
                 assert!(anchor.len() >= self.n_v, "anchor length");
             }
             for n in 0..self.n_v {
-                j.add(n, n, gmin);
                 let target = anchor.map_or(0.0, |a| a[n]);
                 f[n] += gmin * (x[n] - target);
             }
@@ -646,76 +700,70 @@ impl<'c> Mna<'c> {
         stats
     }
 
-    /// The pre-latency transistor stamp loop: per-device decision (full
-    /// evaluation or bypass-cache replay), serial in netlist order. Kept
-    /// arithmetically untouched — every unpartitioned circuit, and every
-    /// dense or latency-off solve, goes through here.
-    fn stamp_transistors_plain<J: JacTarget>(
+    /// The Jacobian pass: clears `j` and stamps the Jacobian whose residual
+    /// [`Mna::assemble_residual`] evaluated with the same `gmin` and `caps`,
+    /// transistors from the linearizations it recorded in `lins`.
+    ///
+    /// The stamps run in one fixed order — resistors, companion
+    /// conductances, transistors, voltage-source units, g_min — so every
+    /// entry sums its contributions in the same order, and has the same
+    /// bits, whether the pass runs right after the residual or only when a
+    /// reader needs the matrix.
+    pub(crate) fn stamp_jacobian<J: JacTarget>(
         &self,
-        x: &[f64],
-        mut cache: Option<&mut Vec<DeviceLin>>,
+        gmin: f64,
+        caps: Option<&CompanionCaps>,
+        lins: &[DeviceLin],
         j: &mut J,
-        f: &mut [f64],
-        stats: &mut AssemblyStats,
     ) {
-        for (idx, m) in self.circuit.transistors.iter().enumerate() {
-            let vg = self.voltage_of(x, m.g);
-            let vd = self.voltage_of(x, m.d);
-            let vs = self.voltage_of(x, m.s);
-            let entry = cache.as_deref_mut().map(|c| &mut c[idx]);
-            let (i, gm, gds, gss) = match entry {
-                Some(e)
-                    if e.valid
-                        && (vg - e.vg).abs() < BYPASS_VTOL
-                        && (vd - e.vd).abs() < BYPASS_VTOL
-                        && (vs - e.vs).abs() < BYPASS_VTOL =>
-                {
-                    stats.bypassed += 1;
-                    let i = e.i + e.gm * (vg - e.vg) + e.gds * (vd - e.vd) + e.gss * (vs - e.vs);
-                    (i, e.gm, e.gds, e.gss)
-                }
-                entry => {
-                    stats.evals += 1;
-                    let w = m.width_um;
-                    let i = w * m.model.ids_per_um(vg, vd, vs);
-                    let (gm_u, gds_u, gs_u) = m.model.conductances_per_um(vg, vd, vs);
-                    let (gm, gds, gss) = (w * gm_u, w * gds_u, w * gs_u);
-                    if let Some(e) = entry {
-                        *e = DeviceLin {
-                            valid: true,
-                            vg,
-                            vd,
-                            vs,
-                            i,
-                            gm,
-                            gds,
-                            gss,
-                        };
-                    }
-                    (i, gm, gds, gss)
-                }
-            };
-
-            // Current i enters the drain terminal and leaves the source
-            // terminal; the gate carries no DC current.
-            self.stamp_current(f, m.d, m.s, i);
+        let _s = tfet_obs::span("jacobian");
+        j.clear();
+        for r in &self.circuit.resistors {
+            self.stamp_conductance(j, r.a, r.b, 1.0 / r.ohms);
+        }
+        if let Some(caps) = caps {
+            for &(a, b, geq, _) in &caps.entries {
+                self.stamp_conductance(j, a, b, geq);
+            }
+        }
+        for (m, e) in self.circuit.transistors.iter().zip(lins) {
             if let Some(rd) = self.row(m.d) {
                 if let Some(c) = self.row(m.g) {
-                    j.add(rd, c, gm);
+                    j.add(rd, c, e.gm);
                 }
-                j.add(rd, rd, gds);
+                j.add(rd, rd, e.gds);
                 if let Some(c) = self.row(m.s) {
-                    j.add(rd, c, gss);
+                    j.add(rd, c, e.gss);
                 }
             }
             if let Some(rs) = self.row(m.s) {
                 if let Some(c) = self.row(m.g) {
-                    j.add(rs, c, -gm);
+                    j.add(rs, c, -e.gm);
                 }
                 if let Some(c) = self.row(m.d) {
-                    j.add(rs, c, -gds);
+                    j.add(rs, c, -e.gds);
                 }
-                j.add(rs, rs, -gss);
+                j.add(rs, rs, -e.gss);
+            }
+        }
+        for (k, v) in self.circuit.vsources.iter().enumerate() {
+            let bi = self.branch_index(k);
+            if let Some(rp) = self.row(v.plus) {
+                j.add(rp, bi, 1.0);
+            }
+            if let Some(rm) = self.row(v.minus) {
+                j.add(rm, bi, -1.0);
+            }
+            if let Some(rp) = self.row(v.plus) {
+                j.add(bi, rp, 1.0);
+            }
+            if let Some(rm) = self.row(v.minus) {
+                j.add(bi, rm, -1.0);
+            }
+        }
+        if gmin > 0.0 {
+            for n in 0..self.n_v {
+                j.add(n, n, gmin);
             }
         }
     }
@@ -746,8 +794,9 @@ impl<'c> Mna<'c> {
     ///    part (resistors, companion-capacitor conductances, voltage-source
     ///    unit entries, g_min diagonal) is rebuilt only when its values
     ///    actually change — at most once per transient step, and only when
-    ///    device capacitances moved. `jac` itself is left stale: the sum is
-    ///    composed only when the solver reads the matrix
+    ///    device capacitances moved. `jac` itself is left stale: the caller
+    ///    marks it [`JacStale::Compose`](crate::workspace::JacStale::Compose),
+    ///    and the sum is composed only when the solver reads the matrix
     ///    ([`IncrementalJac::compose_into`]).
     ///
     /// On an array where >90 % of cells are dormant this turns the dominant
@@ -767,13 +816,17 @@ impl<'c> Mna<'c> {
         jac: &mut SparseMatrix,
         inc: &mut IncrementalJac,
         f: &mut [f64],
-        cache: &mut Vec<DeviceLin>,
+        cache: &mut [DeviceLin],
         lat: &mut LatencyState,
     ) -> AssemblyStats {
         assert_eq!(x.len(), self.n_x, "state vector length");
         assert_eq!(f.len(), self.n_x, "residual length");
+        assert_eq!(
+            cache.len(),
+            self.circuit.transistors.len(),
+            "bypass cache length"
+        );
         f.fill(0.0);
-        cache.resize(self.circuit.transistors.len(), DeviceLin::default());
         let mut stats = AssemblyStats::default();
 
         // Linear Jacobian part: rebuilt only when its values changed.
@@ -842,19 +895,7 @@ impl<'c> Mna<'c> {
             let vg = self.voltage_of(x, m.g);
             let vd = self.voltage_of(x, m.d);
             let vs = self.voltage_of(x, m.s);
-            let w = m.width_um;
-            let i = w * m.model.ids_per_um(vg, vd, vs);
-            let (gm_u, gds_u, gs_u) = m.model.conductances_per_um(vg, vd, vs);
-            *e = DeviceLin {
-                valid: true,
-                vg,
-                vd,
-                vs,
-                i,
-                gm: w * gm_u,
-                gds: w * gds_u,
-                gss: w * gs_u,
-            };
+            *e = DeviceLin::evaluate(m, vg, vd, vs);
         };
         let threads = assembly_threads();
         if n_eval >= PAR_EVAL_MIN && threads > 1 {
@@ -913,8 +954,6 @@ impl<'c> Mna<'c> {
         }
 
         drop(_s_stamp);
-        // The split values changed; the matrix is composed when read.
-        inc.stale = true;
         stats
     }
 

@@ -65,6 +65,11 @@ pub(crate) struct SolverBufs {
     /// Per-transistor linearization cache for device-evaluation bypass
     /// (sparse strategy only; invalidated at every run entry and rebind).
     pub(crate) device_cache: Vec<DeviceLin>,
+    /// Per-transistor linearizations recorded by assemblies that run
+    /// without bypass (DC solves, latency off, the dense path), for the
+    /// Jacobian pass to stamp from. Kept apart from `device_cache` so those
+    /// solves never seed or overwrite bypass entries.
+    pub(crate) lins: Vec<DeviceLin>,
     /// Quiescent-partition latency state, built on first sparse solve of a
     /// circuit with registered partitions and keyed on the combined
     /// topology + partition signature; `None` for unpartitioned circuits.
@@ -107,11 +112,41 @@ pub(crate) struct SparseState {
     pub(crate) factor_valid: bool,
     /// Incremental assembly state for the latency-tier transient path
     /// ([`Mna::assemble_sparse_latent`]): linear/transistor value split and
-    /// per-device stamp slots over `jac`'s pattern. After such an assembly
-    /// `jac` is stale until [`IncrementalJac::compose_into`] runs, which the
-    /// two readers of `jac` ([`SolverBufs::sparse_refactor`],
-    /// [`SolverBufs::sparse_update_consistent`]) do first.
+    /// per-device stamp slots over `jac`'s pattern.
     pub(crate) inc: IncrementalJac,
+    /// Whether `jac` lags the latest assembly, and how to bring it up to
+    /// date. Newton assemblies write only the residual (and the split or
+    /// the linearizations the Jacobian is made from); the two readers of
+    /// `jac` ([`SolverBufs::sparse_refactor`],
+    /// [`SolverBufs::sparse_update_consistent`]) rebuild it first, so an
+    /// iteration that reuses a factorization never stamps a Jacobian.
+    pub(crate) stale: JacStale,
+}
+
+/// How a stale [`SparseState::jac`] is rebuilt before it is read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum JacStale {
+    /// `jac` holds the Jacobian of the latest assembly.
+    No,
+    /// Compose the latency tier's linear + transistor split
+    /// ([`IncrementalJac::compose_into`]).
+    Compose,
+    /// Stamp it from the linearizations the latest residual pass recorded
+    /// ([`Mna::stamp_jacobian`]).
+    Stamp,
+}
+
+/// The system the latest sparse residual pass assembled: what a reader
+/// needs to stamp its Jacobian ([`JacStale::Stamp`]). `x` is not needed —
+/// the pass recorded every bias-dependent entry in the linearizations.
+#[derive(Debug)]
+pub(crate) struct JacSource<'a, 'c> {
+    pub(crate) mna: &'a Mna<'c>,
+    pub(crate) gmin: f64,
+    pub(crate) caps: Option<&'a CompanionCaps>,
+    /// The pass used the bypass cache: its linearizations are in
+    /// [`SolverBufs::device_cache`], otherwise in [`SolverBufs::lins`].
+    pub(crate) bypass: bool,
 }
 
 impl Default for SolverBufs {
@@ -128,6 +163,7 @@ impl Default for SolverBufs {
             res_history: Vec::new(),
             sparse: None,
             device_cache: Vec::new(),
+            lins: Vec::new(),
             latency: None,
             jac_refactored: 0,
             jac_reused: 0,
@@ -143,9 +179,11 @@ impl Default for SolverBufs {
 }
 
 impl SolverBufs {
-    /// Sizes every buffer for an `n`-unknown system; a no-op when already
-    /// at that size.
-    pub(crate) fn ensure(&mut self, n: usize) {
+    /// Sizes every buffer for an `n`-unknown system with `devices`
+    /// transistors; a no-op when already at that size.
+    pub(crate) fn ensure(&mut self, n: usize, devices: usize) {
+        self.device_cache.resize(devices, DeviceLin::default());
+        self.lins.resize(devices, DeviceLin::default());
         if self.f.len() != n {
             self.j = Matrix::zeros(n, n);
             self.f = vec![0.0; n];
@@ -193,6 +231,7 @@ impl SolverBufs {
             lu: SparseLu::new(),
             factor_valid: false,
             inc,
+            stale: JacStale::No,
         });
     }
 
@@ -215,15 +254,38 @@ impl SolverBufs {
         self.latency = Some(LatencyState::build(mna.circuit(), sig));
     }
 
-    /// (Re)factorizes the sparse Jacobian currently held in
-    /// [`SparseState::jac`]: symbolic analysis on first use (or as a one-shot
-    /// pivot-order refresh after a refactorization failure), the zero-alloc
-    /// numeric replay otherwise. `gmin_zero` gates whether the resulting
-    /// factors are eligible for modified-Newton reuse.
+    /// Brings [`SparseState::jac`] up to date with the latest assembly of
+    /// `src` — a no-op unless it is [`stale`](SparseState::stale). Neither
+    /// `x` nor the linearizations changed since that assembly, so the
+    /// result is the Jacobian an eager assembly would have written.
+    pub(crate) fn fresh_jacobian(&mut self, src: &JacSource<'_, '_>) {
+        let s = self.sparse.as_mut().expect("sparse state prepared");
+        match std::mem::replace(&mut s.stale, JacStale::No) {
+            JacStale::No => {}
+            JacStale::Compose => s.inc.compose_into(&mut s.jac),
+            JacStale::Stamp => {
+                let lins = if src.bypass {
+                    &self.device_cache
+                } else {
+                    &self.lins
+                };
+                src.mna.stamp_jacobian(src.gmin, src.caps, lins, &mut s.jac);
+            }
+        }
+    }
+
+    /// (Re)factorizes the Jacobian of the latest assembly of `src` (brought
+    /// up to date first, [`Self::fresh_jacobian`]): symbolic analysis on
+    /// first use (or as a one-shot pivot-order refresh after a
+    /// refactorization failure), the zero-alloc numeric replay otherwise.
+    /// `gmin_zero` gates whether the resulting factors are eligible for
+    /// modified-Newton reuse.
     pub(crate) fn sparse_refactor(
         &mut self,
         gmin_zero: bool,
+        src: &JacSource<'_, '_>,
     ) -> Result<(), tfet_numerics::matrix::SolveError> {
+        self.fresh_jacobian(src);
         self.jac_refactored += 1;
         // No child spans for the analyze/replay split: each worker's
         // workspace analyzes lazily on first use, so the split is
@@ -233,7 +295,6 @@ impl SolverBufs {
         let _span = tfet_obs::span("refactor");
         let mut analyses = 0u64;
         let s = self.sparse.as_mut().expect("sparse state prepared");
-        s.inc.compose_into(&mut s.jac);
         let r = if !s.lu.is_analyzed() {
             analyses += 1;
             s.lu.analyze(&s.jac)
@@ -252,7 +313,8 @@ impl SolverBufs {
     }
 
     /// Validates a Newton update computed from a *reused* factorization
-    /// against the freshly assembled Jacobian: the linear solve is accepted
+    /// against the Jacobian of the latest assembly of `src` (brought up to
+    /// date first, [`Self::fresh_jacobian`]): the linear solve is accepted
     /// only when `‖J·dx + f‖∞ ≤ 0.1·‖f‖∞`, i.e. the stale factor still
     /// solves the current system to within 10%. One sparse mat-vec — cheap
     /// relative to even a single device evaluation.
@@ -263,9 +325,9 @@ impl SolverBufs {
     /// node with a huge conductance) produces updates that pass the
     /// `|Δv| < v_tol` test vacuously while solving the wrong system. The
     /// check catches exactly that and forces a refactorization.
-    pub(crate) fn sparse_update_consistent(&mut self) -> bool {
-        let s = self.sparse.as_mut().expect("sparse state prepared");
-        s.inc.compose_into(&mut s.jac);
+    pub(crate) fn sparse_update_consistent(&mut self, src: &JacSource<'_, '_>) -> bool {
+        self.fresh_jacobian(src);
+        let s = self.sparse.as_ref().expect("sparse state prepared");
         s.jac.mul_vec(&self.dx, &mut self.scratch);
         let mut err = 0.0f64;
         for (r, v) in self.scratch.iter().zip(&self.f) {
@@ -509,27 +571,149 @@ mod tests {
         }
     }
 
+    /// A deferred Jacobian — the residual pass now, the Jacobian pass only
+    /// when a reader asks for the matrix — is the eager full assembly, bit
+    /// for bit: the same residual, every Jacobian value, the same bypass
+    /// cache and the same effort counts. Checked on a TFET latch and on the
+    /// golden 6T write deck, with a warm bypass cache that serves some
+    /// devices and re-evaluates the others, with and without g_min.
+    #[test]
+    fn deferred_jacobian_equals_eager_assembly_bit_for_bit() {
+        let deck = crate::Deck::parse(
+            include_str!("../tests/golden/write_6t.sp"),
+            &tfet_devices::standard_models(),
+        )
+        .unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let lin_bits = |l: &[DeviceLin]| {
+            l.iter()
+                .map(|e| {
+                    let v = [e.vg, e.vd, e.vs, e.i, e.gm, e.gds, e.gss];
+                    (e.valid, v.map(f64::to_bits))
+                })
+                .collect::<Vec<_>>()
+        };
+        // (circuit, the node moved outside the bypass window)
+        for (c, moved) in [(latch(&[], false), "vdd"), (deck.circuit, "bl")] {
+            let mna = Mna::new(&c).unwrap();
+            let (n, n_v) = (mna.unknown_count(), mna.voltage_count());
+            let mut caps = CompanionCaps::default();
+            for k in 1..=n_v {
+                caps.entries
+                    .push((NodeId(k), Circuit::GND, 1e-4 * k as f64, -1e-6));
+            }
+            caps.touch();
+            let x0: Vec<f64> = (0..n)
+                .map(|k| if k < n_v { 0.05 * k as f64 } else { 1e-6 })
+                .collect();
+            let mut bufs = SolverBufs::default();
+            bufs.ensure(n, c.transistors().len());
+            bufs.ensure_sparse(&mna);
+            let moved = c.find_node(moved).unwrap().index() - 1;
+            let x: Vec<f64> = x0
+                .iter()
+                .enumerate()
+                .map(|(k, v)| v + if k == moved { 10e-3 } else { 50e-6 })
+                .collect();
+            for (gmin, anchor) in [(0.0, None), (1e-6, Some(x0.as_slice()))] {
+                // Warm the cache at x0, then move one node by 10 mV and every
+                // other by 50 µV: the devices on the moved node are evaluated,
+                // the rest are served from the cache.
+                mna.assemble_residual(
+                    &x0,
+                    0.0,
+                    0.0,
+                    None,
+                    Some(&caps),
+                    &mut bufs.f,
+                    &mut bufs.device_cache,
+                    true,
+                );
+                let s = bufs.sparse.as_ref().unwrap();
+                let mut eager_jac = SparseMatrix::new(s.jac.pattern().clone());
+                let mut eager_f = vec![0.0; n];
+                let mut eager_cache = bufs.device_cache.clone();
+                let eager = mna.assemble_into(
+                    &x,
+                    0.0,
+                    gmin,
+                    anchor,
+                    Some(&caps),
+                    &mut eager_jac,
+                    &mut eager_f,
+                    &mut eager_cache,
+                    true,
+                );
+                assert!(eager.evals > 0 && eager.bypassed > 0, "{eager:?}");
+
+                let deferred = mna.assemble_residual(
+                    &x,
+                    0.0,
+                    gmin,
+                    anchor,
+                    Some(&caps),
+                    &mut bufs.f,
+                    &mut bufs.device_cache,
+                    true,
+                );
+                let s = bufs.sparse.as_mut().unwrap();
+                s.jac.values_mut().fill(f64::NAN);
+                s.stale = JacStale::Stamp;
+                let src = JacSource {
+                    mna: &mna,
+                    gmin,
+                    caps: Some(&caps),
+                    bypass: true,
+                };
+                bufs.fresh_jacobian(&src);
+                let s = bufs.sparse.as_mut().unwrap();
+                assert_eq!(s.stale, JacStale::No);
+                assert_eq!(deferred, eager);
+                assert_eq!(bits(&bufs.f), bits(&eager_f));
+                assert_eq!(bits(s.jac.values()), bits(eager_jac.values()));
+                assert_eq!(lin_bits(&bufs.device_cache), lin_bits(&eager_cache));
+                // A fresh Jacobian is not stamped again.
+                s.jac.values_mut()[0] = f64::NAN;
+                bufs.fresh_jacobian(&src);
+                assert!(bufs.sparse.as_ref().unwrap().jac.values()[0].is_nan());
+            }
+        }
+    }
+
     #[test]
     fn ensure_is_idempotent_at_fixed_size() {
         let mut bufs = SolverBufs::default();
-        bufs.ensure(5);
-        let ptr = bufs.f.as_ptr();
-        bufs.ensure(5);
-        assert_eq!(bufs.f.as_ptr(), ptr, "same-size ensure must not reallocate");
-        bufs.ensure(7);
+        bufs.ensure(5, 3);
+        let ptrs = (
+            bufs.f.as_ptr(),
+            bufs.lins.as_ptr(),
+            bufs.device_cache.as_ptr(),
+        );
+        bufs.ensure(5, 3);
+        assert_eq!(
+            (
+                bufs.f.as_ptr(),
+                bufs.lins.as_ptr(),
+                bufs.device_cache.as_ptr()
+            ),
+            ptrs,
+            "same-size ensure must not reallocate"
+        );
+        bufs.ensure(7, 4);
         assert_eq!(bufs.f.len(), 7);
         assert_eq!(bufs.j.rows(), 7);
+        assert_eq!((bufs.lins.len(), bufs.device_cache.len()), (4, 4));
     }
 
     #[test]
     fn thread_local_workspace_is_reentrant() {
         with_workspace(|outer| {
-            outer.bufs.ensure(4);
+            outer.bufs.ensure(4, 0);
             let outer_ptr = outer.bufs.f.as_ptr();
             // A nested borrow must get a distinct workspace, not panic or
             // alias the outer one.
             with_workspace(|inner| {
-                inner.bufs.ensure(4);
+                inner.bufs.ensure(4, 0);
                 assert_ne!(inner.bufs.f.as_ptr(), outer_ptr);
             });
             outer.bufs.f[0] = 1.0;
@@ -559,7 +743,7 @@ mod tests {
     #[test]
     fn thread_local_workspace_persists_across_calls() {
         let first = with_workspace(|ws| {
-            ws.bufs.ensure(6);
+            ws.bufs.ensure(6, 0);
             ws.bufs.f.as_ptr() as usize
         });
         let second = with_workspace(|ws| ws.bufs.f.as_ptr() as usize);

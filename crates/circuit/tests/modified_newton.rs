@@ -199,3 +199,67 @@ fn healthy_run_reuses_factors_and_bypasses_devices_without_escalating() {
         res.final_voltage(out)
     );
 }
+
+/// Chord iterations assemble the residual only: the Jacobian pass runs when
+/// a reader needs the matrix — at most once per Newton solve (its
+/// consistency check or its first refactorization) plus once per further
+/// refactorization — and the effort counters see each device once per
+/// residual pass, never again in the deferred Jacobian pass.
+#[test]
+fn jacobian_pass_runs_only_when_the_matrix_is_read() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let deck = tfet_circuit::Deck::parse(
+        include_str!("golden/write_6t.sp"),
+        &tfet_devices::standard_models(),
+    )
+    .unwrap();
+    let spec = deck.analyses[0]
+        .transient_spec()
+        .unwrap()
+        .with_solver(SolverStrategy::Sparse);
+    tfet_obs::reset();
+    tfet_obs::enable();
+    // A root span keeps a concurrently running sibling test's spans out of
+    // the paths counted below.
+    let res = {
+        let _root = tfet_obs::root_span("deferred_jacobian");
+        deck.circuit.transient(&spec, &deck.initial_state())
+    };
+    tfet_obs::disable();
+    let res = res.unwrap();
+    let report = tfet_obs::RunReport::capture();
+    let calls = |name: &str| -> u64 {
+        report
+            .spans
+            .iter()
+            .filter(|(path, _)| path.starts_with("deferred_jacobian/"))
+            .filter(|(path, _)| path.rsplit('/').next() == Some(name))
+            .map(|(_, &n)| n)
+            .sum()
+    };
+    let s = &res.stats;
+    assert_eq!(s.rescue_attempts, 0, "{s:?}");
+    assert_eq!(calls("newton"), s.newton_solves, "{s:?}");
+    assert_eq!(calls("assemble"), s.newton_iters, "{s:?}");
+    // One `eval` span per residual pass.
+    assert_eq!(calls("eval"), s.newton_iters, "{s:?}");
+    let jacobian = calls("jacobian");
+    assert!(jacobian > 0, "no Jacobian was ever stamped: {s:?}");
+    assert!(
+        jacobian <= s.newton_solves + s.jac_refactored,
+        "{jacobian} Jacobian passes: {s:?}"
+    );
+    assert!(
+        2 * jacobian < s.newton_iters,
+        "{jacobian} Jacobian passes: most iterations should reuse the factor and skip it: {s:?}"
+    );
+    // Every residual pass evaluates or bypasses each transistor exactly
+    // once; the deferred Jacobian pass adds nothing to either count.
+    let devices = deck.circuit.transistors().len() as u64;
+    assert!(s.devices_bypassed > 0, "{s:?}");
+    assert_eq!(
+        s.device_evals + s.devices_bypassed,
+        s.newton_iters * devices,
+        "{s:?}"
+    );
+}

@@ -119,6 +119,19 @@ pub trait DeviceModel: Debug + Send + Sync {
             self.gs_per_um(vg, vd, vs),
         )
     }
+
+    /// The full linearization `(i, gm, gds, gs)` at one operating point —
+    /// [`ids_per_um`](Self::ids_per_um) followed by
+    /// [`conductances_per_um`](Self::conductances_per_um), which is what
+    /// the default does. Models whose current and conductances share
+    /// transcendental subexpressions override it to compute each once; an
+    /// override must return exactly the bits of the two separate calls, so
+    /// callers may use either form interchangeably.
+    fn linearize_per_um(&self, vg: f64, vd: f64, vs: f64) -> (f64, f64, f64, f64) {
+        let i = self.ids_per_um(vg, vd, vs);
+        let (gm, gds, gs) = self.conductances_per_um(vg, vd, vs);
+        (i, gm, gds, gs)
+    }
 }
 
 /// Finite-difference voltage step used by the default derivative methods.
@@ -160,6 +173,9 @@ impl<M: DeviceModel + ?Sized> DeviceModel for Arc<M> {
     }
     fn conductances_per_um(&self, vg: f64, vd: f64, vs: f64) -> (f64, f64, f64) {
         (**self).conductances_per_um(vg, vd, vs)
+    }
+    fn linearize_per_um(&self, vg: f64, vd: f64, vs: f64) -> (f64, f64, f64, f64) {
+        (**self).linearize_per_um(vg, vd, vs)
     }
 }
 
@@ -214,6 +230,11 @@ impl<M: DeviceModel> DeviceModel for DualOf<M> {
         // ids = −inner(−vg, −vd, −vs): the two sign flips cancel, so the
         // conductances are the inner model's at the mirrored point.
         self.inner.conductances_per_um(-vg, -vd, -vs)
+    }
+
+    fn linearize_per_um(&self, vg: f64, vd: f64, vs: f64) -> (f64, f64, f64, f64) {
+        let (i, gm, gds, gs) = self.inner.linearize_per_um(-vg, -vd, -vs);
+        (-i, gm, gds, gs)
     }
 }
 

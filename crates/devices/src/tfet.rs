@@ -184,6 +184,31 @@ impl TfetParams {
         self.m_sat * (1.0 - e).powf(self.m_sat - 1.0) * e / self.v_sat
     }
 
+    /// [`kane`](Self::kane) and [`kane_deriv`](Self::kane_deriv) sharing
+    /// one clamped exponential; each value has the bits of its own method.
+    fn kane_with_deriv(&self, v_ov: f64) -> (f64, f64) {
+        if v_ov <= 1e-12 {
+            return (0.0, 0.0);
+        }
+        let tf = self.kane_temp_factor();
+        let e = lim_exp(-self.b_kane / v_ov, 60.0);
+        (
+            tf * self.a_kane * v_ov * v_ov * e,
+            tf * self.a_kane * (2.0 * v_ov + self.b_kane) * e,
+        )
+    }
+
+    /// [`sat`](Self::sat) and [`sat_deriv`](Self::sat_deriv) sharing one
+    /// exponential; each value has the bits of its own method.
+    fn sat_with_deriv(&self, v_ds: f64) -> (f64, f64) {
+        debug_assert!(v_ds >= 0.0);
+        let e = (-v_ds / self.v_sat).exp();
+        (
+            (1.0 - e).powf(self.m_sat),
+            self.m_sat * (1.0 - e).powf(self.m_sat - 1.0) * e / self.v_sat,
+        )
+    }
+
     /// Forward-branch current (A/µm) for `v_gs`, `v_ds ≥ 0`.
     fn forward(&self, v_gs: f64, v_ds: f64) -> f64 {
         let v_ov = softplus(v_gs - self.v_onset + self.gamma_d * v_ds, self.w_onset);
@@ -326,6 +351,58 @@ impl DeviceModel for NTfet {
         }
     }
 
+    /// The current and conductances of [`ids_per_um`](Self::ids_per_um)
+    /// and [`conductances_per_um`](Self::conductances_per_um) from one pass
+    /// over the shared transcendentals (softplus, the clamped Kane and
+    /// diode exponentials, the saturation factor): 7 distinct
+    /// `exp`/`ln`/`powf` calls instead of 14 on the forward branch. Every
+    /// expression keeps the association order of the two methods, so the
+    /// result is bit-identical to calling them separately.
+    fn linearize_per_um(&self, vg: f64, vd: f64, vs: f64) -> (f64, f64, f64, f64) {
+        let p = &self.params;
+        let v_gs = vg - vs;
+        let v_ds = vd - vs;
+        if v_ds >= 0.0 {
+            let u = v_gs - p.v_onset + p.gamma_d * v_ds;
+            let v_ov = softplus(u, p.w_onset);
+            let sig = softplus_deriv(u, p.w_onset);
+            let (k, k_d) = p.kane_with_deriv(v_ov);
+            let (s_f, s_d) = p.sat_with_deriv(v_ds);
+            let i = k * s_f + p.g_off * v_ds;
+            let gm = k_d * sig * s_f;
+            let gds = k_d * sig * p.gamma_d * s_f + k * s_d + p.g_off;
+            (i, gm, gds, -(gm + gds))
+        } else {
+            let v_gd = vg - vd;
+            let v_r = -v_ds;
+            let n_vt = p.n_diode * p.v_t();
+            let i_s = p.i_s_diode_t();
+            // `lim_exp` and `lim_exp_deriv` share `exp(min(x, 60))`.
+            let x = v_r / n_vt;
+            let e_d = lim_exp_deriv(x, 60.0);
+            let e = if x <= 60.0 {
+                e_d
+            } else {
+                e_d * (1.0 + (x - 60.0))
+            };
+            let diode = i_s * (e - 1.0);
+            let d_r = i_s * e_d / n_vt;
+            let u = v_gd - p.v_onset + p.gamma_d * v_r;
+            let v_ov = softplus(u, p.w_onset);
+            let sig = softplus_deriv(u, p.w_onset);
+            let (k, k_d) = p.kane_with_deriv(v_ov);
+            let (s_f, s_d) = p.sat_with_deriv(v_r);
+            let q_f = (-v_r / p.v_amb_quench).exp();
+            let gated = p.r_ambipolar * k * s_f * q_f;
+            let g_gd = p.r_ambipolar * k_d * sig * s_f * q_f;
+            let g_r = p.r_ambipolar
+                * (k_d * sig * p.gamma_d * s_f * q_f + k * s_d * q_f
+                    - k * s_f * q_f / p.v_amb_quench);
+            let f_r = d_r + g_r + p.g_off;
+            (-(diode + gated + p.g_off * v_r), -g_gd, g_gd + f_r, -f_r)
+        }
+    }
+
     fn caps_per_um(&self, vg: f64, vd: f64, vs: f64) -> Caps {
         let p = &self.params;
         let v_gs = vg - vs;
@@ -411,6 +488,9 @@ impl DeviceModel for PTfet {
     }
     fn conductances_per_um(&self, vg: f64, vd: f64, vs: f64) -> (f64, f64, f64) {
         self.dual.conductances_per_um(vg, vd, vs)
+    }
+    fn linearize_per_um(&self, vg: f64, vd: f64, vs: f64) -> (f64, f64, f64, f64) {
+        self.dual.linearize_per_um(vg, vd, vs)
     }
 }
 

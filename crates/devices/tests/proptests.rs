@@ -12,7 +12,110 @@ fn voltage() -> impl Strategy<Value = f64> {
     -1.5f64..1.5f64
 }
 
+/// Terminal voltages wide enough to reach the TFET's overdrive cut-off
+/// (`v_gs ≲ −1 V`) and its diode clamp (`v_r > 60·n·V_T ≈ 1.6 V`).
+fn wide_voltage() -> impl Strategy<Value = f64> {
+    -2.5f64..2.5f64
+}
+
+/// The TFET parameter sets the fused linearization is pinned on: nominal,
+/// hot, and a t_ox draw of `dev`.
+fn tfet_corners(dev: f64) -> [TfetParams; 3] {
+    let nominal = TfetParams::nominal();
+    [
+        nominal,
+        nominal.at_temperature(350.0),
+        ProcessVariation::try_from_deviation(dev)
+            .unwrap()
+            .apply_tfet(&nominal),
+    ]
+}
+
+/// A coarse LUT: the default-method path of a non-analytic model.
+fn coarse_lut() -> &'static LutDevice<NTfet> {
+    static LUT: std::sync::OnceLock<LutDevice<NTfet>> = std::sync::OnceLock::new();
+    LUT.get_or_init(|| LutDevice::compile(NTfet::nominal(), (-1.2, 1.2), 25, (-1.2, 1.2), 25))
+}
+
+/// `linearize_per_um` returns exactly the bits of `ids_per_um` and
+/// `conductances_per_um` evaluated separately.
+fn assert_fused_bits(m: &dyn DeviceModel, vg: f64, vd: f64, vs: f64) -> Result<(), TestCaseError> {
+    let (i, gm, gds, gs) = m.linearize_per_um(vg, vd, vs);
+    let (gm_s, gds_s, gs_s) = m.conductances_per_um(vg, vd, vs);
+    let i_s = m.ids_per_um(vg, vd, vs);
+    prop_assert_eq!(
+        [i, gm, gds, gs].map(f64::to_bits),
+        [i_s, gm_s, gds_s, gs_s].map(f64::to_bits),
+        "{} at ({}, {}, {}): fused {:?} vs separate {:?}",
+        m.name(),
+        vg,
+        vd,
+        vs,
+        (i, gm, gds, gs),
+        (i_s, gm_s, gds_s, gs_s)
+    );
+    Ok(())
+}
+
+/// Every device model at `(vg, vd, vs)`: both TFET polarities at each
+/// corner of [`tfet_corners`], and the MOSFETs and a LUT through the
+/// trait's default method.
+fn assert_all_fused_bits(vg: f64, vd: f64, vs: f64, dev: f64) -> Result<(), TestCaseError> {
+    for p in tfet_corners(dev) {
+        assert_fused_bits(&NTfet::new(p), vg, vd, vs)?;
+        assert_fused_bits(&PTfet::new(p), vg, vd, vs)?;
+    }
+    assert_fused_bits(&Nmos::nominal(), vg, vd, vs)?;
+    assert_fused_bits(&Pmos::nominal(), vg, vd, vs)?;
+    assert_fused_bits(coarse_lut(), vg, vd, vs)
+}
+
+/// The fused linearization on each TFET branch, picked by hand so every
+/// one is certainly visited: forward and reverse conduction, the overdrive
+/// cut-off (the Kane term is exactly 0, so the current is the leakage
+/// alone) and the diode clamp, for both polarities (the p-type mirrors the
+/// bias).
+#[test]
+fn fused_linearization_is_bit_identical_on_every_branch() {
+    let p = TfetParams::nominal();
+    assert_eq!(
+        NTfet::nominal().ids_per_um(-1.5, 0.5, 0.0),
+        p.g_off * 0.5,
+        "cut-off"
+    );
+    for p in tfet_corners(0.05) {
+        assert!(
+            2.0 / (p.n_diode * p.v_t()) > 60.0,
+            "diode clamp at {} K",
+            p.temp_k
+        );
+    }
+    for (vg, vd, vs) in [
+        (0.8, 0.8, 0.0),   // forward, on
+        (0.3, 0.05, 0.0),  // forward, output onset
+        (-1.5, 0.5, 0.0),  // forward, overdrive cut-off
+        (0.0, -0.3, 0.0),  // reverse, ambipolar tunneling
+        (-1.5, -0.4, 0.0), // reverse, cut-off
+        (0.0, -2.0, 0.0),  // reverse, diode clamp
+        (0.4, 0.0, 0.0),   // v_ds = 0
+    ] {
+        for sign in [1.0, -1.0] {
+            assert_all_fused_bits(sign * vg, sign * vd, sign * vs, 0.03).unwrap();
+        }
+    }
+}
+
 proptest! {
+    #[test]
+    fn fused_linearization_is_bit_identical(
+        vg in wide_voltage(),
+        vd in wide_voltage(),
+        vs in wide_voltage(),
+        dev in -0.05f64..0.05,
+    ) {
+        assert_all_fused_bits(vg, vd, vs, dev)?;
+    }
+
     #[test]
     fn ntfet_current_is_finite(vg in voltage(), vd in voltage(), vs in voltage()) {
         let t = NTfet::nominal();
