@@ -1,8 +1,9 @@
-//! Regenerates every figure and table of the paper in one run.
+//! Regenerates every figure and table of the paper, and the A1–A6
+//! ablations beyond it, in one run.
 //!
 //! Prints each experiment as an aligned text table and writes CSVs to
 //! `results/`. Full-resolution settings; expect a few minutes in release
-//! mode.
+//! mode. The ablation grids are fixed, so `--quick` leaves them as they are.
 //!
 //! Usage:
 //! `cargo run --release -p tfet-bench --bin figures [--quick] [--dense] [--latency-off] [--out DIR]`
@@ -89,6 +90,12 @@ fn main() {
         exp::table_area(),
         exp::fig_array(&array_sizes),
         exp::fig_yield(yield_n, 2011, &yield_scales),
+        exp::ablation_lut_resolution(),
+        exp::ablation_integrator(),
+        exp::ablation_assist_level(),
+        exp::ablation_temperature(),
+        exp::ablation_static_vs_dynamic(),
+        exp::ablation_retention(),
     ];
 
     for t in &tables {

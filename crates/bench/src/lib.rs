@@ -1,10 +1,10 @@
 //! Figure and table regeneration for the DATE'11 TFET SRAM paper.
 //!
-//! Every data-bearing figure and comparison of the paper has a module here
-//! that recomputes its series through the full stack and renders it as a
-//! [`Table`]. The Criterion benches under `benches/` print each table once
-//! and time its computational kernel; the `figures` binary dumps everything
-//! (text + CSV) in one run.
+//! Every data-bearing figure and comparison of the paper, and each A1–A6
+//! ablation beyond it, has a builder in [`experiments`] that recomputes its
+//! series through the full stack and renders it as a [`Table`]. The
+//! `figures` binary dumps every table (text + CSV) in one run; the Criterion
+//! benches under `benches/` time the simulation engine's throughput.
 //!
 //! Absolute values come from our substrate (analytical compact models + the
 //! in-tree MNA simulator), not the authors' TCAD + commercial SPICE, so the

@@ -25,7 +25,7 @@
 //!   the waveform actually moves and skips nanoseconds of quiescence.
 //! * **fixed** ([`TransientSpec::fixed`]) — the uniform grid
 //!   `t_k = k·dt`, one solve per step; the reference path for accuracy
-//!   regressions and the integrator-ablation bench.
+//!   regressions and the integrator ablation (A2).
 //!
 //! Both paths support [`StopEvent`] early exit: once armed, a node-voltage
 //! difference crossing ends the run as soon as the outcome it encodes (an

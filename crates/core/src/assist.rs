@@ -3,7 +3,7 @@
 //! Every technique is, electrically, a reshaped bias level applied during
 //! the operation window — the paper fixes the reshaping at **30 % of V_DD**
 //! for fair comparison (§4.1/§4.2), which [`ASSIST_FRACTION`] mirrors (and
-//! the assist-level ablation bench sweeps).
+//! the assist-level ablation A3 sweeps).
 //!
 //! Polarity note: the paper's cell uses *p-type* access transistors, which
 //! are active-low; "wordline lowering" therefore *strengthens* the access

@@ -15,6 +15,7 @@
 use crate::assist::{ReadAssist, WriteAssist};
 use crate::error::SramError;
 use crate::ops::{hold_setup, run_write, ReadExperiment, WriteExperiment};
+use crate::snm::{static_noise_margin, SnmCondition};
 use crate::tech::{CellKind, CellParams};
 use tfet_circuit::{CompiledCircuit, SolveStats};
 use tfet_numerics::roots::{critical_threshold, critical_threshold_seeded_checked, Threshold};
@@ -403,9 +404,16 @@ pub fn leakage_breakdown(params: &CellParams) -> Result<LeakageBreakdown, SramEr
 }
 
 /// Data-retention voltage (DRV): the lowest supply at which the cell still
-/// holds both states in standby, found by bisection on a DC hold-stability
-/// oracle over `[v_lo, params.vdd]`. Returns `None` if the cell holds even
-/// at `v_lo` (the search floor, 50 mV).
+/// holds its data in standby. This is the classical definition: the hold
+/// butterfly still opens, i.e. the hold static noise margin
+/// ([`static_noise_margin`] under [`SnmCondition::Hold`]) is positive. Found
+/// by bisection over `[CellParams::VDD_MIN, params.vdd]`; returns `None` if
+/// the cell holds even at that floor, the lowest supply the cell model
+/// accepts.
+///
+/// The butterfly is drawn in situ with the feedback loop broken, so the
+/// verdict does not depend on which basin a DC solve of the closed loop
+/// happens to land in near the metastable point.
 ///
 /// DRV is the classic bound on standby V_DD scaling — the knob that
 /// multiplies the paper's static-power savings, since hold power falls
@@ -413,39 +421,37 @@ pub fn leakage_breakdown(params: &CellParams) -> Result<LeakageBreakdown, SramEr
 ///
 /// # Errors
 ///
-/// Simulation failures and invalid parameters.
+/// Invalid parameters, or [`SramError::Undefined`] if the cell does not
+/// hold at its own supply.
 pub fn data_retention_voltage(params: &CellParams) -> Result<Option<f64>, SramError> {
+    retention_search(params, holds_data)
+}
+
+/// The DRV oracle: the hold butterfly opens at `params.vdd`.
+fn holds_data(params: &CellParams) -> bool {
+    static_noise_margin(params, SnmCondition::Hold).is_ok_and(|snm| snm > 0.0)
+}
+
+/// The DRV bisection over a hold oracle, which sees `params` at each probed
+/// supply.
+fn retention_search(
+    params: &CellParams,
+    mut holds: impl FnMut(&CellParams) -> bool,
+) -> Result<Option<f64>, SramError> {
     let _span = tfet_obs::span("drv");
     params.validate()?;
-    let v_lo = 0.05;
-    let holds = |vdd: f64| -> bool {
-        let mut p = params.clone();
-        p.vdd = vdd;
-        let Ok(h) = hold_setup(&p) else { return false };
-        let Ok(op) = h.circuit.dc_op_with_guess(&h.guess) else {
-            return false;
-        };
-        // Both states must be stable and well separated at this supply.
-        let sep1 = op.voltage(h.nodes.q) - op.voltage(h.nodes.qb);
-        let Ok(op2) = h
-            .circuit
-            .dc_op_with_guess(&[(h.nodes.q, 0.0), (h.nodes.qb, vdd)])
-        else {
-            return false;
-        };
-        let sep2 = op2.voltage(h.nodes.qb) - op2.voltage(h.nodes.q);
-        sep1 > 0.7 * vdd && sep2 > 0.7 * vdd
-    };
-    if holds(v_lo) {
+    let mut holds_at = |vdd: f64| holds(&params.clone().with_vdd(vdd));
+    let v_lo = CellParams::VDD_MIN;
+    if holds_at(v_lo) {
         return Ok(None);
     }
-    if !holds(params.vdd) {
+    if !holds_at(params.vdd) {
         return Err(SramError::Undefined {
             metric: "DRV",
             reason: format!("cell does not even hold at its nominal {} V", params.vdd),
         });
     }
-    let th = critical_threshold(v_lo, params.vdd, 1e-3, holds);
+    let th = critical_threshold(v_lo, params.vdd, 1e-3, holds_at);
     Ok(match th {
         Threshold::Critical(v) => Some(v),
         Threshold::AlwaysTrue => None,
@@ -713,6 +719,42 @@ mod tests {
         let drv = data_retention_voltage(&p).unwrap();
         if let Some(v) = drv {
             assert!(v < p.vdd && v > 0.0);
+        }
+    }
+
+    #[test]
+    fn drv_agrees_with_the_hold_snm_sign_above_the_supply_floor() {
+        // The reported DRV is where the hold butterfly closes, and the
+        // search never probes a supply the cell model rejects (a rejected
+        // probe would read as "does not hold" whatever the cell does).
+        for p in [
+            CellParams::tfet6t(AccessConfig::InwardP).with_beta(0.6),
+            CellParams::cmos6t().with_beta(1.5),
+        ] {
+            let mut probes = Vec::new();
+            let drv = retention_search(&p, |q| {
+                probes.push(q.vdd);
+                holds_data(q)
+            })
+            .unwrap();
+            assert_eq!(drv, data_retention_voltage(&p).unwrap());
+            assert!(
+                probes.iter().all(|&v| v >= CellParams::VDD_MIN),
+                "probes below the supply floor: {probes:?}"
+            );
+            let hold_snm = |vdd: f64| {
+                static_noise_margin(&p.clone().with_vdd(vdd), SnmCondition::Hold).unwrap()
+            };
+            match drv {
+                Some(v) => {
+                    assert!(hold_snm(v) > 0.0, "cell must hold at its DRV {v} V");
+                    assert!(
+                        hold_snm(v - 1e-3) <= 0.0,
+                        "cell still holds below DRV {v} V"
+                    );
+                }
+                None => assert!(hold_snm(CellParams::VDD_MIN) > 0.0),
+            }
         }
     }
 

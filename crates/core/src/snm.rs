@@ -5,7 +5,7 @@
 //! [DRNM / WL_crit] captures the dynamic behavior of read and write
 //! operation, and hence is more accurate." This module implements the
 //! classical static metrics anyway, for two reasons: they are the baseline
-//! the paper argues against (the static-vs-dynamic ablation bench puts
+//! the paper argues against (the static-vs-dynamic ablation A5 puts
 //! numbers on that argument), and downstream users of a cell library expect
 //! them.
 //!

@@ -310,7 +310,7 @@ pub struct SimOptions {
     /// Stimulus edge time, s.
     pub t_edge: f64,
     /// Assist strength as a fraction of V_DD. The paper fixes 30 % for its
-    /// §4 comparison; the assist-level ablation bench sweeps this.
+    /// §4 comparison; the assist-level ablation A3 sweeps this.
     pub assist_fraction: f64,
     /// Transient step-control policy.
     pub stepping: SteppingMode,
@@ -412,6 +412,9 @@ pub struct CellParams {
 }
 
 impl CellParams {
+    /// Lowest supply [`CellParams::validate`] accepts, V.
+    pub const VDD_MIN: f64 = 0.1;
+
     /// A 6T TFET cell with the given access configuration, β = 1,
     /// V_DD = 0.8 V (the paper's default supply).
     pub fn tfet6t(access: AccessConfig) -> Self {
@@ -479,7 +482,7 @@ impl CellParams {
     /// Validates parameter ranges.
     pub fn validate(&self) -> Result<(), SramError> {
         self.sizing.validate()?;
-        if !(0.1..=1.5).contains(&self.vdd) {
+        if !(Self::VDD_MIN..=1.5).contains(&self.vdd) {
             return Err(SramError::InvalidParameter(format!(
                 "vdd {} outside the supported 0.1–1.5 V range",
                 self.vdd

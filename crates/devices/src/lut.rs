@@ -10,7 +10,7 @@
 //! inaccurate near the off state. The table therefore stores
 //! `asinh(I / I_SCALE)` — logarithmic for large magnitudes, linear (and
 //! sign-preserving) through zero — and inverts with `sinh` on lookup. The
-//! LUT-resolution ablation bench quantifies the residual error.
+//! LUT-resolution ablation A1 quantifies the residual error.
 
 use crate::model::{Caps, DeviceKind, DeviceModel, Polarity};
 use tfet_numerics::Lut2d;

@@ -221,7 +221,7 @@ proptest! {
         // |v_ds| → 0 where I ∝ v_ds², so no table density fixes that corner
         // in *relative* terms (the absolute error there is negligible —
         // currents are near zero). The order-of-magnitude guarantee applies
-        // outside the onset strip; the LUT ablation bench quantifies both.
+        // outside the onset strip; the LUT ablation A1 quantifies both.
         prop_assume!(vd.abs() > 0.06);
         let analytic = NTfet::nominal();
         let lut = LutDevice::compile(analytic.clone(), (-1.2, 1.2), 121, (-1.2, 1.2), 121);

@@ -81,9 +81,6 @@ cargo test -q -p tfet-sram --offline quarantine
 cargo test -q -p tfet-integration --offline --test observability quarantine
 cargo test -q -p tfet-circuit --offline --test latency
 
-echo "== cargo bench --no-run (compile coverage) =="
-cargo bench --workspace --offline --no-run
-
 figtmp="$(mktemp -d)"
 mkdir -p "$figtmp/bench"
 # Moves the bench reports the quick benches wrote into the temp dir and
@@ -106,7 +103,7 @@ echo "== bench acceptance asserts (quick mode: closures run once, floors execute
 # TFET_BENCH_QUICK=1 makes the criterion stub run each bench body exactly
 # once (no calibration or sampling loops), so the cost-ratio floors and
 # rare-event acceptance assertions inside the bench functions actually
-# execute — `--no-run` above only proves they compile. These runs also
+# execute; these are the workspace's only benches. These runs also
 # rewrite results/BENCH_*.json from the current code; those fresh reports
 # move to the temp dir, where the history gate below diffs them against
 # the committed baselines, and the committed reports are restored.
