@@ -83,8 +83,9 @@ const NO_SLOT: usize = usize::MAX;
 ///   (detected in O(1) via the companion list's mutation stamp and g_min),
 ///   and even then through cached slots: the static stamps (resistors,
 ///   voltage-source units) are precomputed once, and the per-branch
-///   companion slots are reused while the branch membership is unchanged —
-///   a rebuild is a `memcpy` plus one add per branch entry, no searches;
+///   companion slots are reused while the companion list's layout stamp is
+///   unchanged — a rebuild is a `memcpy` plus one add per branch entry, no
+///   searches;
 /// * `trans_values` — the transistor part, maintained by
 ///   subtract-old/add-new deltas through per-device precomputed slots
 ///   whenever a device is freshly evaluated.
@@ -117,8 +118,9 @@ pub(crate) struct IncrementalJac {
     /// Per companion branch: slots `[(ra,ra),(ra,rb),(rb,rb),(rb,ra)]`,
     /// `NO_SLOT` where a terminal is ground.
     cap_slots: Vec<[usize; 4]>,
-    /// The `(a, b)` membership `cap_slots` was computed for.
-    cap_nodes: Vec<(NodeId, NodeId)>,
+    /// Layout stamp of the companion list `cap_slots` was computed for
+    /// (0: none yet).
+    cap_layout: u64,
     /// Mutation stamp of the companion list `lin_values` was built from.
     lin_gen: u64,
     /// The g_min `lin_values` was built with.
@@ -193,7 +195,7 @@ impl IncrementalJac {
             static_values,
             diag_slots,
             cap_slots: Vec::new(),
-            cap_nodes: Vec::new(),
+            cap_layout: 0,
             lin_gen: 0,
             lin_gmin: 0.0,
             lin_valid: false,
@@ -201,49 +203,41 @@ impl IncrementalJac {
     }
 
     /// Rebuilds `lin_values` iff the linear part's inputs changed: g_min, or
-    /// the companion-cap branch list (detected by the list's mutation stamp
-    /// — `ieq` moves every step but only enters the residual, and `geq`
+    /// the companion-cap list (detected by the list's mutation stamp —
+    /// `ieq` moves every step but only enters the residual, and `geq`
     /// changes arrive together with a new stamp).
     ///
     /// The rebuild itself runs through cached slots: a copy of the static
-    /// stamps, one signed add per companion-branch slot (slots recomputed
-    /// only when the branch membership changed — capacitance branches are
-    /// pruned at some biases), and the g_min diagonal. No slot searches on
-    /// the steady path.
-    fn refresh_linear(
-        &mut self,
-        mna: &Mna<'_>,
-        gmin: f64,
-        caps: &CompanionCaps,
-        pattern: &SparsityPattern,
-    ) {
+    /// stamps, one signed add per companion-branch slot, and the g_min
+    /// diagonal. The branch slots are recomputed only when the list's
+    /// layout stamp changed — once per transient run for its hold solve and
+    /// once for its steps — so the steady path does no slot search and no
+    /// membership compare.
+    fn refresh_linear(&mut self, gmin: f64, caps: &CompanionCaps, pattern: &SparsityPattern) {
         if self.lin_valid && self.lin_gmin == gmin && self.lin_gen == caps.generation() {
             return;
         }
-        let same_membership = self.cap_nodes.len() == caps.entries.len()
-            && self
-                .cap_nodes
-                .iter()
-                .zip(&caps.entries)
-                .all(|(n, e)| n.0 == e.0 && n.1 == e.1);
-        if !same_membership {
-            self.cap_nodes.clear();
-            self.cap_slots.clear();
-            let slot = |r: Option<usize>, c: Option<usize>| match (r, c) {
-                (Some(r), Some(c)) => pattern
-                    .slot(r, c)
-                    .unwrap_or_else(|| panic!("companion slot ({r},{c}) outside sparsity pattern")),
-                _ => NO_SLOT,
+        if self.cap_layout != caps.layout() {
+            let slot = |r: u32, c: u32| {
+                if r == NO_ROW || c == NO_ROW {
+                    NO_SLOT
+                } else {
+                    let (r, c) = (r as usize, c as usize);
+                    pattern.slot(r, c).unwrap_or_else(|| {
+                        panic!("companion slot ({r},{c}) outside sparsity pattern")
+                    })
+                }
             };
-            for &(a, b, _, _) in &caps.entries {
-                let (ra, rb) = (mna.row(a), mna.row(b));
-                self.cap_nodes.push((a, b));
-                self.cap_slots
-                    .push([slot(ra, ra), slot(ra, rb), slot(rb, rb), slot(rb, ra)]);
-            }
+            self.cap_slots.clear();
+            self.cap_slots.extend(caps.branches().iter().map(|br| {
+                let (ra, rb) = (br.ra, br.rb);
+                [slot(ra, ra), slot(ra, rb), slot(rb, rb), slot(rb, ra)]
+            }));
+            self.cap_layout = caps.layout();
         }
         self.lin_values.copy_from_slice(&self.static_values);
-        for (slots, &(_, _, geq, _)) in self.cap_slots.iter().zip(&caps.entries) {
+        for (slots, br) in self.cap_slots.iter().zip(caps.branches()) {
+            let geq = br.geq;
             // Even indices are diagonal (+geq), odd are off-diagonal (−geq).
             for (k, &s) in slots.iter().enumerate() {
                 if s != NO_SLOT {
@@ -259,6 +253,22 @@ impl IncrementalJac {
         self.lin_gen = caps.generation();
         self.lin_gmin = gmin;
         self.lin_valid = true;
+    }
+
+    /// Whether `lin_values` equals, bit for bit, the linear part a fresh
+    /// `IncrementalJac` builds from `caps` at the same g_min — i.e. no
+    /// companion slot computed for another branch list is still in use.
+    #[cfg(test)]
+    pub(crate) fn linear_part_is_fresh(
+        &self,
+        mna: &Mna<'_>,
+        caps: &CompanionCaps,
+        pattern: &SparsityPattern,
+    ) -> bool {
+        let mut fresh = IncrementalJac::build(mna, pattern);
+        fresh.refresh_linear(self.lin_gmin, caps, pattern);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        bits(&self.lin_values) == bits(&fresh.lin_values)
     }
 
     /// Replaces device `idx`'s contribution in `trans_values`: subtracts the
@@ -379,36 +389,179 @@ pub(crate) struct AssemblyStats {
     pub(crate) guard_refreshes: u64,
 }
 
+/// Sentinel row for a ground terminal (no KCL equation).
+const NO_ROW: u32 = u32::MAX;
+
+/// KCL row of `node`, or [`NO_ROW`] for ground.
+#[inline]
+fn row_of(node: NodeId) -> u32 {
+    if node.is_ground() {
+        NO_ROW
+    } else {
+        u32::try_from(node.index() - 1).expect("node count fits in u32")
+    }
+}
+
+/// Takes a stamp unique across every [`CompanionCaps`] mutation and layout
+/// in the process, so two equal stamps always mean the same thing.
+fn next_stamp() -> u64 {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
+/// One companion-model branch: the terminals' KCL rows ([`NO_ROW`] for
+/// ground) and the stamp values.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CompanionBranch {
+    pub(crate) ra: u32,
+    pub(crate) rb: u32,
+    /// Companion conductance.
+    pub(crate) geq: f64,
+    /// Companion current, flowing a→b.
+    pub(crate) ieq: f64,
+}
+
+impl CompanionBranch {
+    /// The voltage `v_a − v_b` in the unknown vector `x`.
+    #[inline]
+    pub(crate) fn v_ab(&self, x: &[f64]) -> f64 {
+        let v = |r: u32| if r == NO_ROW { 0.0 } else { x[r as usize] };
+        v(self.ra) - v(self.rb)
+    }
+}
+
 /// Linearized (companion-model) capacitor contributions for one transient
-/// step: for each entry, a conductance `geq` between `a` and `b` plus a
-/// constant current `ieq` flowing a→b, such that the branch current is
+/// step: for each branch `a → b`, a conductance `geq` plus a constant
+/// current `ieq` flowing a→b, such that the branch current is
 /// `i_ab = geq · (v_a − v_b) + ieq`.
 ///
 /// The transient integrator builds these each step (backward Euler:
 /// `geq = C/Δt`, `ieq = −geq·v_ab(t_n)`; trapezoidal: `geq = 2C/Δt`,
 /// `ieq = −geq·v_ab(t_n) − i_ab(t_n)`).
+///
+/// The branch list — its *layout* — is fixed when the list is laid out and
+/// carries the terminals' KCL rows precomputed, so the residual and
+/// Jacobian loops index the unknown vector directly. Each step rewrites
+/// only the values. Two stamps track the list: the layout stamp changes
+/// only when the branches themselves change, the generation stamp on every
+/// mutation; both are unique across all instances (never-laid-out lists
+/// stay at 0).
 #[derive(Debug, Clone, Default)]
 pub struct CompanionCaps {
-    /// `(a, b, geq, ieq)` per capacitor branch.
-    pub entries: Vec<(NodeId, NodeId, f64, f64)>,
-    /// Mutation stamp, unique across all instances (see
-    /// [`CompanionCaps::touch`]). Never-touched instances stay at 0.
+    branches: Vec<CompanionBranch>,
+    /// Layout stamp: which branch list `branches` holds.
+    layout: u64,
+    /// Mutation stamp of the values (and layout).
     generation: u64,
 }
 
 impl CompanionCaps {
-    /// Records that `entries` changed by taking a fresh globally-unique
+    /// A companion list over the given `(a, b, geq, ieq)` branches.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node index does not fit in `u32`.
+    pub fn from_branches(branches: impl IntoIterator<Item = (NodeId, NodeId, f64, f64)>) -> Self {
+        let mut caps = CompanionCaps {
+            branches: branches
+                .into_iter()
+                .map(|(a, b, geq, ieq)| CompanionBranch {
+                    ra: row_of(a),
+                    rb: row_of(b),
+                    geq,
+                    ieq,
+                })
+                .collect(),
+            layout: next_stamp(),
+            generation: 0,
+        };
+        caps.touch();
+        caps
+    }
+
+    /// Lays the list out over the `(a, b)` branches, in order, with every
+    /// value zeroed, and takes a fresh layout stamp. Reuses the buffer.
+    pub(crate) fn set_layout(&mut self, branches: impl IntoIterator<Item = (NodeId, NodeId)>) {
+        self.branches.clear();
+        self.branches
+            .extend(branches.into_iter().map(|(a, b)| CompanionBranch {
+                ra: row_of(a),
+                rb: row_of(b),
+                geq: 0.0,
+                ieq: 0.0,
+            }));
+        self.layout = next_stamp();
+        self.touch();
+    }
+
+    /// Number of branches.
+    pub(crate) fn len(&self) -> usize {
+        self.branches.len()
+    }
+
+    /// Every branch, in layout order.
+    pub(crate) fn branches(&self) -> &[CompanionBranch] {
+        &self.branches
+    }
+
+    /// Every branch, for rewriting the values in place (the rows must stay
+    /// as laid out). The writer must [`touch`](Self::touch) the list
+    /// afterwards.
+    pub(crate) fn branches_mut(&mut self) -> &mut [CompanionBranch] {
+        &mut self.branches
+    }
+
+    /// Records that the values changed by taking a fresh globally-unique
     /// stamp. Two equal generations therefore always mean "the same list,
     /// unmutated" — which is what lets [`IncrementalJac::refresh_linear`]
     /// decide "nothing to do" in O(1) instead of comparing every branch.
     pub(crate) fn touch(&mut self) {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static NEXT: AtomicU64 = AtomicU64::new(1);
-        self.generation = NEXT.fetch_add(1, Ordering::Relaxed);
+        self.generation = next_stamp();
     }
 
     pub(crate) fn generation(&self) -> u64 {
         self.generation
+    }
+
+    /// The layout stamp: equal stamps mean the same branch list, in order.
+    pub(crate) fn layout(&self) -> u64 {
+        self.layout
+    }
+
+    /// Adds every branch current `geq·(v_a − v_b) + ieq` into the residual
+    /// `f` — the same terms, in the same order, as one
+    /// [`Mna::stamp_current`] per branch.
+    fn stamp_residual(&self, x: &[f64], f: &mut [f64]) {
+        for br in &self.branches {
+            let i = br.geq * br.v_ab(x) + br.ieq;
+            if br.ra != NO_ROW {
+                f[br.ra as usize] += i;
+            }
+            if br.rb != NO_ROW {
+                f[br.rb as usize] -= i;
+            }
+        }
+    }
+
+    /// Stamps every branch conductance into `j` — the same adds, in the same
+    /// order, as one [`Mna::stamp_conductance`] per branch.
+    fn stamp_conductances<J: JacTarget>(&self, j: &mut J) {
+        for br in &self.branches {
+            let (ra, rb, g) = (br.ra as usize, br.rb as usize, br.geq);
+            if br.ra != NO_ROW {
+                j.add(ra, ra, g);
+                if br.rb != NO_ROW {
+                    j.add(ra, rb, -g);
+                }
+            }
+            if br.rb != NO_ROW {
+                j.add(rb, rb, g);
+                if br.ra != NO_ROW {
+                    j.add(rb, ra, -g);
+                }
+            }
+        }
     }
 }
 
@@ -631,10 +784,7 @@ impl<'c> Mna<'c> {
 
         // Companion capacitors (transient only).
         if let Some(caps) = caps {
-            for &(a, b, geq, ieq) in &caps.entries {
-                let i = geq * (self.voltage_of(x, a) - self.voltage_of(x, b)) + ieq;
-                self.stamp_current(f, a, b, i);
-            }
+            caps.stamp_residual(x, f);
         }
 
         // Current sources.
@@ -722,9 +872,7 @@ impl<'c> Mna<'c> {
             self.stamp_conductance(j, r.a, r.b, 1.0 / r.ohms);
         }
         if let Some(caps) = caps {
-            for &(a, b, geq, _) in &caps.entries {
-                self.stamp_conductance(j, a, b, geq);
-            }
+            caps.stamp_conductances(j);
         }
         for (m, e) in self.circuit.transistors.iter().zip(lins) {
             if let Some(rd) = self.row(m.d) {
@@ -832,7 +980,7 @@ impl<'c> Mna<'c> {
         // Linear Jacobian part: rebuilt only when its values changed.
         {
             let _s = tfet_obs::span("lin");
-            inc.refresh_linear(self, gmin, caps, jac.pattern());
+            inc.refresh_linear(gmin, caps, jac.pattern());
         }
 
         // Residual contributions of the linear elements (same order as
@@ -842,10 +990,7 @@ impl<'c> Mna<'c> {
             let i = g * (self.voltage_of(x, r.a) - self.voltage_of(x, r.b));
             self.stamp_current(f, r.a, r.b, i);
         }
-        for &(a, b, geq, ieq) in &caps.entries {
-            let i = geq * (self.voltage_of(x, a) - self.voltage_of(x, b)) + ieq;
-            self.stamp_current(f, a, b, i);
-        }
+        caps.stamp_residual(x, f);
         for s in &self.circuit.isources {
             self.stamp_current(f, s.from, s.to, s.wave.value(t));
         }
@@ -961,11 +1106,12 @@ impl<'c> Mna<'c> {
     /// *structurally*, from the netlist alone, independent of bias.
     ///
     /// This over-approximates any single assembly: all four device
-    /// capacitance branches (gs, gd, db, sb) are included even though
-    /// `fill_cap_branches` drops zero-valued ones at a given bias, and the
-    /// full diagonal is included (g_min, UIC hold branches, and the sparse
-    /// engine's static pivoting all want it). Extra structural zeros are
-    /// harmless — the sparse analysis pivots on actual values.
+    /// capacitance branches (gs, gd, db, sb) are included — the transient's
+    /// capacitor table holds every one whose terminals differ, at whatever
+    /// value, zero included — and the full diagonal is included (g_min, UIC
+    /// hold branches, and the sparse engine's static pivoting all want it).
+    /// Extra structural zeros are harmless — the sparse analysis pivots on
+    /// actual values.
     pub(crate) fn for_each_jacobian_entry(&self, mut visit: impl FnMut(usize, usize)) {
         fn cond(mna: &Mna<'_>, a: NodeId, b: NodeId, visit: &mut dyn FnMut(usize, usize)) {
             if let Some(ra) = mna.row(a) {
@@ -1193,9 +1339,7 @@ pub(crate) mod tests {
         let a = c.node("a");
         c.resistor(a, Circuit::GND, 1e3);
         let mna = Mna::new(&c).unwrap();
-        let mut caps = CompanionCaps::default();
-        caps.entries.push((a, Circuit::GND, 1e-3, -0.5e-3));
-        caps.touch();
+        let caps = CompanionCaps::from_branches([(a, Circuit::GND, 1e-3, -0.5e-3)]);
         let mut j = Matrix::zeros(1, 1);
         let mut f = vec![0.0];
         // v_a such that resistor + companion currents cancel:

@@ -281,58 +281,138 @@ impl StopEvent {
     }
 }
 
-/// One capacitive branch with its instantaneous capacitance and (for
-/// trapezoidal) its branch-current history.
-#[derive(Debug, Clone)]
-pub(crate) struct CapBranch {
-    a: NodeId,
-    b: NodeId,
-    c: f64,
-    i_prev: f64,
+/// Per-branch values of the capacitor table at one state: each branch's
+/// capacitance, its voltage `v_a − v_b`, and (trapezoidal runs only) the
+/// branch current the companion stamps that produced the state carry.
+#[derive(Debug, Clone, Default)]
+struct CapValues {
+    c: Vec<f64>,
+    v_ab: Vec<f64>,
+    /// Empty unless the run is trapezoidal: backward Euler never reads it.
+    i_prev: Vec<f64>,
 }
 
-/// Fills `out` with the companion-model stamps of `branches` for one step
-/// of `dt` from the state `x`.
-fn build_companions(
-    mna: &Mna<'_>,
-    x: &[f64],
-    branches: &[CapBranch],
-    dt: f64,
-    use_be: bool,
-    out: &mut CompanionCaps,
-) {
+impl CapValues {
+    /// Sizes the values for `circuit`'s table of `n` branches and writes the
+    /// explicit capacitors' values, which never change during a run.
+    fn lay_out(&mut self, circuit: &Circuit, n: usize, history: bool) {
+        self.c.clear();
+        self.c.extend(circuit.capacitors.iter().map(|c| c.farads));
+        self.c.resize(n, 0.0);
+        self.v_ab.clear();
+        self.v_ab.resize(n, 0.0);
+        self.i_prev.clear();
+        if history {
+            self.i_prev.resize(n, 0.0);
+        }
+    }
+
+    /// Re-linearizes the table at the state `x` in one pass: evaluates every
+    /// transistor's capacitances, stores every branch's voltage, and — with
+    /// `history` — derives each branch's current from the companion stamps
+    /// `comps` that produced `x` (`i = geq·v_ab + ieq`).
+    ///
+    /// A capacitance that is not positive is stored as 0 and keeps its
+    /// slot; its companion stamps add zeros, which leave every residual and
+    /// Jacobian sum bit-identical to leaving the branch out.
+    fn refill(&mut self, circuit: &Circuit, x: &[f64], comps: &CompanionCaps, history: bool) {
+        let _span = tfet_obs::span("relinearize");
+        let volt = |n: NodeId| if n.is_ground() { 0.0 } else { x[n.index() - 1] };
+        let mut k = circuit.capacitors.len();
+        for m in &circuit.transistors {
+            let caps = m.model.caps_per_um(volt(m.g), volt(m.d), volt(m.s));
+            let w = m.width_um;
+            for (a, b, c) in [
+                (m.g, m.s, caps.cgs * w),
+                (m.g, m.d, caps.cgd * w),
+                (m.d, Circuit::GND, caps.cdb * w),
+                (m.s, Circuit::GND, caps.csb * w),
+            ] {
+                if a != b {
+                    self.c[k] = if c > 0.0 { c } else { 0.0 };
+                    k += 1;
+                }
+            }
+        }
+        debug_assert_eq!(k, self.c.len(), "capacitor table layout");
+        for (v, br) in self.v_ab.iter_mut().zip(comps.branches()) {
+            *v = br.v_ab(x);
+        }
+        if history {
+            for ((i, &v), br) in self.i_prev.iter_mut().zip(&self.v_ab).zip(comps.branches()) {
+                *i = br.geq * v + br.ieq;
+            }
+        }
+    }
+}
+
+/// The capacitor table of one transient analysis: every capacitive branch
+/// of the circuit in one fixed layout — the explicit capacitors, then each
+/// transistor's gate–source, gate–drain, drain–bulk and source–bulk branches
+/// wherever the two terminals differ (bulk tied to ground).
+///
+/// The layout — the branches' KCL rows — lives in the workspace's companion
+/// list ([`CompanionCaps`]), laid out once per run; the table holds the
+/// values at the start of the step being solved and, for adaptive runs, at
+/// an adaptive trial's midpoint. Because membership never changes within a
+/// run, each branch keeps its own current history from step to step.
+#[derive(Debug, Default)]
+pub(crate) struct CapTable {
+    /// Values at the start of the step being solved.
+    start: CapValues,
+    /// Values re-linearized at an adaptive trial's midpoint.
+    mid: CapValues,
+}
+
+impl CapTable {
+    /// Lays the table out for `circuit`: the branch list into `comps`
+    /// (taking a fresh layout stamp), the value buffers sized, the explicit
+    /// capacitors' values written. `history`: the run is trapezoidal and
+    /// carries branch currents; `adaptive`: it re-linearizes at midpoints.
+    fn lay_out(
+        &mut self,
+        circuit: &Circuit,
+        comps: &mut CompanionCaps,
+        history: bool,
+        adaptive: bool,
+    ) {
+        comps.set_layout(circuit.cap_branches());
+        self.start.lay_out(circuit, comps.len(), history);
+        if adaptive {
+            self.mid.lay_out(circuit, comps.len(), history);
+        }
+    }
+}
+
+/// Fills `out`'s values with the companion-model stamps of `vals` for one
+/// step of `dt` from the state the values were taken at.
+fn build_companions(vals: &CapValues, dt: f64, use_be: bool, out: &mut CompanionCaps) {
     let _span = tfet_obs::span("companions");
-    out.entries.clear();
-    for br in branches {
-        let v_ab = mna.voltage_of(x, br.a) - mna.voltage_of(x, br.b);
-        let (geq, ieq) = if use_be {
-            let geq = br.c / dt;
-            (geq, -geq * v_ab)
-        } else {
-            let geq = 2.0 * br.c / dt;
-            (geq, -geq * v_ab - br.i_prev)
-        };
-        out.entries.push((br.a, br.b, geq, ieq));
+    let branches = out.branches_mut();
+    if use_be {
+        for ((br, &c), &v_ab) in branches.iter_mut().zip(&vals.c).zip(&vals.v_ab) {
+            let geq = c / dt;
+            br.geq = geq;
+            br.ieq = -geq * v_ab;
+        }
+    } else {
+        assert_eq!(
+            vals.i_prev.len(),
+            vals.c.len(),
+            "trapezoidal companions need the branch-current history"
+        );
+        for (((br, &c), &v_ab), &i_prev) in branches
+            .iter_mut()
+            .zip(&vals.c)
+            .zip(&vals.v_ab)
+            .zip(&vals.i_prev)
+        {
+            let geq = 2.0 * c / dt;
+            br.geq = geq;
+            br.ieq = -geq * v_ab - i_prev;
+        }
     }
     out.touch();
-}
-
-/// Re-linearizes capacitances at the post-step state `x` into `out` and
-/// derives each branch's current history from the companion stamps that
-/// produced `x` (`i = geq·v_ab + ieq`).
-fn relinearize(
-    circuit: &Circuit,
-    mna: &Mna<'_>,
-    x: &[f64],
-    companions: &CompanionCaps,
-    out: &mut Vec<CapBranch>,
-) {
-    let _span = tfet_obs::span("relinearize");
-    circuit.fill_cap_branches(|n| mna.voltage_of(x, n), out);
-    for (nb, comp) in out.iter_mut().zip(&companions.entries) {
-        let v_ab_new = mna.voltage_of(x, comp.0) - mna.voltage_of(x, comp.1);
-        nb.i_prev = comp.2 * v_ab_new + comp.3;
-    }
 }
 
 /// Assembles and submits a failure-forensics bundle for a transient that is
@@ -416,14 +496,15 @@ const RESCUE_RUNGS: &[(usize, bool)] = &[(2, false), (4, false), (8, true)];
 
 /// Attempts to recover a failed step `t → t_new` by the [`RESCUE_RUNGS`]
 /// ladder, starting every rung from the last accepted state `x_last` and
-/// capacitor-branch set `ws.branches`.
+/// its capacitor-table values `ws.caps.start`.
 ///
 /// On success the final substep's companion stamps are published into
 /// `ws.companions` and the state at `t_new` is returned, so the caller's
 /// ordinary accept path (re-linearize against `ws.companions`, record, push)
-/// remains correct without modification. On failure the workspace's branch
-/// buffers are untouched and `None` is returned — the caller's error path
-/// sees exactly the state it would have without the ladder.
+/// remains correct without modification. On failure the workspace's
+/// capacitor table and companions are untouched and `None` is returned —
+/// the caller's error path sees exactly the state it would have without the
+/// ladder.
 ///
 /// This is a cold path (it only runs when a step has already failed), so the
 /// local clones and buffers here are deliberate: the hot path's
@@ -441,10 +522,8 @@ fn rescue_step(
     stats: &mut SolveStats,
 ) -> Option<Vec<f64>> {
     let _s_rescue = tfet_obs::span("rescue");
-    let branches0 = ws.branches.clone();
-    let mut comps = CompanionCaps::default();
-    let mut branches: Vec<CapBranch> = Vec::new();
-    let mut branches_next: Vec<CapBranch> = Vec::new();
+    let mut comps = ws.companions.clone();
+    let mut vals = CapValues::default();
     for &(n_sub, anchored) in RESCUE_RUNGS {
         stats.rescue_attempts += 1;
         if tfet_obs::enabled() {
@@ -452,7 +531,7 @@ fn rescue_step(
         }
         let h_sub = (t_new - t) / n_sub as f64;
         let mut x = x_last.clone();
-        branches.clone_from(&branches0);
+        vals.clone_from(&ws.caps.start);
         let mut ok = true;
         for k in 1..=n_sub {
             // Land the last substep on t_new exactly (no accumulated
@@ -466,7 +545,7 @@ fn rescue_step(
             // restarts from a state whose branch-current history just failed
             // to produce a solution, and BE is the standard L-stable restart
             // after such a discontinuity.
-            build_companions(mna, &x, &branches, h_sub, true, &mut comps);
+            build_companions(&vals, h_sub, true, &mut comps);
             let attempt = solve_op(
                 mna,
                 &mut ws.bufs,
@@ -486,8 +565,7 @@ fn rescue_step(
                 }
             }
             if k < n_sub {
-                relinearize(circuit, mna, &x, &comps, &mut branches_next);
-                std::mem::swap(&mut branches, &mut branches_next);
+                vals.refill(circuit, &x, &comps, false);
             }
         }
         if ok {
@@ -514,41 +592,23 @@ fn event_fired(events: &[StopEvent], mna: &Mna<'_>, x: &[f64], t: f64) -> bool {
 }
 
 impl Circuit {
-    /// Collects all capacitive branches at the given node voltages into
-    /// `out` (cleared first; its capacity is reused across steps): explicit
-    /// capacitors plus the four small-signal capacitances of every
-    /// transistor (gate–source, gate–drain, drain–bulk, source–bulk, bulk
-    /// tied to ground).
-    fn fill_cap_branches(&self, volts: impl Fn(NodeId) -> f64, out: &mut Vec<CapBranch>) {
-        out.clear();
-        out.reserve(self.capacitors.len() + 4 * self.transistors.len());
-        for c in &self.capacitors {
-            out.push(CapBranch {
-                a: c.a,
-                b: c.b,
-                c: c.farads,
-                i_prev: 0.0,
-            });
-        }
-        for m in &self.transistors {
-            let caps = m.model.caps_per_um(volts(m.g), volts(m.d), volts(m.s));
-            let w = m.width_um;
-            for (a, b, c) in [
-                (m.g, m.s, caps.cgs * w),
-                (m.g, m.d, caps.cgd * w),
-                (m.d, Circuit::GND, caps.cdb * w),
-                (m.s, Circuit::GND, caps.csb * w),
-            ] {
-                if a != b && c > 0.0 {
-                    out.push(CapBranch {
-                        a,
-                        b,
-                        c,
-                        i_prev: 0.0,
-                    });
-                }
-            }
-        }
+    /// The capacitor table's branch layout, in order: explicit capacitors,
+    /// then each transistor's gate–source, gate–drain, drain–bulk and
+    /// source–bulk branches (bulk tied to ground) wherever the two
+    /// terminals differ.
+    fn cap_branches(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+        let explicit = self.capacitors.iter().map(|c| (c.a, c.b));
+        let devices = self.transistors.iter().flat_map(|m| {
+            [
+                (m.g, m.s),
+                (m.g, m.d),
+                (m.d, Circuit::GND),
+                (m.s, Circuit::GND),
+            ]
+            .into_iter()
+            .filter(|(a, b)| a != b)
+        });
+        explicit.chain(devices)
     }
 
     /// Collects every source waveform's breakpoints in `(min_sep, t_stop)`
@@ -714,12 +774,10 @@ impl Circuit {
                         x0[node.index() - 1] = v;
                     }
                 }
-                let mut hold = CompanionCaps::default();
-                hold.entries.extend((1..=n_v).map(|i| {
+                let hold = CompanionCaps::from_branches((1..=n_v).map(|i| {
                     let g_hold = 1e3; // siemens: overwhelms any device
                     (NodeId(i), Circuit::GND, g_hold, -g_hold * x0[i - 1])
                 }));
-                hold.touch();
                 match solve_op(
                     &mna,
                     &mut ws.bufs,
@@ -757,7 +815,13 @@ impl Circuit {
         };
         result.push(0.0, |node| mna.voltage_of(&x, node));
 
-        self.fill_cap_branches(|n| mna.voltage_of(&x, n), &mut ws.branches);
+        // The run's capacitor table: laid out once, its values taken at the
+        // initial state (no branch-current history yet — the first step is
+        // always backward Euler).
+        let history = spec.integrator == Integrator::Trapezoidal;
+        let adaptive = matches!(spec.control, StepControl::Adaptive(_));
+        ws.caps.lay_out(self, &mut ws.companions, history, adaptive);
+        ws.caps.start.refill(self, &x, &ws.companions, false);
 
         match spec.control {
             // --- Fixed uniform grid ---------------------------------------
@@ -770,7 +834,7 @@ impl Circuit {
                     // step is always backward Euler (the standard SPICE
                     // bootstrap).
                     let use_be = spec.integrator == Integrator::BackwardEuler || step == 1;
-                    build_companions(&mna, &x, &ws.branches, spec.dt, use_be, &mut ws.companions);
+                    build_companions(&ws.caps.start, spec.dt, use_be, &mut ws.companions);
 
                     // Newton solve for t_{n+1}, warm-started from t_n.
                     x = match solve_op(
@@ -820,12 +884,10 @@ impl Circuit {
                         }
                     };
 
-                    // Update branch-current history and re-linearize
-                    // capacitances at the new operating point
-                    // (double-buffered: `branches_next` swaps with
-                    // `branches`, reusing both allocations).
-                    relinearize(self, &mna, &x, &ws.companions, &mut ws.branches_next);
-                    std::mem::swap(&mut ws.branches, &mut ws.branches_next);
+                    // Re-linearize the table at the new operating point
+                    // (and update the branch-current history from the
+                    // companions that produced it).
+                    ws.caps.start.refill(self, &x, &ws.companions, history);
 
                     ws.step_trace.record(t_new, spec.dt);
                     {
@@ -877,7 +939,7 @@ impl Circuit {
                         let mut lte = f64::INFINITY;
 
                         // Coarse: one full step t -> t_new.
-                        build_companions(&mna, &x, &ws.branches, h_try, use_be, &mut ws.companions);
+                        build_companions(&ws.caps.start, h_try, use_be, &mut ws.companions);
                         ws.x_coarse.clear();
                         ws.x_coarse.extend_from_slice(&x);
                         match solve_op(
@@ -899,9 +961,7 @@ impl Circuit {
                         // re-linearization of the nonlinear capacitances.
                         if trial_err.is_none() {
                             build_companions(
-                                &mna,
-                                &x,
-                                &ws.branches,
+                                &ws.caps.start,
                                 0.5 * h_try,
                                 use_be,
                                 &mut ws.companions,
@@ -924,21 +984,10 @@ impl Circuit {
                             }
                         }
                         if trial_err.is_none() {
-                            relinearize(
-                                self,
-                                &mna,
-                                &ws.x_fine,
-                                &ws.companions,
-                                &mut ws.branches_mid,
-                            );
-                            build_companions(
-                                &mna,
-                                &ws.x_fine,
-                                &ws.branches_mid,
-                                0.5 * h_try,
-                                use_be,
-                                &mut ws.companions,
-                            );
+                            ws.caps
+                                .mid
+                                .refill(self, &ws.x_fine, &ws.companions, history);
+                            build_companions(&ws.caps.mid, 0.5 * h_try, use_be, &mut ws.companions);
                             match solve_op(
                                 &mna,
                                 &mut ws.bufs,
@@ -968,8 +1017,7 @@ impl Circuit {
                             // Accept the fine solution (it carries the
                             // midpoint re-linearization).
                             std::mem::swap(&mut x, &mut ws.x_fine);
-                            relinearize(self, &mna, &x, &ws.companions, &mut ws.branches_next);
-                            std::mem::swap(&mut ws.branches, &mut ws.branches_next);
+                            ws.caps.start.refill(self, &x, &ws.companions, history);
                             t = t_new;
                             first_step = false;
                             ws.step_trace.record(t, h_try);
@@ -1023,14 +1071,7 @@ impl Circuit {
                             match rescued {
                                 Some(v) => {
                                     x = v;
-                                    relinearize(
-                                        self,
-                                        &mna,
-                                        &x,
-                                        &ws.companions,
-                                        &mut ws.branches_next,
-                                    );
-                                    std::mem::swap(&mut ws.branches, &mut ws.branches_next);
+                                    ws.caps.start.refill(self, &x, &ws.companions, history);
                                     t = t_new;
                                     first_step = false;
                                     ws.step_trace.record(t, h_try);
@@ -1597,6 +1638,105 @@ mod tests {
             assert_eq!(res.stats.rescue_attempts, 0);
             assert_eq!(res.stats.rescued_steps, 0);
         }
+    }
+
+    /// A linear drain–source conductance with constant capacitances, except
+    /// that its gate–source capacitance vanishes while `v_gs` is below
+    /// `cgs_on` — a device whose capacitor branches come and go with bias.
+    #[derive(Debug)]
+    struct SwitchedCapDev {
+        g: f64,
+        c: f64,
+        cgs_on: f64,
+    }
+
+    impl tfet_devices::model::DeviceModel for SwitchedCapDev {
+        fn name(&self) -> &str {
+            "switched-cap"
+        }
+        fn polarity(&self) -> tfet_devices::model::Polarity {
+            tfet_devices::model::Polarity::N
+        }
+        fn kind(&self) -> tfet_devices::model::DeviceKind {
+            tfet_devices::model::DeviceKind::Mosfet
+        }
+        fn ids_per_um(&self, _vg: f64, vd: f64, vs: f64) -> f64 {
+            self.g * (vd - vs)
+        }
+        fn caps_per_um(&self, vg: f64, _vd: f64, vs: f64) -> tfet_devices::model::Caps {
+            tfet_devices::model::Caps {
+                cgs: if vg - vs < self.cgs_on { 0.0 } else { self.c },
+                cgd: self.c,
+                cdb: self.c,
+                csb: self.c,
+            }
+        }
+        fn conductances_per_um(&self, _vg: f64, _vd: f64, _vs: f64) -> (f64, f64, f64) {
+            (0.0, self.g, -self.g)
+        }
+    }
+
+    #[test]
+    fn netlist_order_does_not_change_trapezoidal_history() {
+        // Two loads on one pulsed gate: one whose gate–source capacitance
+        // vanishes below 0.4 V, one with constant capacitances. Under the
+        // trapezoidal rule every capacitor branch carries its own current
+        // history from step to step; listing the devices in either order is
+        // the same circuit and must give the same waveforms.
+        let build = |switched_first: bool| {
+            let mut c = Circuit::new();
+            let vdd = c.node("vdd");
+            let gate = c.node("in");
+            let a = c.node("a");
+            let b = c.node("b");
+            c.vsource("VDD", vdd, Circuit::GND, Waveform::dc(0.8));
+            c.vsource(
+                "VIN",
+                gate,
+                Circuit::GND,
+                Waveform::pulse(0.0, 0.8, 0.2e-9, 0.5e-9, 50e-12),
+            );
+            c.resistor(vdd, a, 10e3);
+            c.resistor(vdd, b, 10e3);
+            let switched = || -> Arc<dyn tfet_devices::model::DeviceModel> {
+                Arc::new(SwitchedCapDev {
+                    g: 5e-5,
+                    c: 1e-15,
+                    cgs_on: 0.4,
+                })
+            };
+            let constant = || -> Arc<dyn tfet_devices::model::DeviceModel> {
+                Arc::new(SwitchedCapDev {
+                    g: 5e-5,
+                    c: 1e-15,
+                    cgs_on: f64::NEG_INFINITY,
+                })
+            };
+            if switched_first {
+                c.transistor("MS", switched(), a, gate, Circuit::GND, 1.0);
+                c.transistor("MC", constant(), b, gate, Circuit::GND, 1.0);
+            } else {
+                c.transistor("MC", constant(), b, gate, Circuit::GND, 1.0);
+                c.transistor("MS", switched(), a, gate, Circuit::GND, 1.0);
+            }
+            (c, a, b)
+        };
+        let spec = TransientSpec::fixed(1.5e-9, 10e-12).with_integrator(Integrator::Trapezoidal);
+        let (c1, a1, b1) = build(true);
+        let (c2, a2, b2) = build(false);
+        let r1 = c1.transient(&spec, &InitialState::DcOp(vec![])).unwrap();
+        let r2 = c2.transient(&spec, &InitialState::DcOp(vec![])).unwrap();
+        assert_eq!(r1.times(), r2.times());
+        let mut worst = 0.0f64;
+        for (n1, n2) in [(a1, a2), (b1, b2)] {
+            for (v1, v2) in r1.trace(n1).iter().zip(r2.trace(n2).iter()) {
+                worst = worst.max((v1 - v2).abs());
+            }
+        }
+        assert!(
+            worst < 1e-9,
+            "netlist order moved a waveform by {worst:e} V"
+        );
     }
 
     #[test]

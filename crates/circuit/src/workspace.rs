@@ -19,7 +19,7 @@
 
 use crate::latency::LatencyState;
 use crate::mna::{CompanionCaps, DeviceLin, IncrementalJac, Mna};
-use crate::transient::CapBranch;
+use crate::transient::CapTable;
 use std::cell::Cell;
 use tfet_numerics::matrix::LuWorkspace;
 use tfet_numerics::{Matrix, SparseLu, SparseMatrix, SparsityPattern};
@@ -401,14 +401,12 @@ pub struct NewtonWorkspace {
     pub(crate) bufs: SolverBufs,
     /// Snapshot of the initial guess that the g_min ladder anchors to.
     pub(crate) anchor: Vec<f64>,
-    /// Companion-model capacitor stamps for the current transient step.
+    /// Companion-model capacitor stamps for the current transient step,
+    /// laid out over the capacitor table's branches.
     pub(crate) companions: CompanionCaps,
-    /// Capacitive branches linearized at the start of the current step.
-    pub(crate) branches: Vec<CapBranch>,
-    /// Double buffer for re-linearizing branches at the end of a step.
-    pub(crate) branches_next: Vec<CapBranch>,
-    /// Branches re-linearized at the midpoint of an adaptive trial step.
-    pub(crate) branches_mid: Vec<CapBranch>,
+    /// The running transient's capacitor table (values at the step start
+    /// and at an adaptive trial's midpoint).
+    pub(crate) caps: CapTable,
     /// Coarse (single full-step) solution of an adaptive trial step.
     pub(crate) x_coarse: Vec<f64>,
     /// Fine (two half-steps) solution of an adaptive trial step.
@@ -571,6 +569,86 @@ mod tests {
         }
     }
 
+    /// A TFET pulled up through a resistor and switched by a pulsed gate,
+    /// with an RC tail off its drain, in one latency partition. Its four
+    /// capacitor branches (the tail capacitor, then the device's gs, gd and
+    /// db) match its four non-ground nodes, so the UIC hold list and the
+    /// capacitor table have the same length. `bridged` hangs the tail
+    /// capacitor from the drain instead of ground: as many branches, on
+    /// different node pairs.
+    fn switched_load(bridged: bool) -> Circuit {
+        let mut c = Circuit::new();
+        let vdd = c.node("vdd");
+        let gate = c.node("in");
+        let a = c.node("a");
+        let x = c.node("x");
+        c.vsource("VDD", vdd, Circuit::GND, Waveform::dc(0.8));
+        c.vsource(
+            "VIN",
+            gate,
+            Circuit::GND,
+            Waveform::pulse(0.0, 0.8, 0.1e-9, 0.2e-9, 20e-12),
+        );
+        c.resistor(vdd, a, 50e3);
+        c.resistor(a, x, 20e3);
+        c.capacitor(x, if bridged { a } else { Circuit::GND }, 1e-15);
+        c.transistor("MN", Arc::new(NTfet::nominal()), a, gate, Circuit::GND, 0.1);
+        c.set_latency_partitions(vec![CellPartition {
+            devices: vec![0],
+            watch: vec![a, x],
+            guard: vec![vdd, gate],
+            guard_kinds: vec![GuardKind::Rail, GuardKind::Other],
+        }]);
+        c
+    }
+
+    /// The capacitor table's companion list is laid out once per run, and
+    /// the incremental Jacobian recomputes its companion slots only when the
+    /// list's layout stamp changes. The stamp must never let slots computed
+    /// for one branch list serve another: one workspace runs circuit A,
+    /// circuit B (as many capacitor branches, on different node pairs) and
+    /// A again — each run a UIC hold solve over as many branches, then the
+    /// steps. Every run must leave the residual and the composed Jacobian
+    /// of a fresh workspace's run, bit for bit, and a linear part equal to
+    /// one built from scratch for the final companion list.
+    #[test]
+    fn layout_stamp_cannot_go_stale_across_circuits() {
+        let a = switched_load(false);
+        let b = switched_load(true);
+        let spec = TransientSpec::fixed(0.4e-9, 4e-12)
+            .with_solver(SolverStrategy::Sparse)
+            .with_device_latency(DeviceLatency::On);
+        let x = a.find_node("x").unwrap();
+        let init = InitialState::Uic(vec![(x, 0.3)]);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // The latest residual and the Jacobian its incremental split composes.
+        let last_system = |ws: &NewtonWorkspace| {
+            let s = ws.bufs.sparse.as_ref().unwrap();
+            let mut jac = SparseMatrix::new(s.jac.pattern().clone());
+            s.inc.compose_into(&mut jac);
+            (bits(&ws.bufs.f), bits(jac.values()))
+        };
+        let mut ws = NewtonWorkspace::new();
+        let mut layouts = Vec::new();
+        for (name, c) in [("A", &a), ("B", &b), ("A", &a)] {
+            let shared = c.transient_with(&spec, &init, &mut ws).unwrap();
+            let mut fresh_ws = NewtonWorkspace::new();
+            let fresh = c.transient_with(&spec, &init, &mut fresh_ws).unwrap();
+            let mna = Mna::new(c).unwrap();
+            assert_eq!(ws.companions.len(), mna.voltage_count(), "{name}");
+            assert_bit_identical(&shared, &fresh, c.node_count());
+            assert_eq!(last_system(&ws), last_system(&fresh_ws), "{name}");
+            let s = ws.bufs.sparse.as_ref().unwrap();
+            assert!(
+                s.inc
+                    .linear_part_is_fresh(&mna, &ws.companions, s.jac.pattern()),
+                "{name}: stale companion slots"
+            );
+            layouts.push(ws.companions.layout());
+        }
+        assert!(layouts.windows(2).all(|w| w[0] != w[1]), "{layouts:?}");
+    }
+
     /// A deferred Jacobian — the residual pass now, the Jacobian pass only
     /// when a reader asks for the matrix — is the eager full assembly, bit
     /// for bit: the same residual, every Jacobian value, the same bypass
@@ -597,12 +675,9 @@ mod tests {
         for (c, moved) in [(latch(&[], false), "vdd"), (deck.circuit, "bl")] {
             let mna = Mna::new(&c).unwrap();
             let (n, n_v) = (mna.unknown_count(), mna.voltage_count());
-            let mut caps = CompanionCaps::default();
-            for k in 1..=n_v {
-                caps.entries
-                    .push((NodeId(k), Circuit::GND, 1e-4 * k as f64, -1e-6));
-            }
-            caps.touch();
+            let caps = CompanionCaps::from_branches(
+                (1..=n_v).map(|k| (NodeId(k), Circuit::GND, 1e-4 * k as f64, -1e-6)),
+            );
             let x0: Vec<f64> = (0..n)
                 .map(|k| if k < n_v { 0.05 * k as f64 } else { 1e-6 })
                 .collect();

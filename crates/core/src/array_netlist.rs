@@ -32,7 +32,7 @@
 
 use crate::error::SramError;
 use crate::metrics::{self, WlCrit};
-use crate::tech::{CellKind, CellParams, Role};
+use crate::tech::{CellKind, CellModels, CellParams, Role};
 use crate::topology::{CellLines, CellNodes, CellTopology};
 use tfet_circuit::transient::InitialState;
 use tfet_circuit::{
@@ -261,6 +261,9 @@ impl ArrayNetlist {
         // drain bias, so the headroom costs real width).
         let w_periph = 16.0 * cell.sizing.w_access_um;
 
+        // One model per (role, polarity) for every cell and one per
+        // polarity for the periphery, shared by all their devices.
+        let mut models = CellModels::new(cell);
         let mut c = Circuit::new();
         let vdd_rail = c.node("vdd_rail");
         let vss_rail = c.node("vss_rail");
@@ -293,7 +296,7 @@ impl ArrayNetlist {
             let mid = c.node(&format!("nmid{r}"));
             c.transistor(
                 &format!("XWD{r}PA"),
-                cell.periph_model(false),
+                models.periph(false),
                 nand,
                 sel,
                 vdd_rail,
@@ -301,7 +304,7 @@ impl ArrayNetlist {
             );
             c.transistor(
                 &format!("XWD{r}PB"),
-                cell.periph_model(false),
+                models.periph(false),
                 nand,
                 wl_en,
                 vdd_rail,
@@ -309,7 +312,7 @@ impl ArrayNetlist {
             );
             c.transistor(
                 &format!("XWD{r}NA"),
-                cell.periph_model(true),
+                models.periph(true),
                 nand,
                 sel,
                 mid,
@@ -317,7 +320,7 @@ impl ArrayNetlist {
             );
             c.transistor(
                 &format!("XWD{r}NB"),
-                cell.periph_model(true),
+                models.periph(true),
                 mid,
                 wl_en,
                 vss_rail,
@@ -335,7 +338,7 @@ impl ArrayNetlist {
                 let wl = c.node(&format!("wl{r}"));
                 c.transistor(
                     &format!("XWI{r}P"),
-                    cell.periph_model(false),
+                    models.periph(false),
                     wl,
                     nand,
                     vdd_rail,
@@ -343,7 +346,7 @@ impl ArrayNetlist {
                 );
                 c.transistor(
                     &format!("XWI{r}N"),
-                    cell.periph_model(true),
+                    models.periph(true),
                     wl,
                     nand,
                     vss_rail,
@@ -387,7 +390,7 @@ impl ArrayNetlist {
             c.capacitor(blb, Circuit::GND, c_bl);
             c.transistor(
                 &format!("XPC{col}A"),
-                cell.periph_model(false),
+                models.periph(false),
                 bl,
                 prech_b,
                 vdd_rail,
@@ -395,7 +398,7 @@ impl ArrayNetlist {
             );
             c.transistor(
                 &format!("XPC{col}B"),
-                cell.periph_model(false),
+                models.periph(false),
                 blb,
                 prech_b,
                 vdd_rail,
@@ -418,7 +421,7 @@ impl ArrayNetlist {
             // gate-source headroom vanishes at the top rail).
             c.transistor(
                 &format!("XWM{col}NA"),
-                cell.periph_model(true),
+                models.periph(true),
                 bl,
                 csel,
                 wd,
@@ -426,7 +429,7 @@ impl ArrayNetlist {
             );
             c.transistor(
                 &format!("XWM{col}NB"),
-                cell.periph_model(true),
+                models.periph(true),
                 blb,
                 csel,
                 wdb,
@@ -434,7 +437,7 @@ impl ArrayNetlist {
             );
             c.transistor(
                 &format!("XWM{col}PA"),
-                cell.periph_model(false),
+                models.periph(false),
                 bl,
                 csel_b,
                 wd,
@@ -442,7 +445,7 @@ impl ArrayNetlist {
             );
             c.transistor(
                 &format!("XWM{col}PB"),
-                cell.periph_model(false),
+                models.periph(false),
                 blb,
                 csel_b,
                 wdb,
@@ -470,7 +473,8 @@ impl ArrayNetlist {
                     rwl: None,
                 };
                 let d0 = c.transistors().len();
-                let placed = topo.place_on_lines(&mut c, cell, &format!("r{r}c{col}_"), &lines);
+                let placed =
+                    topo.place_on_lines(&mut c, &mut models, &format!("r{r}c{col}_"), &lines);
                 // An imported cell may carry internal nodes beyond q/qb
                 // (read-stack midpoints, RC taps) — the partition must
                 // watch them too, or the latency tier would treat a moving
@@ -978,6 +982,59 @@ mod tests {
             .iter()
             .map(|&(q, qb)| (q.to_bits(), qb.to_bits()))
             .collect()
+    }
+
+    /// Every cell of the array shares one model per (role, polarity) and the
+    /// periphery one per polarity; resizing a cell rebinds its own devices
+    /// and nothing else.
+    #[test]
+    fn devices_share_models_and_resize_rebinds_one_cell() {
+        use std::sync::Arc;
+        let mut a = array();
+        // (model allocation, width) of every device.
+        let devices = |a: &ArrayNetlist| {
+            a.compiled
+                .circuit()
+                .transistors()
+                .iter()
+                .map(|m| (Arc::as_ptr(&m.model).cast::<()>(), m.width_um.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        let before = devices(&a);
+        let distinct = |d: &[(*const (), u64)]| {
+            let mut p: Vec<_> = d.iter().map(|&(p, _)| p).collect();
+            p.sort_unstable();
+            p.dedup();
+            p.len()
+        };
+        assert!(before.len() > 6 * 64, "{} devices", before.len());
+        assert!(
+            distinct(&before) <= Role::ALL.len() * 2 + 2,
+            "{} distinct models",
+            distinct(&before)
+        );
+
+        let (row, col) = (3, 6);
+        let own = a.compiled.circuit().latency_partitions()[row * 8 + col]
+            .devices
+            .clone();
+        a.resize_cell(row, col, 2.0, 0.5);
+        let after = devices(&a);
+        for (k, (b, n)) in before.iter().zip(&after).enumerate() {
+            if !own.contains(&k) {
+                assert_eq!(b, n, "device {k} outside the resized cell changed");
+            }
+        }
+        let resized = a.topo.slots().iter().filter(|slot| {
+            matches!(
+                slot.role,
+                Role::PullDownLeft | Role::PullDownRight | Role::AccessLeft | Role::AccessRight
+            )
+        });
+        for slot in resized {
+            let k = own[slot.index];
+            assert_ne!(before[k].1, after[k].1, "device {k} kept its width");
+        }
     }
 
     /// The ops record only the sense pair; decoding the same operation

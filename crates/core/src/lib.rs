@@ -92,7 +92,8 @@ pub mod prelude {
         YieldMetric, YieldStudy,
     };
     pub use crate::tech::{
-        AccessConfig, CellKind, CellParams, CellSizing, DeviceEval, SimOptions, SteppingMode,
+        AccessConfig, CellKind, CellModels, CellParams, CellSizing, DeviceEval, SimOptions,
+        SteppingMode,
     };
     pub use crate::topology::{CellTopology, DeviceSlot, PlacedCell};
     pub use tfet_circuit::{DeviceLatency, SolverStrategy};

@@ -552,6 +552,61 @@ impl CellParams {
     }
 }
 
+/// The device models of one cell design: one per (role, polarity) for the
+/// cells and one per polarity for the periphery, each built on first use and
+/// shared by every device placed with it afterwards.
+///
+/// Every cell of an array has the same design, so its devices of one role
+/// and polarity evaluate the same model with the same parameters; sharing one
+/// `Arc` among them gives the same bits as building one model per device,
+/// without thousands of identical heap objects for evaluation to walk.
+#[derive(Debug)]
+pub struct CellModels<'p> {
+    params: &'p CellParams,
+    cell: Vec<(Role, bool, Arc<dyn DeviceModel>)>,
+    periph: [Option<Arc<dyn DeviceModel>>; 2],
+}
+
+impl<'p> CellModels<'p> {
+    /// An empty model set for the cell design `params`.
+    pub fn new(params: &'p CellParams) -> Self {
+        CellModels {
+            params,
+            cell: Vec::new(),
+            periph: [None, None],
+        }
+    }
+
+    /// The cell design the models are built for.
+    pub(crate) fn params(&self) -> &'p CellParams {
+        self.params
+    }
+
+    /// The model of the cell's `role` device of polarity `n_type`, at that
+    /// role's process point, shared with every earlier request.
+    pub(crate) fn model(&mut self, role: Role, n_type: bool) -> Arc<dyn DeviceModel> {
+        if let Some((_, _, m)) = self
+            .cell
+            .iter()
+            .find(|(r, n, _)| *r == role && *n == n_type)
+        {
+            return Arc::clone(m);
+        }
+        let m = self.params.model(role, n_type);
+        self.cell.push((role, n_type, Arc::clone(&m)));
+        m
+    }
+
+    /// The unvaried peripheral model of polarity `n_type`, shared with every
+    /// earlier request.
+    pub(crate) fn periph(&mut self, n_type: bool) -> Arc<dyn DeviceModel> {
+        let params = self.params;
+        Arc::clone(
+            self.periph[usize::from(n_type)].get_or_insert_with(|| params.periph_model(n_type)),
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

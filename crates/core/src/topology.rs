@@ -57,7 +57,7 @@
 //! imported cell exactly as on a built-in one.
 
 use crate::error::SramError;
-use crate::tech::{AccessConfig, CellKind, CellParams, Role};
+use crate::tech::{AccessConfig, CellKind, CellModels, CellParams, Role};
 use std::collections::HashMap;
 use std::sync::Arc;
 use tfet_circuit::spice::FlatDevice;
@@ -597,7 +597,7 @@ impl CellTopology {
             rbl: self.has_read_port.then(|| c.node(&name("rbl"))),
             rwl: self.has_read_port.then(|| c.node(&name("rwl"))),
         };
-        self.place_on_lines(c, params, prefix, &lines)
+        self.place_on_lines(c, &mut CellModels::new(params), prefix, &lines)
     }
 
     /// Places the cell on the given (possibly shared) lines — the one
@@ -606,16 +606,21 @@ impl CellTopology {
     /// between the inverter pair and the access devices, then any kept
     /// extras. Instance and internal node names are prefixed.
     ///
+    /// The cell design is `models.params()`, and every device takes its
+    /// model from `models`: placing many cells with one [`CellModels`]
+    /// shares one model per role and polarity among all of them.
+    ///
     /// # Panics
     ///
     /// Panics if a read-port cell is placed on lines without `rbl`/`rwl`.
     pub fn place_on_lines(
         &self,
         c: &mut Circuit,
-        params: &CellParams,
+        models: &mut CellModels<'_>,
         prefix: &str,
         lines: &CellLines,
     ) -> PlacedCell {
+        let params = models.params();
         let name = |n: &str| format!("{prefix}{n}");
         let q = c.node(&name("q"));
         let qb = c.node(&name("qb"));
@@ -659,7 +664,7 @@ impl CellTopology {
             let s = resolve(c, &dev.s);
             c.transistor(
                 &name(&slot.name),
-                params.model(slot.role, slot.n_type),
+                models.model(slot.role, slot.n_type),
                 d,
                 g,
                 s,
