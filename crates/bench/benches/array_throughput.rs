@@ -1,9 +1,11 @@
 //! Array-engine throughput: the 64×64 write transient that motivates the
-//! fast-SPICE engine, measured across the two solver knobs it ships:
+//! fast-SPICE engine, measured against its full-evaluation oracle and
+//! across assembly thread counts:
 //!
-//! * **quiescent-partition latency** — `DeviceLatency::On` (dormant cells
-//!   skip device evaluation and Jacobian re-stamping) vs `Off` (the
-//!   full-evaluation baseline);
+//! * **quiescent-partition latency** — the engine (dormant cells skip
+//!   device evaluation and Jacobian re-stamping) vs the full-evaluation
+//!   baseline, pinned per array through the hidden
+//!   `ArraySpec::with_latency` override;
 //! * **parallel device evaluation** — 1 vs 8 assembly threads, which by
 //!   construction changes wall-clock only (results are merged in fixed
 //!   netlist order and asserted bit-identical here).

@@ -36,12 +36,11 @@ fn base() -> CellParams {
     fast(CellParams::tfet6t(AccessConfig::InwardP).with_beta(0.6))
 }
 
-/// The study's deterministic solver-cost counters under `strategy`:
-/// `(jac_refactored, jac_reused, device_evals, devices_bypassed)`, measured
-/// single-threaded on a clean tracing registry.
-fn strategy_counters(strategy: SolverStrategy) -> (u64, u64, u64, u64) {
-    let mut p = base().with_lut_devices();
-    p.sim.solver = strategy;
+/// The study's deterministic solver-cost counters under the current
+/// solver: `(jac_refactored, jac_reused, device_evals, devices_bypassed)`,
+/// measured single-threaded on a clean tracing registry.
+fn solver_counters() -> (u64, u64, u64, u64) {
+    let p = base().with_lut_devices();
     tfet_obs::reset();
     tfet_obs::enable();
     black_box(mc_wl_crit_with(&p, None, N, McConfig::new(7).with_threads(1)).unwrap());
@@ -69,8 +68,8 @@ fn solver_cost_table() -> (Table, u64, u64) {
             "cost",
         ],
     );
-    let dense = strategy_counters(SolverStrategy::Dense);
-    let sparse = strategy_counters(SolverStrategy::Sparse);
+    let dense = tfet_bench::on_dense_oracle(solver_counters);
+    let sparse = solver_counters();
     let cost = |(refac, _, evals, _): (u64, u64, u64, u64)| refac + evals;
     for (label, s) in [("dense", dense), ("sparse", sparse)] {
         t.push_row(vec![

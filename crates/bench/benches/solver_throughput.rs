@@ -23,10 +23,8 @@ use tfet_bench::Table;
 use tfet_sram::metrics::{wl_crit_seeded, WlCritRun};
 use tfet_sram::prelude::*;
 
-fn cell(strategy: SolverStrategy) -> CellParams {
-    let mut p = fast(CellParams::tfet6t(AccessConfig::InwardP).with_beta(0.6));
-    p.sim.solver = strategy;
-    p
+fn cell() -> CellParams {
+    fast(CellParams::tfet6t(AccessConfig::InwardP).with_beta(0.6))
 }
 
 fn run(p: &CellParams) -> WlCritRun {
@@ -52,8 +50,8 @@ fn solver_table() -> (Table, WlCritRun, WlCritRun) {
             "wl_crit_ps",
         ],
     );
-    let dense = run(&cell(SolverStrategy::Dense));
-    let sparse = run(&cell(SolverStrategy::Sparse));
+    let dense = tfet_bench::on_dense_oracle(|| run(&cell()));
+    let sparse = run(&cell());
     for (label, r) in [("dense", &dense), ("sparse", &sparse)] {
         t.push_row(vec![
             label.to_string(),
@@ -79,7 +77,7 @@ fn solver_table() -> (Table, WlCritRun, WlCritRun) {
 fn check_acceptance(dense: &WlCritRun, sparse: &WlCritRun) {
     // Both strategies answer the same physics question: WL_crit must agree
     // to the bisection tolerance.
-    let tol = cell(SolverStrategy::Sparse).sim.pulse_tol;
+    let tol = cell().sim.pulse_tol;
     let (wd, ws) = (
         dense.value.as_finite().expect("dense WL_crit finite"),
         sparse.value.as_finite().expect("sparse WL_crit finite"),
@@ -112,13 +110,11 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("solver_throughput");
     g.sample_size(10);
 
-    let dense = cell(SolverStrategy::Dense);
-    g.bench_function("wl_crit_dense", |b| b.iter(|| black_box(run(&dense).value)));
-
-    let sparse = cell(SolverStrategy::Sparse);
-    g.bench_function("wl_crit_sparse", |b| {
-        b.iter(|| black_box(run(&sparse).value))
+    let p = cell();
+    tfet_bench::on_dense_oracle(|| {
+        g.bench_function("wl_crit_dense", |b| b.iter(|| black_box(run(&p).value)));
     });
+    g.bench_function("wl_crit_sparse", |b| b.iter(|| black_box(run(&p).value)));
 
     g.finish();
 }

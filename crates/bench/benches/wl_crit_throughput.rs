@@ -81,9 +81,7 @@ fn effort_table() -> Table {
     // The dense cross-check: same search under the legacy dense solver.
     // WL_crit must agree to the bisection tolerance, and the sparse default
     // must not cost more factorizations + device evals than dense.
-    let mut dense_p = cell(SteppingMode::Adaptive, true);
-    dense_p.sim.solver = SolverStrategy::Dense;
-    let dense = run(&dense_p, None);
+    let dense = tfet_bench::on_dense_oracle(|| run(&cell(SteppingMode::Adaptive, true), None));
     push_run(&mut t, "adaptive, early exit, dense solver", &dense);
     let cost = |r: &WlCritRun| r.effort.jac_refactored + r.effort.device_evals;
     t.note(format!(

@@ -9,18 +9,17 @@
 //! `cargo run --release -p tfet-bench --bin figures [--quick] [--dense] [--latency-off] [--out DIR]`
 //!
 //! * `--quick` — coarse grids for a fast smoke run;
-//! * `--dense` — force the legacy dense linear solver process-wide (the
-//!   sparse/dense figure-equivalence gate in `scripts/check.sh` diffs the
-//!   CSVs from a `--dense` run against a default run byte for byte);
-//! * `--latency-off` — force full device evaluation process-wide (the
-//!   latency-tier figure-identity gate diffs a `--latency-off` run against
-//!   a default run the same way);
+//! * `--dense`, `--latency-off` — run on a reference oracle instead of the
+//!   engine: the legacy dense linear solver, or full device evaluation.
+//!   Neither is an option of any spec; these flags set the hidden process
+//!   hooks once at startup, and the identity gates in `scripts/check.sh`
+//!   diff the CSVs of such a run against a default run byte for byte;
 //! * `--out DIR` — write CSVs to `DIR` instead of `results/`.
 
 use std::fs;
 use tfet_bench::experiments as exp;
 use tfet_bench::Table;
-use tfet_sram::prelude::{DeviceLatency, SolverStrategy};
+use tfet_circuit::{DeviceLatency, SolverStrategy};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

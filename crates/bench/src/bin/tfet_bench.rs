@@ -11,7 +11,7 @@
 //! Usage:
 //!
 //! ```text
-//! tfet-bench history archive [--as-baseline] [--sha SHA] [--strategy S]
+//! tfet-bench history archive [--as-baseline] [--sha SHA]
 //!                            [--bench-dir DIR] [--history-dir DIR]
 //! tfet-bench history check   [--tolerance PCT]
 //!                            [--bench-dir DIR] [--history-dir DIR]
@@ -82,7 +82,6 @@ fn history_cmd(args: &[String]) -> ExitCode {
     match sub {
         Some("archive") => {
             let sha = flag_value(rest, "--sha").unwrap_or_else(git_sha);
-            let strategy = flag_value(rest, "--strategy").unwrap_or_else(|| "sparse".to_string());
             let threads = tfet_numerics::parallel::default_threads() as u64;
             let as_baseline = rest.iter().any(|a| a == "--as-baseline");
             match history::archive(
@@ -90,7 +89,6 @@ fn history_cmd(args: &[String]) -> ExitCode {
                 &history_dir(rest),
                 &sha,
                 threads,
-                &strategy,
                 as_baseline,
             ) {
                 Ok(written) => {
@@ -130,12 +128,11 @@ fn history_cmd(args: &[String]) -> ExitCode {
             Ok(entries) => {
                 for (path, e) in entries {
                     println!(
-                        "{}: bench={} sha={} threads={} strategy={} counters={}",
+                        "{}: bench={} sha={} threads={} counters={}",
                         path.file_name().unwrap_or_default().to_string_lossy(),
                         e.bench,
                         e.git_sha.chars().take(12).collect::<String>(),
                         e.threads,
-                        e.strategy,
                         e.counters.len()
                     );
                 }

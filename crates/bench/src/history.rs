@@ -13,7 +13,7 @@
 //!
 //! * [`archive`] — snapshot every `BENCH_*.json` in a bench directory into
 //!   `results/history/` as [`HistoryEntry`] documents keyed by git SHA,
-//!   with thread-count and solver-strategy metadata;
+//!   with thread-count metadata;
 //! * [`check`] — diff the current `BENCH_*.json` cost counters against the
 //!   committed `baseline--<bench>.json` entries and fail when any
 //!   [`COST_COUNTERS`] counter grew beyond tolerance.
@@ -74,8 +74,6 @@ pub struct HistoryEntry {
     /// counters are thread-invariant by contract — this is provenance, not
     /// a cache key.
     pub threads: u64,
-    /// Solver strategy label (e.g. `sparse`).
-    pub strategy: String,
     /// The run report's `counters` section, name-sorted.
     pub counters: BTreeMap<String, u64>,
 }
@@ -95,13 +93,14 @@ impl HistoryEntry {
             ("bench".into(), Value::text(self.bench.clone())),
             ("git_sha".into(), Value::text(self.git_sha.clone())),
             ("threads".into(), Value::UInt(self.threads)),
-            ("strategy".into(), Value::text(self.strategy.clone())),
             ("counters".into(), counters),
         ])
         .to_json()
     }
 
-    /// Parses an entry document, validating schema and version.
+    /// Parses an entry document, validating schema and version. Keys it
+    /// does not know are ignored, so entries archived with the retired
+    /// `strategy` label still parse.
     ///
     /// # Errors
     ///
@@ -133,7 +132,6 @@ impl HistoryEntry {
             bench: text("bench")?,
             git_sha: text("git_sha")?,
             threads: v.get("threads").and_then(Value::as_u64).unwrap_or(0),
-            strategy: text("strategy")?,
             counters,
         })
     }
@@ -285,7 +283,6 @@ pub fn archive(
     history_dir: &Path,
     git_sha: &str,
     threads: u64,
-    strategy: &str,
     as_baseline: bool,
 ) -> Result<Vec<PathBuf>, String> {
     let reports = bench_reports(bench_dir)?;
@@ -306,7 +303,6 @@ pub fn archive(
             bench: bench.clone(),
             git_sha: git_sha.to_string(),
             threads,
-            strategy: strategy.to_string(),
             counters,
         };
         let mut names = vec![entry_file(&bench, git_sha)];
@@ -447,7 +443,6 @@ mod tests {
             bench: "array".into(),
             git_sha: "c47413fdeadbeef".into(),
             threads: 8,
-            strategy: "sparse".into(),
             counters: counters(&[("devices.evals", 123), ("newton.jac_refactored", 7)]),
         };
         let json = entry.to_json();
@@ -455,6 +450,10 @@ mod tests {
         assert_eq!(HistoryEntry::parse(&json).unwrap(), entry);
         assert!(HistoryEntry::parse(r#"{"schema":"other"}"#).is_err());
         assert!(HistoryEntry::parse("not json").is_err());
+        // Entries archived with the retired `strategy` label still parse.
+        let legacy = json.replace(r#""threads":8,"#, r#""threads":8,"strategy":"sparse","#);
+        assert_ne!(legacy, json);
+        assert_eq!(HistoryEntry::parse(&legacy).unwrap(), entry);
     }
 
     #[test]
@@ -517,8 +516,8 @@ mod tests {
         let report = r#"{"schema":"tfet-obs.run-report","version":3,"counters":{"devices.evals":100,"newton.jac_refactored":10}}"#;
         std::fs::write(bench_dir.join("BENCH_demo.json"), report).unwrap();
 
-        let written = archive(&bench_dir, &hist_dir, "abc123def4567890", 1, "sparse", true)
-            .expect("archive succeeds");
+        let written =
+            archive(&bench_dir, &hist_dir, "abc123def4567890", 1, true).expect("archive succeeds");
         assert_eq!(written.len(), 2, "sha-keyed + baseline: {written:?}");
         assert!(hist_dir.join("demo--abc123def456.json").exists());
         assert!(hist_dir.join("baseline--demo.json").exists());

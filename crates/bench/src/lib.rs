@@ -100,7 +100,8 @@ impl Table {
 }
 
 /// Runs `workload` once with tracing enabled on a clean registry and writes
-/// the captured [`tfet_obs::RunReport`] to `results/BENCH_<name>.json`.
+/// the captured [`tfet_obs::RunReport`] to `results/BENCH_<name>.json`,
+/// with its per-cell partition rows folded into per-metric quantiles.
 ///
 /// Tracing is switched off again before returning, so Criterion timing loops
 /// that follow pay only the disabled-path cost (one relaxed atomic load per
@@ -113,7 +114,10 @@ pub fn write_bench_report(name: &str, workload: impl FnOnce()) -> std::path::Pat
     tfet_obs::enable();
     workload();
     tfet_obs::disable();
-    let report = tfet_obs::RunReport::capture();
+    let mut report = tfet_obs::RunReport::capture();
+    // One quantile row per partition metric, not one row per array cell:
+    // the report stays small enough to read and diff.
+    report.summarize_partitions();
     // Bench binaries run with the package directory as CWD; anchor the
     // report next to the figure CSVs in the workspace-root `results/`.
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -126,6 +130,21 @@ pub fn write_bench_report(name: &str, workload: impl FnOnce()) -> std::path::Pat
         Err(e) => eprintln!("run report: failed to write {}: {e}", path.display()),
     }
     path
+}
+
+/// Runs `pass` on the dense reference solver, the oracle the bench floors
+/// compare the sparse engine against, then restores the process hook.
+///
+/// The hook is process-wide and read when each run starts, so nothing may
+/// run concurrently with `pass`: every bench's `criterion_main` runs its
+/// one group serially on the main thread.
+pub fn on_dense_oracle<R>(pass: impl FnOnce() -> R) -> R {
+    use tfet_circuit::SolverStrategy;
+    let engine = SolverStrategy::process_default();
+    SolverStrategy::set_process_default(SolverStrategy::Dense);
+    let out = pass();
+    SolverStrategy::set_process_default(engine);
+    out
 }
 
 /// One-decimal formatting capped at four significant digits.

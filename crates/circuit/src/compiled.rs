@@ -33,7 +33,7 @@
 //! `absorb`, so a seeded sweep can prove it compiled once and ran many
 //! times.
 
-use crate::dc::{DcResult, SolverStrategy};
+use crate::dc::{DcResult, Engine};
 use crate::error::SimError;
 use crate::mna::Mna;
 use crate::netlist::{Circuit, NodeId, SourceId};
@@ -237,7 +237,7 @@ impl CompiledCircuit {
         let mna = Mna::new(&self.circuit)?;
         let x = self
             .circuit
-            .dc_state_with(&mna, guess, &mut self.ws, SolverStrategy::default())?;
+            .dc_state_with(&mna, guess, &mut self.ws, Engine::process_default())?;
         Ok(DcResult {
             x,
             n_v: mna.voltage_count(),

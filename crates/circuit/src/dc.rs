@@ -19,37 +19,39 @@ use crate::netlist::{Circuit, NodeId, SourceId};
 use crate::workspace::{with_workspace, JacSource, JacStale, NewtonWorkspace, SolverBufs};
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Linear-solve strategy for the Newton loop.
+/// Linear-solve strategy for the Newton loop: a reference oracle, not an
+/// option of any spec.
 ///
-/// `Sparse` is the production path: pattern-backed sparse LU with
-/// modified-Newton factorization reuse and device-evaluation bypass.
-/// `Dense` is the legacy per-iteration dense-LU path, kept byte-for-byte as
-/// a cross-check — the figure CSVs must come out bit-identical either way
-/// (enforced by `scripts/check.sh`).
+/// `Sparse` is the engine: pattern-backed sparse LU with modified-Newton
+/// factorization reuse and device-evaluation bypass. `Dense` is the legacy
+/// per-iteration dense-LU path, kept byte-for-byte as a cross-check — the
+/// figure CSVs must come out bit-identical either way (enforced by
+/// `scripts/check.sh`). Only the process hook selects it.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SolverStrategy {
-    /// Sparse LU + modified Newton + device bypass (default).
+    /// Sparse LU + modified Newton + device bypass (the engine).
     Sparse,
     /// Dense LU, full refactorization and device evaluation every iteration.
     Dense,
 }
 
-/// Process-wide default strategy (0 = Sparse, 1 = Dense), consulted by
-/// `SolverStrategy::default()` and therefore by every option struct built
-/// with `..Default::default()`.
+/// Process-wide strategy (0 = Sparse, 1 = Dense), read once at the start
+/// of every run and DC solve.
 static DEFAULT_STRATEGY: AtomicU8 = AtomicU8::new(0);
 
 impl SolverStrategy {
-    /// Sets the process-wide default strategy.
+    /// Sets the process-wide strategy that every run started afterwards
+    /// reads.
     ///
-    /// Intended for binary startup (the `figures --dense` cross-check flag)
-    /// — flipping it mid-run races against concurrently built option
-    /// structs, so don't.
+    /// For the `figures --dense` cross-check and the bench floors, which
+    /// set it around a serial pass; a run already in flight keeps the
+    /// strategy it started with.
     pub fn set_process_default(s: SolverStrategy) {
         DEFAULT_STRATEGY.store(s as u8, Ordering::Relaxed);
     }
 
-    /// The current process-wide default strategy.
+    /// The current process-wide strategy.
     pub fn process_default() -> SolverStrategy {
         match DEFAULT_STRATEGY.load(Ordering::Relaxed) {
             1 => SolverStrategy::Dense,
@@ -58,45 +60,33 @@ impl SolverStrategy {
     }
 }
 
-impl Default for SolverStrategy {
-    fn default() -> Self {
-        SolverStrategy::process_default()
-    }
-}
-
-/// Newton iteration controls.
+/// The engine one solve runs: the linear-solve strategy and the
+/// device-latency mode, fixed when the run starts.
 #[derive(Debug, Clone, Copy)]
-pub struct NewtonOpts {
-    /// Maximum iterations before declaring failure.
-    pub max_iter: usize,
-    /// Convergence tolerance on the largest voltage update, V.
-    pub v_tol: f64,
-    /// Damping: the largest voltage change applied in one iteration, V.
-    pub v_step_max: f64,
-    /// Linear-solve strategy (see [`SolverStrategy`]).
-    pub strategy: SolverStrategy,
-    /// Device-latency mode: `On` enables the bypass cache and (for
-    /// partitioned circuits) the quiescent-partition dormancy tier during
-    /// transient solves; `Off` is the full-evaluation baseline (see
-    /// [`DeviceLatency`]).
-    pub latency: DeviceLatency,
+pub(crate) struct Engine {
+    pub(crate) solver: SolverStrategy,
+    pub(crate) latency: DeviceLatency,
 }
 
-impl Default for NewtonOpts {
-    fn default() -> Self {
-        NewtonOpts {
-            max_iter: 200,
-            // 20 nV: far below any measurement in this workspace (metrics
-            // live at mV scale) yet loose enough that the near-quadratic
-            // TFET output-onset region cannot trap the iteration in a
-            // numerical limit cycle.
-            v_tol: 2e-8,
-            v_step_max: 0.3,
-            strategy: SolverStrategy::default(),
-            latency: DeviceLatency::default(),
+impl Engine {
+    /// The engine the process hooks select now.
+    pub(crate) fn process_default() -> Engine {
+        Engine {
+            solver: SolverStrategy::process_default(),
+            latency: DeviceLatency::process_default(),
         }
     }
 }
+
+/// Maximum Newton iterations before declaring failure.
+const MAX_ITER: usize = 200;
+/// Convergence tolerance on the largest voltage update, V. 20 nV: far below
+/// any measurement in this workspace (metrics live at mV scale) yet loose
+/// enough that the near-quadratic TFET output-onset region cannot trap the
+/// iteration in a numerical limit cycle.
+const V_TOL: f64 = 2e-8;
+/// Damping: the largest voltage change applied in one iteration, V.
+const V_STEP_MAX: f64 = 0.3;
 
 /// The g_min relaxation ladder used when plain Newton fails. Ends at zero so
 /// the final solution is physical — essential here because TFET hold
@@ -107,7 +97,7 @@ const GMIN_LADDER: &[f64] = &[1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 0.0];
 /// Runs damped Newton at fixed `t`/`gmin`/`caps` from `x0`, using (and
 /// reusing) the buffers in `bufs` — a steady-state call allocates nothing.
 ///
-/// Dispatches on [`NewtonOpts::strategy`]: the legacy dense loop
+/// Dispatches on the engine's strategy: the legacy dense loop
 /// (refactorize + fully re-evaluate every iteration) or the sparse
 /// modified-Newton loop (factorization reuse + device bypass).
 ///
@@ -122,15 +112,14 @@ pub(crate) fn newton(
     gmin: f64,
     anchor: Option<&[f64]>,
     caps: Option<&CompanionCaps>,
-    opts: &NewtonOpts,
+    engine: Engine,
     time_label: Option<f64>,
 ) -> Result<Vec<f64>, (Vec<f64>, SimError)> {
-    match opts.strategy {
-        SolverStrategy::Dense => {
-            newton_dense(mna, bufs, x, t, gmin, anchor, caps, opts, time_label)
-        }
+    let Engine { solver, latency } = engine;
+    match solver {
+        SolverStrategy::Dense => newton_dense(mna, bufs, x, t, gmin, anchor, caps, time_label),
         SolverStrategy::Sparse => {
-            newton_sparse(mna, bufs, x, t, gmin, anchor, caps, opts, time_label)
+            newton_sparse(mna, bufs, x, t, gmin, anchor, caps, latency, time_label)
         }
     }
 }
@@ -146,7 +135,6 @@ fn newton_dense(
     gmin: f64,
     anchor: Option<&[f64]>,
     caps: Option<&CompanionCaps>,
-    opts: &NewtonOpts,
     time_label: Option<f64>,
 ) -> Result<Vec<f64>, (Vec<f64>, SimError)> {
     let n = mna.unknown_count();
@@ -158,7 +146,7 @@ fn newton_dense(
 
     let mut last_delta = f64::INFINITY;
     let mut last_residual = f64::INFINITY;
-    for iter in 0..opts.max_iter {
+    for iter in 0..MAX_ITER {
         bufs.newton_iters += 1;
         let stats = mna.assemble_into(
             &x,
@@ -207,8 +195,8 @@ fn newton_dense(
         }
         // Damping factor limits voltage moves; branch currents follow suit
         // so the iterate stays near the linearization.
-        let scale = if max_dv > opts.v_step_max {
-            opts.v_step_max / max_dv
+        let scale = if max_dv > V_STEP_MAX {
+            V_STEP_MAX / max_dv
         } else {
             1.0
         };
@@ -216,18 +204,18 @@ fn newton_dense(
             *xi += scale * di;
         }
         last_delta = max_dv;
-        if max_dv < opts.v_tol {
+        if max_dv < V_TOL {
             tfet_obs::record_u64("newton.iters_per_solve", iter as u64 + 1);
             return Ok(x);
         }
     }
-    tfet_obs::record_u64("newton.iters_per_solve", opts.max_iter as u64);
+    tfet_obs::record_u64("newton.iters_per_solve", MAX_ITER as u64);
     tfet_obs::counter("newton.failures", 1);
     Err((
         x,
         SimError::NoConvergence {
             time: time_label,
-            iterations: opts.max_iter,
+            iterations: MAX_ITER,
             last_delta,
             residual_norm: last_residual,
         },
@@ -270,7 +258,7 @@ fn newton_sparse(
     gmin: f64,
     anchor: Option<&[f64]>,
     caps: Option<&CompanionCaps>,
-    opts: &NewtonOpts,
+    latency: DeviceLatency,
     time_label: Option<f64>,
 ) -> Result<Vec<f64>, (Vec<f64>, SimError)> {
     let n = mna.unknown_count();
@@ -294,7 +282,7 @@ fn newton_sparse(
     // giving the clean full-evaluation baseline the figure-identity gate
     // compares against. Partitioned circuits additionally get incremental
     // Jacobian maintenance (`assemble_sparse_latent`).
-    let use_cache = caps.is_some() && opts.latency == DeviceLatency::On;
+    let use_cache = caps.is_some() && latency == DeviceLatency::On;
     let src = JacSource {
         mna,
         gmin,
@@ -314,7 +302,7 @@ fn newton_sparse(
     // that really is stale still trips the 0.7-contraction guard below on
     // the second iteration, after exactly one wasted triangular solve.
     let mut prev_max_dv = f64::INFINITY;
-    for iter in 0..opts.max_iter {
+    for iter in 0..MAX_ITER {
         bufs.newton_iters += 1;
         {
             let _span = tfet_obs::span("assemble");
@@ -392,7 +380,7 @@ fn newton_sparse(
         // chord iterations whose terminal movement sits inside the bypass
         // window cost no device evaluations, so tolerating a slower but
         // still geometric contraction is cheaper than refactoring.
-        if reused && max_dv.is_finite() && max_dv >= opts.v_tol && max_dv > 0.7 * prev_max_dv {
+        if reused && max_dv.is_finite() && max_dv >= V_TOL && max_dv > 0.7 * prev_max_dv {
             if let Err(e) = bufs.sparse_refactor(allow_reuse, &src) {
                 tfet_obs::record_u64("newton.iters_per_solve", iter as u64 + 1);
                 return Err((x, SimError::from_solve(e, time_label)));
@@ -415,7 +403,7 @@ fn newton_sparse(
         // instantly without moving — a frozen waveform, not a solution.
         if solved_with_reuse
             && max_dv.is_finite()
-            && max_dv < opts.v_tol
+            && max_dv < V_TOL
             && !bufs.sparse_update_consistent(&src)
         {
             if let Err(e) = bufs.sparse_refactor(allow_reuse, &src) {
@@ -443,8 +431,8 @@ fn newton_sparse(
                 },
             ));
         }
-        let scale = if max_dv > opts.v_step_max {
-            opts.v_step_max / max_dv
+        let scale = if max_dv > V_STEP_MAX {
+            V_STEP_MAX / max_dv
         } else {
             1.0
         };
@@ -452,18 +440,18 @@ fn newton_sparse(
             *xi += scale * di;
         }
         last_delta = max_dv;
-        if max_dv < opts.v_tol {
+        if max_dv < V_TOL {
             tfet_obs::record_u64("newton.iters_per_solve", iter as u64 + 1);
             return Ok(x);
         }
     }
-    tfet_obs::record_u64("newton.iters_per_solve", opts.max_iter as u64);
+    tfet_obs::record_u64("newton.iters_per_solve", MAX_ITER as u64);
     tfet_obs::counter("newton.failures", 1);
     Err((
         x,
         SimError::NoConvergence {
             time: time_label,
-            iterations: opts.max_iter,
+            iterations: MAX_ITER,
             last_delta,
             residual_norm: last_residual,
         },
@@ -486,7 +474,7 @@ pub(crate) fn solve_op(
     x0: Vec<f64>,
     t: f64,
     caps: Option<&CompanionCaps>,
-    opts: &NewtonOpts,
+    engine: Engine,
     time_label: Option<f64>,
     anchored: bool,
 ) -> Result<Vec<f64>, SimError> {
@@ -500,7 +488,7 @@ pub(crate) fn solve_op(
     let mut x = x0;
     if !anchored {
         // Fast path: plain Newton from the guess.
-        match newton(mna, bufs, x, t, 0.0, None, caps, opts, time_label) {
+        match newton(mna, bufs, x, t, 0.0, None, caps, engine, time_label) {
             Ok(x) => return Ok(x),
             Err((best, _)) => {
                 // Reuse the returned vector; restart the ladder from the
@@ -524,7 +512,7 @@ pub(crate) fn solve_op(
             gmin,
             Some(anchor_buf),
             caps,
-            opts,
+            engine,
             time_label,
         ) {
             Ok(next) => x = next,
@@ -615,7 +603,7 @@ impl Circuit {
     pub fn dc_op_with_guess(&self, guess: &[(NodeId, f64)]) -> Result<DcResult, SimError> {
         let mna = Mna::new(self)?;
         let x =
-            with_workspace(|ws| self.dc_state_with(&mna, guess, ws, SolverStrategy::default()))?;
+            with_workspace(|ws| self.dc_state_with(&mna, guess, ws, Engine::process_default()))?;
         Ok(DcResult {
             x,
             n_v: mna.voltage_count(),
@@ -633,7 +621,7 @@ impl Circuit {
         mna: &Mna<'_>,
         guess: &[(NodeId, f64)],
         ws: &mut NewtonWorkspace,
-        strategy: SolverStrategy,
+        engine: Engine,
     ) -> Result<Vec<f64>, SimError> {
         // Fresh solve entry: whatever the workspace cached (device operating
         // points, a factorization) belongs to some earlier run.
@@ -651,10 +639,6 @@ impl Circuit {
                 x0[vs.plus.index() - 1] = vs.wave.initial();
             }
         }
-        let opts = NewtonOpts {
-            strategy,
-            ..NewtonOpts::default()
-        };
         // An explicit guess means the caller is selecting among operating
         // points: follow the anchored continuation so the basin survives.
         let anchored = !guess.is_empty();
@@ -665,7 +649,7 @@ impl Circuit {
             x0,
             0.0,
             None,
-            &opts,
+            engine,
             None,
             anchored,
         )

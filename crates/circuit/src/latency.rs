@@ -31,14 +31,14 @@
 //! dormancy decision compares against. Drift therefore accumulates against a
 //! fixed refresh point and can never creep past tolerance unnoticed.
 //!
-//! Orthogonally, the module owns the process-wide knobs for this tier:
-//! [`DeviceLatency`] (the on/off switch, mirrored per-call in
-//! [`NewtonOpts`](crate::NewtonOpts) and
-//! [`TransientSpec`](crate::TransientSpec) so tests can compare both modes
-//! without racing a global), and [`set_assembly_threads`] for the
-//! deterministic parallel device-evaluation fan-out (per-device results are
-//! pure and merged serially in fixed netlist order, so thread count changes
-//! wall-clock only, never bits).
+//! No option turns the tier off. Its full-evaluation baseline is a reference
+//! oracle reached only through a hidden process hook, which the
+//! `figures --latency-off` identity gate sets at startup, and a hidden
+//! per-run override for the tests that compare both modes. The module also
+//! owns [`set_assembly_threads`] for the deterministic parallel
+//! device-evaluation fan-out (per-device results are pure and merged
+//! serially in fixed netlist order, so thread count changes wall-clock
+//! only, never bits).
 
 use crate::mna::BYPASS_VTOL;
 use crate::netlist::{Circuit, NodeId};
@@ -52,6 +52,7 @@ use tfet_numerics::GroupedIndices;
 /// evaluated on every Newton iteration, exactly like the dense reference
 /// path. The figure CSV identity gate in `scripts/check.sh` diffs the two
 /// modes byte-for-byte.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceLatency {
     /// Dormancy tier + device bypass active (default).
@@ -60,36 +61,27 @@ pub enum DeviceLatency {
     Off,
 }
 
-/// Process-wide default latency mode (0 = On, 1 = Off), consulted by
-/// `DeviceLatency::default()` and therefore by every option struct built
-/// with `..Default::default()`.
+/// Process-wide latency mode (0 = On, 1 = Off), read once at the start of
+/// every run that carries no per-run override.
 static DEFAULT_LATENCY: AtomicU8 = AtomicU8::new(0);
 
 impl DeviceLatency {
-    /// Sets the process-wide default latency mode.
+    /// Sets the process-wide latency mode that every run started
+    /// afterwards reads.
     ///
-    /// Intended for binary startup (the `figures --latency-off` cross-check
-    /// flag) — flipping it mid-run races against concurrently built option
-    /// structs, so don't. Tests should set the per-spec field
-    /// ([`TransientSpec::with_device_latency`]) instead.
-    ///
-    /// [`TransientSpec::with_device_latency`]: crate::TransientSpec::with_device_latency
+    /// For binary startup (the `figures --latency-off` cross-check flag);
+    /// tests that compare both modes override one run instead, so they
+    /// never race a sibling test.
     pub fn set_process_default(mode: DeviceLatency) {
         DEFAULT_LATENCY.store(mode as u8, Ordering::Relaxed);
     }
 
-    /// The current process-wide default latency mode.
+    /// The current process-wide latency mode.
     pub fn process_default() -> DeviceLatency {
         match DEFAULT_LATENCY.load(Ordering::Relaxed) {
             1 => DeviceLatency::Off,
             _ => DeviceLatency::On,
         }
-    }
-}
-
-impl Default for DeviceLatency {
-    fn default() -> Self {
-        DeviceLatency::process_default()
     }
 }
 
@@ -459,12 +451,10 @@ mod tests {
 
     #[test]
     fn process_default_starts_on() {
-        // Flipping the global here would race sibling tests that build
-        // specs with `..Default::default()`; the `figures --latency-off`
-        // gate in scripts/check.sh exercises `set_process_default` at
-        // binary startup, where it is defined to be safe.
+        // Flipping the global here would race sibling tests' runs; the
+        // `figures --latency-off` gate in scripts/check.sh exercises
+        // `set_process_default` at binary startup, where it is safe.
         assert_eq!(DeviceLatency::process_default(), DeviceLatency::On);
-        assert_eq!(DeviceLatency::default(), DeviceLatency::On);
     }
 
     #[test]

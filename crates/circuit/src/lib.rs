@@ -29,13 +29,13 @@
 //!   models in place, and repeated runs reuse one owned workspace. Every
 //!   run reports build/bind/run counters through [`SolveStats`].
 //!
-//! The default linear-solve path ([`SolverStrategy::Sparse`]) assembles the
-//! Jacobian into a sparsity pattern frozen at compile time and factorizes it
-//! with an analyze-once/refactorize-many sparse LU, layering modified-Newton
+//! The linear-solve path assembles the Jacobian into a sparsity pattern
+//! frozen at compile time and factorizes it with an
+//! analyze-once/refactorize-many sparse LU, layering modified-Newton
 //! factorization reuse and device-evaluation bypass on top. The legacy dense
-//! path ([`SolverStrategy::Dense`]) is retained byte-for-byte as a
-//! cross-check: figure outputs must be bit-identical under either strategy
-//! at default tolerances.
+//! path is retained byte-for-byte as a test oracle, reachable only through a
+//! hidden process hook: figure outputs must be bit-identical under either
+//! path at default tolerances.
 //!
 //! For array-scale netlists the [`latency`] module adds a third tier:
 //! circuits may register [`CellPartition`]s (one per bitcell), and the
@@ -44,8 +44,8 @@
 //! tight guard on shared wordline/bitline nodes force-refreshing a dormant
 //! cell the moment an adjacent line moves. Large evaluation batches fan out
 //! across threads deterministically (stamps merge serially in netlist
-//! order), and [`DeviceLatency::Off`] provides the full-evaluation baseline
-//! the identity gates diff against.
+//! order). The full-evaluation baseline the identity gates diff against is
+//! likewise an oracle behind a hidden hook, not an option of any spec.
 //!
 //! # Examples
 //!
@@ -81,7 +81,7 @@ pub mod waveform;
 pub mod workspace;
 
 pub use compiled::{CompiledCircuit, ParamHandle};
-pub use dc::{DcResult, NewtonOpts, SolverStrategy};
+pub use dc::{DcResult, SolverStrategy};
 pub use error::SimError;
 pub use latency::{
     set_assembly_threads, CellPartition, DeviceLatency, GuardKind, PartitionTelemetry,

@@ -82,10 +82,7 @@ pub struct SolveStats {
     /// evaluation (sparse strategy only; always 0 under dense).
     pub devices_bypassed: u64,
     /// Transistor stamps replayed because their whole latency partition was
-    /// dormant (sparse strategy with registered partitions and
-    /// [`DeviceLatency::On`]; 0 otherwise).
-    ///
-    /// [`DeviceLatency::On`]: crate::DeviceLatency::On
+    /// dormant (registered partitions under the latency tier; 0 otherwise).
     pub devices_dormant: u64,
     /// Latency partitions refreshed — every member device re-evaluated in
     /// one coherent assembly (see [`crate::latency`]).

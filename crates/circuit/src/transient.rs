@@ -35,7 +35,7 @@
 //! and held for the step (standard charge-conserving-enough linearization at
 //! the small steps used here).
 
-use crate::dc::{solve_op, NewtonOpts, SolverStrategy};
+use crate::dc::{solve_op, Engine, SolverStrategy};
 use crate::error::SimError;
 use crate::latency::DeviceLatency;
 use crate::mna::{CompanionCaps, Mna};
@@ -101,14 +101,10 @@ pub struct TransientSpec {
     pub integrator: Integrator,
     /// Step-control policy.
     pub control: StepControl,
-    /// Linear-solve strategy for every Newton solve in the run (seeded from
-    /// [`SolverStrategy::default()`], i.e. the process default).
-    pub solver: SolverStrategy,
-    /// Device-latency mode for every Newton solve in the run: bypass cache
-    /// plus (for partitioned circuits) the quiescent-partition dormancy
-    /// tier, or the full-evaluation baseline (seeded from
-    /// [`DeviceLatency::default()`], i.e. the process default).
-    pub latency: DeviceLatency,
+    /// Per-run override of the process-wide strategy (unit tests only).
+    solver: Option<SolverStrategy>,
+    /// Per-run override of the process-wide latency mode.
+    latency: Option<DeviceLatency>,
 }
 
 impl TransientSpec {
@@ -132,8 +128,8 @@ impl TransientSpec {
                 dt_max: (dt * DT_MAX_FACTOR).min(t_stop),
                 ltol: DEFAULT_LTOL,
             }),
-            solver: SolverStrategy::default(),
-            latency: DeviceLatency::default(),
+            solver: None,
+            latency: None,
         }
     }
 
@@ -152,8 +148,8 @@ impl TransientSpec {
             dt,
             integrator: Integrator::default(),
             control: StepControl::Fixed,
-            solver: SolverStrategy::default(),
-            latency: DeviceLatency::default(),
+            solver: None,
+            latency: None,
         }
     }
 
@@ -163,20 +159,30 @@ impl TransientSpec {
         self
     }
 
-    /// Selects the linear-solve strategy (builder style). [`SolverStrategy::Dense`]
-    /// is the bit-exact legacy cross-check path.
-    pub fn with_solver(mut self, solver: SolverStrategy) -> Self {
-        self.solver = solver;
+    /// Pins the linear-solve strategy of this run instead of reading the
+    /// process hook (builder style).
+    #[cfg(test)]
+    pub(crate) fn with_solver(mut self, solver: SolverStrategy) -> Self {
+        self.solver = Some(solver);
         self
     }
 
-    /// Selects the device-latency mode (builder style).
-    /// [`DeviceLatency::Off`] is the full-evaluation baseline used to
-    /// measure (and cross-check) the dormancy tier; setting it per-spec
-    /// avoids racing the process-wide default from concurrent tests.
+    /// Pins the device-latency mode of this run instead of reading the
+    /// process hook (builder style): how an array netlist passes its own
+    /// tier, and how tests compare both modes without racing a sibling.
+    #[doc(hidden)]
     pub fn with_device_latency(mut self, latency: DeviceLatency) -> Self {
-        self.latency = latency;
+        self.latency = Some(latency);
         self
+    }
+
+    /// The engine this run solves with: the per-run overrides, else the
+    /// process hooks as they stand when the run starts.
+    fn engine(&self) -> Engine {
+        Engine {
+            solver: self.solver.unwrap_or_else(SolverStrategy::process_default),
+            latency: self.latency.unwrap_or_else(DeviceLatency::process_default),
+        }
     }
 
     /// Overrides the adaptive LTE tolerance (no-op under fixed control).
@@ -518,7 +524,7 @@ fn rescue_step(
     x_last: Vec<f64>,
     t: f64,
     t_new: f64,
-    opts: &NewtonOpts,
+    engine: Engine,
     stats: &mut SolveStats,
 ) -> Option<Vec<f64>> {
     let _s_rescue = tfet_obs::span("rescue");
@@ -553,7 +559,7 @@ fn rescue_step(
                 std::mem::take(&mut x),
                 t_k,
                 Some(&comps),
-                opts,
+                engine,
                 Some(t_k),
                 anchored,
             );
@@ -728,11 +734,7 @@ impl Circuit {
         let _span = tfet_obs::span("transient");
         let mna = Mna::new(self)?;
         let n_v = mna.voltage_count();
-        let opts = NewtonOpts {
-            strategy: spec.solver,
-            latency: spec.latency,
-            ..NewtonOpts::default()
-        };
+        let engine = spec.engine();
         // Fresh run: device-bypass operating points and retained
         // factorizations from any previous run are stale by definition.
         ws.bufs.invalidate_caches();
@@ -757,7 +759,7 @@ impl Circuit {
 
         // --- Initial state -------------------------------------------------
         let mut x = match initial {
-            InitialState::DcOp(hints) => match self.dc_state_with(&mna, hints, ws, spec.solver) {
+            InitialState::DcOp(hints) => match self.dc_state_with(&mna, hints, ws, engine) {
                 Ok(x) => x,
                 Err(e) => {
                     capture_failure(&mna, ws, None, "initial-dc", 0.0, 0.0, &e);
@@ -785,7 +787,7 @@ impl Circuit {
                     x0,
                     0.0,
                     Some(&hold),
-                    &opts,
+                    engine,
                     Some(0.0),
                     false,
                 ) {
@@ -844,7 +846,7 @@ impl Circuit {
                         x,
                         t_new,
                         Some(&ws.companions),
-                        &opts,
+                        engine,
                         Some(t_new),
                         false,
                     ) {
@@ -863,7 +865,7 @@ impl Circuit {
                                 x_last,
                                 t_new - spec.dt,
                                 t_new,
-                                &opts,
+                                engine,
                                 &mut result.stats,
                             );
                             match rescued {
@@ -949,7 +951,7 @@ impl Circuit {
                             std::mem::take(&mut ws.x_coarse),
                             t_new,
                             Some(&ws.companions),
-                            &opts,
+                            engine,
                             Some(t_new),
                             false,
                         ) {
@@ -975,7 +977,7 @@ impl Circuit {
                                 std::mem::take(&mut ws.x_fine),
                                 t_mid,
                                 Some(&ws.companions),
-                                &opts,
+                                engine,
                                 Some(t_mid),
                                 false,
                             ) {
@@ -995,7 +997,7 @@ impl Circuit {
                                 std::mem::take(&mut ws.x_fine),
                                 t_new,
                                 Some(&ws.companions),
-                                &opts,
+                                engine,
                                 Some(t_new),
                                 false,
                             ) {
@@ -1065,7 +1067,7 @@ impl Circuit {
                                 x.clone(),
                                 t,
                                 t_new,
-                                &opts,
+                                engine,
                                 &mut result.stats,
                             );
                             match rescued {
@@ -1154,7 +1156,7 @@ impl Circuit {
                 tfet_obs::counter("latency.cells_refreshed", result.stats.cells_refreshed);
                 tfet_obs::counter("latency.guard_refreshes", result.stats.guard_refreshes);
             }
-            if spec.solver == SolverStrategy::Sparse {
+            if engine.solver == SolverStrategy::Sparse {
                 // Symbolic analyses are per-worker warm-up (each thread's
                 // workspace analyzes once per topology), so they live in the
                 // scheduling-dependent `work` section, not `counters`.

@@ -21,7 +21,7 @@
 use std::sync::Arc;
 
 use tfet_circuit::transient::InitialState;
-use tfet_circuit::{Circuit, SolverStrategy, TransientSpec, Waveform};
+use tfet_circuit::{Circuit, TransientSpec, Waveform};
 use tfet_devices::model::{Caps, DeviceKind, DeviceModel, Polarity};
 use tfet_devices::tfet::NTfet;
 
@@ -93,7 +93,7 @@ fn sabotage_escalates_through_refactorization_to_rescue_ladder() {
     tfet_obs::trace::start();
     let res = c
         .transient(
-            &TransientSpec::fixed(4e-9, 0.8e-9).with_solver(SolverStrategy::Sparse),
+            &TransientSpec::fixed(4e-9, 0.8e-9),
             &InitialState::Uic(vec![(a, 1.0)]),
         )
         .unwrap();
@@ -140,7 +140,7 @@ fn sparse_unrescuable_failure_still_errors() {
     let (c, a) = sabotaged_rc();
     let err = c
         .transient(
-            &TransientSpec::fixed(8e-9, 4e-9).with_solver(SolverStrategy::Sparse),
+            &TransientSpec::fixed(8e-9, 4e-9),
             &InitialState::Uic(vec![(a, 1.0)]),
         )
         .unwrap_err();
@@ -176,7 +176,7 @@ fn healthy_run_reuses_factors_and_bypasses_devices_without_escalating() {
     );
     let res = c
         .transient(
-            &TransientSpec::fixed(5e-9, 10e-12).with_solver(SolverStrategy::Sparse),
+            &TransientSpec::fixed(5e-9, 10e-12),
             &InitialState::DcOp(vec![]),
         )
         .unwrap();
@@ -213,10 +213,7 @@ fn jacobian_pass_runs_only_when_the_matrix_is_read() {
         &tfet_devices::standard_models(),
     )
     .unwrap();
-    let spec = deck.analyses[0]
-        .transient_spec()
-        .unwrap()
-        .with_solver(SolverStrategy::Sparse);
+    let spec = deck.analyses[0].transient_spec().unwrap();
     tfet_obs::reset();
     tfet_obs::enable();
     // A root span keeps a concurrently running sibling test's spans out of

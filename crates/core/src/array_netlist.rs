@@ -25,10 +25,8 @@
 //!
 //! The engine registers one [`CellPartition`] per bitcell, so the circuit
 //! crate's quiescent-partition latency tier skips device evaluation for
-//! the thousands of cells far from the action; [`ArraySpec::latency`]
-//! selects the tier ([`DeviceLatency::Off`] is the full-evaluation
-//! baseline the identity gates diff against). A 64×64 write transient runs
-//! in seconds because >90 % of its device evaluations never happen.
+//! the thousands of cells far from the action. A 64×64 write transient
+//! runs in seconds because >90 % of its device evaluations never happen.
 
 use crate::error::SramError;
 use crate::metrics::{self, WlCrit};
@@ -61,12 +59,9 @@ pub struct ArraySpec {
     pub cols: usize,
     /// The cell replicated at every (row, column).
     pub cell: CellParams,
-    /// Device-evaluation latency tier for every transient run on this
-    /// netlist. Defaults to the process-wide default (`On` unless
-    /// overridden, e.g. by the `figures --latency-off` identity gate);
-    /// `Off` is the full-evaluation baseline the gates and the throughput
-    /// bench compare against.
-    pub latency: DeviceLatency,
+    /// Per-array override of the process-wide latency tier, passed to
+    /// every transient run on this netlist.
+    latency: Option<DeviceLatency>,
     /// Optional explicit cell topology. `None` replicates the built-in
     /// recipe for `cell.kind`; `Some` replicates an imported `.subckt`
     /// cell at every (row, column) instead — same peripherals, same latency
@@ -75,21 +70,24 @@ pub struct ArraySpec {
 }
 
 impl ArraySpec {
-    /// An R×C array of the given cell under the process-default latency
-    /// tier.
+    /// An R×C array of the given cell.
     pub fn new(rows: usize, cols: usize, cell: CellParams) -> Self {
         ArraySpec {
             rows,
             cols,
             cell,
-            latency: DeviceLatency::default(),
+            latency: None,
             topology: None,
         }
     }
 
-    /// Selects the device-evaluation latency tier (builder style).
+    /// Pins the device-evaluation latency tier of every run instead of
+    /// reading the process hook at each run's start (builder style): how
+    /// tests and benches compare the tier with its full-evaluation
+    /// baseline.
+    #[doc(hidden)]
     pub fn with_latency(mut self, latency: DeviceLatency) -> Self {
-        self.latency = latency;
+        self.latency = Some(latency);
         self
     }
 
@@ -644,7 +642,10 @@ impl ArrayNetlist {
         // constant dt lets the modified-Newton tier reuse one
         // factorization across hundreds of steps, and makes the time grid
         // identical across latency modes and thread counts.
-        let spec = TransientSpec::fixed(t_end, sim.dt).with_device_latency(self.spec.latency);
+        let mut spec = TransientSpec::fixed(t_end, sim.dt);
+        if let Some(latency) = self.spec.latency {
+            spec = spec.with_device_latency(latency);
+        }
         let mut uic = self.base_uic.clone();
         for (k, n) in self.cells.iter().enumerate() {
             let (vq, vqb) = self.state[k];
@@ -751,11 +752,12 @@ impl ArrayNetlist {
     ///
     /// # Errors
     ///
-    /// Simulation failures.
+    /// [`SramError::InvalidParameter`] if the pulse is not positive and
+    /// finite (NaN included); simulation failures.
     ///
     /// # Panics
     ///
-    /// Panics if the address is out of range or the pulse is not positive.
+    /// Panics if the address is out of range.
     pub fn write_transient(
         &mut self,
         row: usize,
@@ -763,7 +765,11 @@ impl ArrayNetlist {
         value: bool,
         pulse: f64,
     ) -> Result<ArrayWrite, SramError> {
-        assert!(pulse > 0.0, "pulse width must be positive");
+        if !(pulse > 0.0 && pulse.is_finite()) {
+            return Err(SramError::InvalidParameter(format!(
+                "wordline pulse must be positive and finite, got {pulse:e} s"
+            )));
+        }
         tfet_obs::counter("array_netlist.writes", 1);
         let result = self.run_op(row, col, Some(value), pulse)?;
         self.record_partition_telemetry("array_write", &result);
@@ -852,18 +858,23 @@ impl ArrayNetlist {
     ///
     /// # Errors
     ///
-    /// Simulation failures on a decisive probe surface as
-    /// [`WlCrit::Unbracketable`]; parameter errors propagate.
+    /// [`SramError::Undefined`] if the addressed cell holds no clean bit
+    /// (its carried voltages sit between the rails), since there is no
+    /// opposite value to write. Simulation failures on a decisive probe
+    /// surface as [`WlCrit::Unbracketable`]; parameter errors propagate.
     ///
     /// # Panics
     ///
-    /// Panics if the address is out of range or the addressed cell's state
-    /// is degraded.
+    /// Panics if the address is out of range.
     pub fn wl_crit(&mut self, row: usize, col: usize) -> Result<WlCrit, SramError> {
         let _span = tfet_obs::span("array_wl_crit");
-        let target = !self
-            .bit(row, col)
-            .expect("the addressed cell must hold a clean bit");
+        let Some(held) = self.bit(row, col) else {
+            return Err(SramError::Undefined {
+                metric: "WL_crit",
+                reason: format!("cell ({row}, {col}) holds no clean bit to overwrite"),
+            });
+        };
+        let target = !held;
         let sim = self.spec.cell.sim;
         let lo = 5.0 * sim.dt;
         let hi = sim.max_pulse;
@@ -982,6 +993,42 @@ mod tests {
             .iter()
             .map(|&(q, qb)| (q.to_bits(), qb.to_bits()))
             .collect()
+    }
+
+    fn small_array() -> ArrayNetlist {
+        let mut cell = CellParams::tfet6t(AccessConfig::InwardP).with_beta(0.6);
+        cell.sim.dt = 4e-12;
+        ArrayNetlist::build(ArraySpec::new(2, 2, cell)).unwrap()
+    }
+
+    /// A committed write can leave a cell between the rails; `WL_crit` of
+    /// that cell has no opposite bit to write and refuses with a typed
+    /// error.
+    #[test]
+    fn wl_crit_of_a_degraded_cell_is_undefined() {
+        let mut a = small_array();
+        let vdd = a.spec().cell.vdd;
+        let mid = 0.5 * vdd;
+        a.commit(&[(vdd, 0.0), (mid, mid - 0.01), (0.0, vdd), (vdd, 0.0)]);
+        assert_eq!(a.bit(0, 1), None);
+        assert!(matches!(
+            a.wl_crit(0, 1),
+            Err(SramError::Undefined {
+                metric: "WL_crit",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn write_with_a_bad_pulse_is_an_invalid_parameter() {
+        let mut a = small_array();
+        for pulse in [f64::NAN, 0.0, -1e-9, f64::INFINITY] {
+            assert!(matches!(
+                a.write_transient(0, 0, false, pulse),
+                Err(SramError::InvalidParameter(_))
+            ));
+        }
     }
 
     /// Every cell of the array shares one model per (role, polarity) and the

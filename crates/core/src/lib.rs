@@ -96,5 +96,6 @@ pub mod prelude {
         SteppingMode,
     };
     pub use crate::topology::{CellTopology, DeviceSlot, PlacedCell};
-    pub use tfet_circuit::{DeviceLatency, SolverStrategy};
+    #[doc(hidden)]
+    pub use tfet_circuit::DeviceLatency;
 }

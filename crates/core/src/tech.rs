@@ -317,12 +317,6 @@ pub struct SimOptions {
     /// Whether `run_write`/`run_read` may terminate a transient as soon as
     /// the storage-node outcome is decided instead of running to `t_stop`.
     pub early_exit: bool,
-    /// Linear-solve engine for every Newton iteration of this experiment.
-    /// Defaults to the process-wide default
-    /// ([`tfet_circuit::SolverStrategy::process_default`], normally
-    /// `Sparse`); set [`tfet_circuit::SolverStrategy::Dense`] to
-    /// cross-check a run against the dense reference path.
-    pub solver: tfet_circuit::SolverStrategy,
 }
 
 impl SimOptions {
@@ -333,7 +327,6 @@ impl SimOptions {
             SteppingMode::Adaptive => tfet_circuit::TransientSpec::new(t_stop, self.dt),
             SteppingMode::Fixed => tfet_circuit::TransientSpec::fixed(t_stop, self.dt),
         }
-        .with_solver(self.solver)
     }
     /// Stretches every time budget by `factor` (windows, pulse search range
     /// and tolerance) and coarsens the step by `√factor` (capped at 8 ps).
@@ -380,7 +373,6 @@ impl Default for SimOptions {
             assist_fraction: crate::assist::ASSIST_FRACTION,
             stepping: SteppingMode::default(),
             early_exit: true,
-            solver: tfet_circuit::SolverStrategy::default(),
         }
     }
 }

@@ -57,7 +57,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 pub use json::{ParseError, Value};
-pub use report::{RunReport, SCHEMA_VERSION};
+pub use report::{PartitionQuantiles, RunReport, SCHEMA_VERSION};
 
 /// All opt-in collection switches packed into one atomic, so every
 /// instrumentation site's off-path stays exactly **one** relaxed load no

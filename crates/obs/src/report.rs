@@ -37,6 +37,27 @@ pub struct PartitionCellSnapshot {
     pub metrics: BTreeMap<String, u64>,
 }
 
+/// Nearest-rank quantiles of one partition metric over every cell a study
+/// recorded — the per-metric summary that replaces the per-cell rows in
+/// reports that must stay small ([`RunReport::summarize_partitions`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PartitionQuantiles {
+    /// Study label the cells were recorded under.
+    pub study: String,
+    /// Metric name.
+    pub metric: String,
+    /// Cells of the study; a cell that never recorded the metric counts
+    /// as 0.
+    pub cells: u64,
+    /// Sum over the cells.
+    pub sum: u64,
+    /// `[min, p10, p50, p90, max]` over the cells.
+    pub quantiles: [u64; 5],
+}
+
+/// The quantile levels of [`PartitionQuantiles::quantiles`], in percent.
+const QUANTILE_PCTS: [usize; 5] = [0, 10, 50, 90, 100];
+
 /// Snapshot of one named `u64` histogram.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
@@ -115,6 +136,12 @@ pub struct RunReport {
     /// Values are logical dormancy-decision counts recorded serially inside
     /// the Newton loop, so the section is thread-count invariant.
     pub partitions: Vec<PartitionCellSnapshot>,
+    /// Per-metric quantiles of the partition rows, sorted by `(study,
+    /// metric)`; empty unless [`summarize_partitions`] folded the rows
+    /// into it.
+    ///
+    /// [`summarize_partitions`]: RunReport::summarize_partitions
+    pub partition_quantiles: Vec<PartitionQuantiles>,
     /// Rare-event yield study outcomes, sorted by `(study, metric,
     /// sigma_scale, seed)`. Estimates are folded in sample order on each
     /// study's coordinating thread, so the section is thread-count
@@ -201,6 +228,43 @@ impl RunReport {
                 .then(a.seed.cmp(&b.seed))
         });
         report
+    }
+
+    /// Folds the per-cell `partitions` rows into one
+    /// [`PartitionQuantiles`] per `(study, metric)` and drops the rows: a
+    /// 64×64 array operation records 4,096 rows, which would swamp a report
+    /// meant to be read and diffed. Heatmaps take the rows from a report
+    /// that was not summarized ([`partition_csv`](Self::partition_csv)).
+    pub fn summarize_partitions(&mut self) {
+        let mut by_metric: BTreeMap<(&str, &str), Vec<u64>> = BTreeMap::new();
+        let mut cells: BTreeMap<&str, u64> = BTreeMap::new();
+        for p in &self.partitions {
+            let seen = cells.entry(&p.study).or_default();
+            for (metric, &v) in &p.metrics {
+                let column = by_metric.entry((&p.study, metric)).or_default();
+                // Cells before this one that lacked the metric recorded 0.
+                column.resize(*seen as usize, 0);
+                column.push(v);
+            }
+            *seen += 1;
+        }
+        self.partition_quantiles = by_metric
+            .into_iter()
+            .map(|((study, metric), mut column)| {
+                let n = cells[study];
+                column.resize(n as usize, 0);
+                column.sort_unstable();
+                PartitionQuantiles {
+                    study: study.to_string(),
+                    metric: metric.to_string(),
+                    cells: n,
+                    sum: column.iter().sum(),
+                    quantiles: QUANTILE_PCTS
+                        .map(|pct| column[(pct * column.len()).div_ceil(100).max(1) - 1]),
+                }
+            })
+            .collect();
+        self.partitions.clear();
     }
 
     /// The machine-readable JSON document (schema `tfet-obs.run-report`,
@@ -355,6 +419,23 @@ impl RunReport {
                 })
                 .collect(),
         );
+        let quantiles = Value::Arr(
+            self.partition_quantiles
+                .iter()
+                .map(|q| {
+                    let mut fields = vec![
+                        ("study".into(), Value::text(q.study.clone())),
+                        ("metric".into(), Value::text(q.metric.clone())),
+                        ("cells".into(), Value::UInt(q.cells)),
+                        ("sum".into(), Value::UInt(q.sum)),
+                    ];
+                    for (pct, &v) in QUANTILE_PCTS.iter().zip(&q.quantiles) {
+                        fields.push((format!("p{pct}"), Value::UInt(v)));
+                    }
+                    Value::Obj(fields)
+                })
+                .collect(),
+        );
         let yields = Value::Arr(
             self.yields
                 .iter()
@@ -376,7 +457,7 @@ impl RunReport {
                 })
                 .collect(),
         );
-        Value::Obj(vec![
+        let mut sections = vec![
             ("schema".into(), Value::text("tfet-obs.run-report")),
             ("version".into(), Value::UInt(u64::from(SCHEMA_VERSION))),
             ("spans".into(), spans),
@@ -389,8 +470,13 @@ impl RunReport {
             ("yield".into(), yields),
             ("work".into(), work),
             ("timings_ns".into(), timings),
-        ])
-        .to_json()
+        ];
+        // Present only in summarized reports, so every other report keeps
+        // its bytes.
+        if !self.partition_quantiles.is_empty() {
+            sections.insert(9, ("partition_quantiles".into(), quantiles));
+        }
+        Value::Obj(sections).to_json()
     }
 
     /// The partition-telemetry section rendered as a deterministic CSV
@@ -619,6 +705,43 @@ mod tests {
              array_write,1,0,refreshes,1\n"
         );
         assert!(report.render().contains("partitions"));
+        assert!(!json.contains("partition_quantiles"));
+    }
+
+    #[test]
+    fn summarized_partitions_keep_one_quantile_row_per_metric() {
+        let mut report = RunReport::default();
+        for col in 0..10u32 {
+            let mut metrics = BTreeMap::from([("dormant".to_string(), u64::from(col) * 10)]);
+            // Only the last three cells ever refreshed.
+            if col >= 7 {
+                metrics.insert("refreshes".into(), 1);
+            }
+            report.partitions.push(PartitionCellSnapshot {
+                study: "array_write".into(),
+                row: 0,
+                col,
+                metrics,
+            });
+        }
+        report.summarize_partitions();
+        assert!(report.partitions.is_empty());
+        let q = &report.partition_quantiles;
+        assert_eq!(q.len(), 2);
+        assert_eq!(
+            (q[0].metric.as_str(), q[0].cells, q[0].sum),
+            ("dormant", 10, 450)
+        );
+        assert_eq!(q[0].quantiles, [0, 0, 40, 80, 90]);
+        assert_eq!(
+            (q[1].metric.as_str(), q[1].cells, q[1].sum),
+            ("refreshes", 10, 3)
+        );
+        assert_eq!(q[1].quantiles, [0, 0, 0, 1, 1]);
+        let json = report.to_json();
+        assert!(json.contains(
+            r#""partitions":[],"partition_quantiles":[{"study":"array_write","metric":"dormant","cells":10,"sum":450,"p0":0,"p10":0,"p50":40,"p90":80,"p100":90}"#
+        ), "{json}");
     }
 
     #[test]

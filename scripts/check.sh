@@ -20,7 +20,22 @@ echo "== cargo clippy tfet-bench -D warnings =="
 cargo clippy -p tfet-bench --all-targets --offline -- -D warnings
 
 echo "== cargo doc -D warnings =="
+# Start from an empty doc tree, so the page gate below sees only the pages
+# this build renders.
+rm -rf target/doc
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
+echo "== no documented engine options =="
+# The dense solver and the latency-off baseline are oracles behind hidden
+# process hooks, not public options: rustdoc must render no page for them.
+engine_pages="$(find target/doc -name '*SolverStrategy*' -o -name '*DeviceLatency*' \
+  -o -name '*NewtonOpts*')"
+if [ -n "$engine_pages" ]; then
+  echo "rustdoc rendered pages for engine oracles:"
+  echo "$engine_pages"
+  exit 1
+fi
+echo "no page for SolverStrategy, DeviceLatency or NewtonOpts"
 
 echo "== perfbench build (the benchmark's imports of the public API) =="
 # perfbench is its own Cargo workspace, so the workspace steps above never
