@@ -19,8 +19,8 @@
 //!    model/width in place. Binds never add or remove elements, so the
 //!    sparsity pattern and unknown ordering survive every rebind.
 //! 3. **run** — [`run`](CompiledCircuit::run) executes the transient engine
-//!    against the frozen form with the owned, reusable [`NewtonWorkspace`],
-//!    so repeated runs perform no solver-scratch allocation.
+//!    against the frozen form with an owned, reusable solver workspace, so
+//!    repeated runs perform no solver-scratch allocation.
 //!
 //! Because a run's numbers depend only on the circuit *state* (topology +
 //! current bindings) and never on how that state was reached, re-running a
@@ -57,8 +57,8 @@ pub struct ParamHandle {
 
 /// A circuit frozen for repeated execution: topology, node ordering and
 /// MNA pattern fixed at compile time; stimuli and device bindings mutable
-/// through typed binds; runs executed against an owned reusable
-/// [`NewtonWorkspace`].
+/// through typed binds; runs executed against an owned reusable solver
+/// workspace — the one owner of held Newton, LU and companion scratch.
 ///
 /// See the [module docs](self) for the compile/bind/run architecture.
 #[derive(Debug)]
@@ -85,7 +85,7 @@ impl CompiledCircuit {
     /// [`SimError::InvalidCircuit`] for structurally bad netlists (no
     /// elements, no non-ground nodes).
     pub fn compile(circuit: Circuit) -> Result<Self, SimError> {
-        let mut ws = NewtonWorkspace::new();
+        let mut ws = NewtonWorkspace::default();
         {
             // Freeze the Jacobian sparsity pattern now: binds never change
             // topology, so every subsequent sparse run reuses this pattern

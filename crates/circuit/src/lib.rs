@@ -16,17 +16,16 @@
 //!   exponential TFET reverse diode);
 //! * [`transient`] — backward-Euler or trapezoidal integration with a full
 //!   Newton solve per step and nonlinear device capacitances re-linearized
-//!   each step; adaptive step-doubling LTE control with a source-edge
-//!   breakpoint schedule by default, a fixed uniform grid on request, and
-//!   event-driven early exit ([`transient::StopEvent`]);
+//!   each step; one step loop runs adaptive step-doubling LTE control with
+//!   a source-edge breakpoint schedule by default, a fixed uniform grid on
+//!   request, and event-driven early exit ([`transient::StopEvent`]);
 //! * [`probe`] — waveform post-processing: crossings, extrema, and the
 //!   minimum-node-difference measurement behind the paper's DRNM metric;
-//! * [`workspace`] — reusable Newton/LU/companion buffers
-//!   ([`NewtonWorkspace`]) so repeated solves (sweeps, Monte-Carlo workers)
-//!   run allocation-free after warm-up;
 //! * [`compiled`] — the build-once/bind/run layer: a [`CompiledCircuit`]
 //!   freezes topology and MNA pattern, typed binds swap stimuli and device
-//!   models in place, and repeated runs reuse one owned workspace. Every
+//!   models in place, and repeated runs reuse one owned set of Newton, LU
+//!   and companion buffers, allocation-free after warm-up (one-shot
+//!   [`Circuit::transient`] calls borrow a per-thread set instead). Every
 //!   run reports build/bind/run counters through [`SolveStats`].
 //!
 //! The linear-solve path assembles the Jacobian into a sparsity pattern
@@ -78,7 +77,7 @@ pub mod probe;
 pub mod spice;
 pub mod transient;
 pub mod waveform;
-pub mod workspace;
+mod workspace;
 
 pub use compiled::{CompiledCircuit, ParamHandle};
 pub use dc::{DcResult, SolverStrategy};
@@ -91,4 +90,3 @@ pub use probe::{SolveStats, TransientResult};
 pub use spice::{DcSweep, Deck, DeckAnalysis, DeckRun, Subckt, SubcktCard};
 pub use transient::{AdaptiveOpts, Integrator, StepControl, StopEvent, TransientSpec};
 pub use waveform::Waveform;
-pub use workspace::NewtonWorkspace;

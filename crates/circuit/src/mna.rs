@@ -774,23 +774,7 @@ impl<'c> Mna<'c> {
             "linearization buffer length"
         );
         f.fill(0.0);
-
-        // Resistors.
-        for r in &self.circuit.resistors {
-            let g = 1.0 / r.ohms;
-            let i = g * (self.voltage_of(x, r.a) - self.voltage_of(x, r.b));
-            self.stamp_current(f, r.a, r.b, i);
-        }
-
-        // Companion capacitors (transient only).
-        if let Some(caps) = caps {
-            caps.stamp_residual(x, f);
-        }
-
-        // Current sources.
-        for s in &self.circuit.isources {
-            self.stamp_current(f, s.from, s.to, s.wave.value(t));
-        }
+        self.stamp_linear_residual(x, t, caps, f);
 
         // Transistors: nonlinear three-terminal currents, with optional
         // bypass of the (expensive) model evaluation when the operating
@@ -820,8 +804,44 @@ impl<'c> Mna<'c> {
                 self.stamp_current(f, m.d, m.s, i);
             }
         }
+        self.stamp_source_residual(x, t, gmin, anchor, f);
+        stats
+    }
 
-        // Voltage sources: branch current unknowns + branch equations.
+    /// The residual of the linear elements stamped before the transistors:
+    /// resistors, companion capacitors (transient only), current sources.
+    fn stamp_linear_residual(
+        &self,
+        x: &[f64],
+        t: f64,
+        caps: Option<&CompanionCaps>,
+        f: &mut [f64],
+    ) {
+        for r in &self.circuit.resistors {
+            let g = 1.0 / r.ohms;
+            let i = g * (self.voltage_of(x, r.a) - self.voltage_of(x, r.b));
+            self.stamp_current(f, r.a, r.b, i);
+        }
+        if let Some(caps) = caps {
+            caps.stamp_residual(x, f);
+        }
+        for s in &self.circuit.isources {
+            self.stamp_current(f, s.from, s.to, s.wave.value(t));
+        }
+    }
+
+    /// The residual stamped after the transistors: each voltage source's
+    /// branch current and branch equation, then the g_min convergence aid —
+    /// a conductance from every node toward its anchor (ground when no
+    /// anchor is given).
+    fn stamp_source_residual(
+        &self,
+        x: &[f64],
+        t: f64,
+        gmin: f64,
+        anchor: Option<&[f64]>,
+        f: &mut [f64],
+    ) {
         for (k, v) in self.circuit.vsources.iter().enumerate() {
             let bi = self.branch_index(k);
             let i_br = x[bi];
@@ -835,9 +855,6 @@ impl<'c> Mna<'c> {
             // Branch equation: v_plus − v_minus = V(t).
             f[bi] = self.voltage_of(x, v.plus) - self.voltage_of(x, v.minus) - v.wave.value(t);
         }
-
-        // g_min convergence aid: a conductance from every node toward its
-        // anchor (ground when no anchor is given).
         if gmin > 0.0 {
             if let Some(anchor) = anchor {
                 assert!(anchor.len() >= self.n_v, "anchor length");
@@ -847,7 +864,6 @@ impl<'c> Mna<'c> {
                 f[n] += gmin * (x[n] - target);
             }
         }
-        stats
     }
 
     /// The Jacobian pass: clears `j` and stamps the Jacobian whose residual
@@ -983,17 +999,10 @@ impl<'c> Mna<'c> {
             inc.refresh_linear(gmin, caps, jac.pattern());
         }
 
-        // Residual contributions of the linear elements (same order as
-        // `assemble_into`, so the two paths agree term for term).
-        for r in &self.circuit.resistors {
-            let g = 1.0 / r.ohms;
-            let i = g * (self.voltage_of(x, r.a) - self.voltage_of(x, r.b));
-            self.stamp_current(f, r.a, r.b, i);
-        }
-        caps.stamp_residual(x, f);
-        for s in &self.circuit.isources {
-            self.stamp_current(f, s.from, s.to, s.wave.value(t));
-        }
+        // Residual stamps in `assemble_residual`'s order, so the two paths
+        // agree term for term (the Jacobian's linear entries, voltage-source
+        // units and g_min diagonal included, live in the linear part).
+        self.stamp_linear_residual(x, t, Some(caps), f);
 
         // Phase 1: decide which devices need a fresh evaluation.
         let _s_decide = tfet_obs::span("decide");
@@ -1072,33 +1081,9 @@ impl<'c> Mna<'c> {
                 inc.restamp_device(idx, e);
             }
         }
-
-        // Voltage sources: branch-current residuals (unit Jacobian entries
-        // live in the linear part).
-        for (k, v) in self.circuit.vsources.iter().enumerate() {
-            let bi = self.branch_index(k);
-            let i_br = x[bi];
-            if let Some(rp) = self.row(v.plus) {
-                f[rp] += i_br;
-            }
-            if let Some(rm) = self.row(v.minus) {
-                f[rm] -= i_br;
-            }
-            f[bi] = self.voltage_of(x, v.plus) - self.voltage_of(x, v.minus) - v.wave.value(t);
-        }
-
-        // g_min residual (diagonal conductance is in the linear part).
-        if gmin > 0.0 {
-            if let Some(anchor) = anchor {
-                assert!(anchor.len() >= self.n_v, "anchor length");
-            }
-            for n in 0..self.n_v {
-                let target = anchor.map_or(0.0, |a| a[n]);
-                f[n] += gmin * (x[n] - target);
-            }
-        }
-
         drop(_s_stamp);
+
+        self.stamp_source_residual(x, t, gmin, anchor, f);
         stats
     }
 

@@ -7,7 +7,8 @@
 //!   damped; the default for the digital-style SRAM waveforms where spurious
 //!   trapezoidal ringing would pollute noise-margin measurements;
 //! * **trapezoidal** — `i = 2C/Δt·(v_{n+1} − v_n) − i_n`: second-order
-//!   accurate, available for accuracy cross-checks (the integrator ablation
+//!   accurate on constant capacitances (see the note on device capacitances
+//!   below), available for accuracy cross-checks (the integrator ablation
 //!   bench compares both).
 //!
 //! Two step-control policies are available ([`StepControl`]):
@@ -27,13 +28,22 @@
 //!   `t_k = k·dt`, one solve per step; the reference path for accuracy
 //!   regressions and the integrator ablation (A2).
 //!
-//! Both paths support [`StopEvent`] early exit: once armed, a node-voltage
+//! Both policies run in one step loop and differ in two places only: how
+//! the next step is proposed (the grid's next point, or the controller's
+//! step clamped to the next breakpoint and `t_stop`) and how a trial is
+//! judged (the fixed grid accepts its one solve as if every step sat at the
+//! adaptive floor; the controller accepts on the LTE estimate, or shrinks
+//! and retries). Accepting a step, the rescue ladder for a Newton failure
+//! at the floor, and [`StopEvent`] early exit — once armed, a node-voltage
 //! difference crossing ends the run as soon as the outcome it encodes (an
-//! SRAM cell committed to a flip, or back to its held state) is decided.
+//! SRAM cell committed to a flip, or back to its held state) is decided —
+//! are shared.
 //!
-//! Nonlinear device capacitances are re-evaluated at the start of every step
-//! and held for the step (standard charge-conserving-enough linearization at
-//! the small steps used here).
+//! Nonlinear device capacitances are evaluated at the start of every step
+//! and held for the step: the companion current is `C(v_n)·Δv/Δt`, not a
+//! charge difference. Measured on the cell and array metrics, this caps both
+//! integrators at first order — trapezoidal included — under step halving;
+//! charge-based companions are ROADMAP item 2.
 
 use crate::dc::{solve_op, Engine, SolverStrategy};
 use crate::error::SimError;
@@ -516,9 +526,7 @@ const RESCUE_RUNGS: &[(usize, bool)] = &[(2, false), (4, false), (8, true)];
 /// local clones and buffers here are deliberate: the hot path's
 /// allocation-free invariant is preserved by never touching the workspace's
 /// step scratch until a rung actually succeeds.
-#[allow(clippy::too_many_arguments)] // solver-internal
 fn rescue_step(
-    circuit: &Circuit,
     mna: &Mna<'_>,
     ws: &mut NewtonWorkspace,
     x_last: Vec<f64>,
@@ -571,7 +579,7 @@ fn rescue_step(
                 }
             }
             if k < n_sub {
-                vals.refill(circuit, &x, &comps, false);
+                vals.refill(mna.circuit(), &x, &comps, false);
             }
         }
         if ok {
@@ -637,10 +645,9 @@ impl Circuit {
     ///
     /// Node voltages for every node are recorded at every accepted step,
     /// starting with the initial state at `t = 0`. Solver scratch comes
-    /// from a per-thread [`NewtonWorkspace`] that is reused across calls;
-    /// use [`transient_with`](Circuit::transient_with) to supply one
-    /// explicitly, or [`transient_events`](Circuit::transient_events) to
-    /// add early-exit conditions.
+    /// from a per-thread workspace that is reused across calls; repeated
+    /// runs of one topology (with early-exit [`StopEvent`]s, probes and an
+    /// owned workspace) go through [`CompiledCircuit`](crate::CompiledCircuit).
     ///
     /// # Errors
     ///
@@ -651,73 +658,17 @@ impl Circuit {
         spec: &TransientSpec,
         initial: &InitialState,
     ) -> Result<TransientResult, SimError> {
-        self.transient_events(spec, initial, &[])
-    }
-
-    /// Runs a transient analysis with caller-owned solver scratch.
-    ///
-    /// Identical to [`transient`](Circuit::transient), but every Jacobian,
-    /// residual, LU and companion-model buffer comes from `ws`, so the time
-    /// loop performs **no per-step heap allocation** once the workspace is
-    /// warm — the waveform store itself is pre-sized for the whole run.
-    /// Holding one workspace across many runs (a Monte-Carlo worker's inner
-    /// loop) eliminates per-sample allocation churn as well.
-    ///
-    /// # Errors
-    ///
-    /// Propagates DC/Newton failures ([`SimError::NoConvergence`],
-    /// [`SimError::SingularMatrix`], [`SimError::InvalidCircuit`]).
-    pub fn transient_with(
-        &self,
-        spec: &TransientSpec,
-        initial: &InitialState,
-        ws: &mut NewtonWorkspace,
-    ) -> Result<TransientResult, SimError> {
-        let mut result = self.transient_events_with(spec, initial, &[], ws)?;
-        result.stats.circuit_builds = 1;
-        Ok(result)
-    }
-
-    /// Runs a transient analysis that may end early on a [`StopEvent`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates DC/Newton failures ([`SimError::NoConvergence`],
-    /// [`SimError::SingularMatrix`], [`SimError::InvalidCircuit`]).
-    pub fn transient_events(
-        &self,
-        spec: &TransientSpec,
-        initial: &InitialState,
-        events: &[StopEvent],
-    ) -> Result<TransientResult, SimError> {
         let mut result =
-            with_workspace(|ws| self.transient_events_with(spec, initial, events, ws))?;
+            with_workspace(|ws| self.transient_recorded(spec, initial, &[], None, ws))?;
         result.stats.circuit_builds = 1;
         Ok(result)
-    }
-
-    /// A transient run with caller-owned scratch plus early-exit events,
-    /// recording every node.
-    ///
-    /// # Errors
-    ///
-    /// Propagates DC/Newton failures ([`SimError::NoConvergence`],
-    /// [`SimError::SingularMatrix`], [`SimError::InvalidCircuit`]).
-    pub fn transient_events_with(
-        &self,
-        spec: &TransientSpec,
-        initial: &InitialState,
-        events: &[StopEvent],
-        ws: &mut NewtonWorkspace,
-    ) -> Result<TransientResult, SimError> {
-        self.transient_recorded(spec, initial, events, None, ws)
     }
 
     /// The full transient engine: caller-owned scratch, early-exit events,
     /// and the nodes whose traces the result keeps (`None`: every node; a
     /// probe list keeps those traces plus the final state of every node).
-    /// All transient entry points delegate here. What is recorded never
-    /// changes what is computed.
+    /// [`Circuit::transient`] and [`CompiledCircuit`](crate::CompiledCircuit)
+    /// runs delegate here. What is recorded never changes what is computed.
     ///
     /// # Errors
     ///
@@ -821,101 +772,54 @@ impl Circuit {
         // initial state (no branch-current history yet — the first step is
         // always backward Euler).
         let history = spec.integrator == Integrator::Trapezoidal;
-        let adaptive = matches!(spec.control, StepControl::Adaptive(_));
-        ws.caps.lay_out(self, &mut ws.companions, history, adaptive);
+        let adaptive = match spec.control {
+            StepControl::Fixed => None,
+            StepControl::Adaptive(a) => Some(a),
+        };
+        ws.caps
+            .lay_out(self, &mut ws.companions, history, adaptive.is_some());
         ws.caps.start.refill(self, &x, &ws.companions, false);
 
-        match spec.control {
-            // --- Fixed uniform grid ---------------------------------------
-            StepControl::Fixed => {
-                let steps = (spec.t_stop / spec.dt).round() as usize;
-                for step in 1..=steps {
-                    let t_new = step as f64 * spec.dt;
-                    // Trapezoidal needs a consistent branch-current history,
-                    // which a UIC or DC start does not provide — so the first
-                    // step is always backward Euler (the standard SPICE
-                    // bootstrap).
-                    let use_be = spec.integrator == Integrator::BackwardEuler || step == 1;
-                    build_companions(&ws.caps.start, spec.dt, use_be, &mut ws.companions);
-
-                    // Newton solve for t_{n+1}, warm-started from t_n.
-                    x = match solve_op(
-                        &mna,
-                        &mut ws.bufs,
-                        &mut ws.anchor,
-                        x,
-                        t_new,
-                        Some(&ws.companions),
-                        engine,
-                        Some(t_new),
-                        false,
-                    ) {
-                        Ok(v) => v,
-                        Err(e) => {
-                            ws.step_trace.record(t_new, -spec.dt);
-                            // `solve_op` snapshotted the last accepted state
-                            // into the anchor buffer before consuming it —
-                            // recover it from there and try the rescue
-                            // ladder before declaring the run dead.
-                            let x_last = ws.anchor.clone();
-                            let rescued = rescue_step(
-                                self,
-                                &mna,
-                                ws,
-                                x_last,
-                                t_new - spec.dt,
-                                t_new,
-                                engine,
-                                &mut result.stats,
-                            );
-                            match rescued {
-                                Some(v) => v,
-                                None => {
-                                    capture_failure(
-                                        &mna,
-                                        ws,
-                                        Some(&result),
-                                        "fixed-step",
-                                        t_new,
-                                        spec.dt,
-                                        &e,
-                                    );
-                                    return Err(e);
-                                }
-                            }
-                        }
-                    };
-
-                    // Re-linearize the table at the new operating point
-                    // (and update the branch-current history from the
-                    // companions that produced it).
-                    ws.caps.start.refill(self, &x, &ws.companions, history);
-
-                    ws.step_trace.record(t_new, spec.dt);
-                    {
-                        let _span = tfet_obs::span("record");
-                        result.push(t_new, |node| mna.voltage_of(&x, node));
-                    }
-                    result.stats.accepted_steps += 1;
-                    if event_fired(events, &mna, &x, t_new) {
-                        result.stats.early_exit = true;
+        // --- The step loop ---------------------------------------------------
+        // Newton solve of one step to `t_to` from `x0` against the companions
+        // in the workspace.
+        let solve = |ws: &mut NewtonWorkspace, x0: Vec<f64>, t_to: f64| {
+            solve_op(
+                &mna,
+                &mut ws.bufs,
+                &mut ws.anchor,
+                x0,
+                t_to,
+                Some(&ws.companions),
+                engine,
+                Some(t_to),
+                false,
+            )
+        };
+        let steps = (spec.t_stop / spec.dt).round() as u64;
+        let mut t = 0.0;
+        let mut h = adaptive.map_or(spec.dt, |a| spec.dt.clamp(a.dt_min, a.dt_max));
+        let mut bp_idx = 0;
+        let mut grown_steps = 0u64;
+        let mut newton_shrinks = 0u64;
+        'time: loop {
+            // Propose the step `t_from → t_new` of `h_try`.
+            let (t_from, mut t_new, mut h_try) = match adaptive {
+                // The grid point after the last accepted one.
+                None => {
+                    let step = result.stats.accepted_steps + 1;
+                    if step > steps {
                         break;
                     }
+                    let t_new = step as f64 * spec.dt;
+                    (t_new - spec.dt, t_new, spec.dt)
                 }
-            }
-
-            // --- Adaptive step-doubling LTE control -----------------------
-            StepControl::Adaptive(a) => {
-                let mut grown_steps = 0u64;
-                let mut newton_shrinks = 0u64;
-                let mut t = 0.0;
-                let mut h = spec.dt.clamp(a.dt_min, a.dt_max);
-                let mut bp_idx = 0;
-                let mut first_step = true;
-                'time: while t < spec.t_stop {
-                    // Skip breakpoints already reached, then clamp the
-                    // controller's step so it lands exactly on the next one
-                    // (and on t_stop).
+                // The controller's step, clamped to land exactly on the next
+                // breakpoint not yet reached, and on t_stop.
+                Some(a) => {
+                    if t >= spec.t_stop {
+                        break;
+                    }
                     while bp_idx < ws.breakpoints.len()
                         && ws.breakpoints[bp_idx] <= t + 0.5 * a.dt_min
                     {
@@ -930,104 +834,69 @@ impl Circuit {
                     if t_new > spec.t_stop - 0.5 * a.dt_min {
                         t_new = spec.t_stop;
                     }
-                    let mut h_try = t_new - t;
+                    (t, t_new, t_new - t)
+                }
+            };
 
-                    // Trial loop: attempt h_try, shrink on an LTE rejection
-                    // or a Newton failure, accept at the floor regardless.
-                    loop {
-                        let use_be = spec.integrator == Integrator::BackwardEuler || first_step;
-                        let t_mid = 0.5 * (t + t_new);
-                        let mut trial_err: Option<SimError> = None;
-                        let mut lte = f64::INFINITY;
+            // Trial loop: solve `h_try`, then accept, shrink and retry, or —
+            // a Newton failure at the floor — rescue the step or fail.
+            loop {
+                // Trapezoidal needs a consistent branch-current history,
+                // which a UIC or DC start does not provide — so the first
+                // step is always backward Euler (the standard SPICE
+                // bootstrap).
+                let use_be = spec.integrator == Integrator::BackwardEuler
+                    || result.stats.accepted_steps == 0;
+                // The full step: the fixed grid's one solve, the adaptive
+                // trial's coarse one. Adaptive control then solves the same
+                // step as two half steps with a midpoint re-linearization of
+                // the nonlinear capacitances; the largest node-voltage
+                // disagreement between the two estimates the LTE.
+                build_companions(&ws.caps.start, h_try, use_be, &mut ws.companions);
+                ws.x_coarse.clear();
+                ws.x_coarse.extend_from_slice(&x);
+                let x0 = std::mem::take(&mut ws.x_coarse);
+                let trial = solve(ws, x0, t_new).and_then(|v| {
+                    ws.x_coarse = v;
+                    if adaptive.is_none() {
+                        return Ok(0.0);
+                    }
+                    build_companions(&ws.caps.start, 0.5 * h_try, use_be, &mut ws.companions);
+                    ws.x_fine.clear();
+                    ws.x_fine.extend_from_slice(&x);
+                    let x0 = std::mem::take(&mut ws.x_fine);
+                    let v = solve(ws, x0, 0.5 * (t_from + t_new))?;
+                    ws.caps.mid.refill(self, &v, &ws.companions, history);
+                    build_companions(&ws.caps.mid, 0.5 * h_try, use_be, &mut ws.companions);
+                    ws.x_fine = solve(ws, v, t_new)?;
+                    Ok(ws.x_fine[..n_v]
+                        .iter()
+                        .zip(&ws.x_coarse[..n_v])
+                        .fold(0.0f64, |m, (f, c)| m.max((f - c).abs())))
+                });
 
-                        // Coarse: one full step t -> t_new.
-                        build_companions(&ws.caps.start, h_try, use_be, &mut ws.companions);
-                        ws.x_coarse.clear();
-                        ws.x_coarse.extend_from_slice(&x);
-                        match solve_op(
-                            &mna,
-                            &mut ws.bufs,
-                            &mut ws.anchor,
-                            std::mem::take(&mut ws.x_coarse),
-                            t_new,
-                            Some(&ws.companions),
-                            engine,
-                            Some(t_new),
-                            false,
-                        ) {
-                            Ok(v) => ws.x_coarse = v,
-                            Err(e) => trial_err = Some(e),
-                        }
-
-                        // Fine: two half steps with a midpoint
-                        // re-linearization of the nonlinear capacitances.
-                        if trial_err.is_none() {
-                            build_companions(
-                                &ws.caps.start,
-                                0.5 * h_try,
-                                use_be,
-                                &mut ws.companions,
-                            );
-                            ws.x_fine.clear();
-                            ws.x_fine.extend_from_slice(&x);
-                            match solve_op(
-                                &mna,
-                                &mut ws.bufs,
-                                &mut ws.anchor,
-                                std::mem::take(&mut ws.x_fine),
-                                t_mid,
-                                Some(&ws.companions),
-                                engine,
-                                Some(t_mid),
-                                false,
-                            ) {
-                                Ok(v) => ws.x_fine = v,
-                                Err(e) => trial_err = Some(e),
-                            }
-                        }
-                        if trial_err.is_none() {
-                            ws.caps
-                                .mid
-                                .refill(self, &ws.x_fine, &ws.companions, history);
-                            build_companions(&ws.caps.mid, 0.5 * h_try, use_be, &mut ws.companions);
-                            match solve_op(
-                                &mna,
-                                &mut ws.bufs,
-                                &mut ws.anchor,
-                                std::mem::take(&mut ws.x_fine),
-                                t_new,
-                                Some(&ws.companions),
-                                engine,
-                                Some(t_new),
-                                false,
-                            ) {
-                                Ok(v) => ws.x_fine = v,
-                                Err(e) => trial_err = Some(e),
-                            }
-                        }
-                        if trial_err.is_none() {
-                            // LTE estimate: largest node-voltage disagreement
-                            // between the coarse and fine solutions.
-                            lte = ws.x_fine[..n_v]
-                                .iter()
-                                .zip(&ws.x_coarse[..n_v])
-                                .fold(0.0f64, |m, (f, c)| m.max((f - c).abs()));
-                        }
-
-                        let at_floor = h_try <= a.dt_min * (1.0 + 1e-9);
-                        if trial_err.is_none() && (lte <= a.ltol || at_floor) {
-                            // Accept the fine solution (it carries the
-                            // midpoint re-linearization).
-                            std::mem::swap(&mut x, &mut ws.x_fine);
-                            ws.caps.start.refill(self, &x, &ws.companions, history);
-                            t = t_new;
-                            first_step = false;
-                            ws.step_trace.record(t, h_try);
-                            {
-                                let _span = tfet_obs::span("record");
-                                result.push(t, |node| mna.voltage_of(&x, node));
-                            }
-                            result.stats.accepted_steps += 1;
+                // Fixed steps sit at the floor: accepted without an error
+                // estimate, rescued on a Newton failure.
+                let at_floor = adaptive.is_none_or(|a| h_try <= a.dt_min * (1.0 + 1e-9));
+                let accepted =
+                    matches!(trial, Ok(lte) if at_floor || adaptive.is_some_and(|a| lte <= a.ltol));
+                if !accepted {
+                    ws.step_trace.record(t_new, -h_try);
+                    if adaptive.is_some() {
+                        result.stats.rejected_steps += 1;
+                        newton_shrinks += trial.is_err() as u64;
+                    }
+                }
+                match (trial, adaptive) {
+                    (Ok(lte), _) if accepted => {
+                        // Adaptive control accepts the fine solution (it
+                        // carries the midpoint re-linearization).
+                        let solved = match adaptive {
+                            None => &mut ws.x_coarse,
+                            Some(_) => &mut ws.x_fine,
+                        };
+                        std::mem::swap(&mut x, solved);
+                        if let Some(a) = adaptive {
                             // First-order controller: next step from this
                             // step's error, bounded growth/shrink.
                             let scale = if lte > 0.0 && lte.is_finite() {
@@ -1039,89 +908,74 @@ impl Circuit {
                                 grown_steps += 1;
                             }
                             h = (h_try * scale).clamp(a.dt_min, a.dt_max);
-                            if event_fired(events, &mna, &x, t) {
-                                result.stats.early_exit = true;
-                                break 'time;
-                            }
-                            break;
                         }
-
-                        // Rejected: shrink and retry; at the floor a Newton
-                        // failure is fatal (the LTE case was accepted above).
-                        result.stats.rejected_steps += 1;
-                        ws.step_trace.record(t_new, -h_try);
-                        if trial_err.is_some() {
-                            newton_shrinks += 1;
+                    }
+                    (Err(e), _) if at_floor => {
+                        // Last resort below the controller's floor: the
+                        // rescue ladder subdivides this step further than
+                        // `dt_min` allows and, on its final rung, re-runs
+                        // the g_min continuation anchored at the last
+                        // accepted state.
+                        let rescued = rescue_step(
+                            &mna,
+                            ws,
+                            x.clone(),
+                            t_from,
+                            t_new,
+                            engine,
+                            &mut result.stats,
+                        );
+                        let Some(v) = rescued else {
+                            let stage = match adaptive {
+                                None => "fixed-step",
+                                Some(_) => "adaptive-floor",
+                            };
+                            capture_failure(&mna, ws, Some(&result), stage, t_new, h_try, &e);
+                            return Err(e);
+                        };
+                        x = v;
+                        // Restart the controller at the floor: whatever
+                        // defeated Newton here is still nearby, so re-grow
+                        // from the bottom.
+                        if let Some(a) = adaptive {
+                            h = a.dt_min;
                         }
-                        if at_floor {
-                            let e = trial_err.expect("floor rejection implies Newton failure");
-                            // Last resort below the controller's floor: the
-                            // rescue ladder subdivides this step further than
-                            // `dt_min` allows and, on its final rung, re-runs
-                            // the g_min continuation anchored at the last
-                            // accepted state.
-                            let rescued = rescue_step(
-                                self,
-                                &mna,
-                                ws,
-                                x.clone(),
-                                t,
-                                t_new,
-                                engine,
-                                &mut result.stats,
-                            );
-                            match rescued {
-                                Some(v) => {
-                                    x = v;
-                                    ws.caps.start.refill(self, &x, &ws.companions, history);
-                                    t = t_new;
-                                    first_step = false;
-                                    ws.step_trace.record(t, h_try);
-                                    {
-                                        let _span = tfet_obs::span("record");
-                                        result.push(t, |node| mna.voltage_of(&x, node));
-                                    }
-                                    result.stats.accepted_steps += 1;
-                                    // Restart the controller at the floor:
-                                    // whatever defeated Newton here is still
-                                    // nearby, so re-grow from the bottom.
-                                    h = a.dt_min;
-                                    if event_fired(events, &mna, &x, t) {
-                                        result.stats.early_exit = true;
-                                        break 'time;
-                                    }
-                                    break;
-                                }
-                                None => {
-                                    capture_failure(
-                                        &mna,
-                                        ws,
-                                        Some(&result),
-                                        "adaptive-floor",
-                                        t_new,
-                                        h_try,
-                                        &e,
-                                    );
-                                    return Err(e);
-                                }
-                            }
-                        }
-                        let shrink = if trial_err.is_some() {
-                            0.25
-                        } else {
-                            (0.9 * (a.ltol / lte).sqrt()).clamp(0.1, 0.5)
+                    }
+                    (trial, Some(a)) => {
+                        let shrink = match trial {
+                            Err(_) => 0.25,
+                            Ok(lte) => (0.9 * (a.ltol / lte).sqrt()).clamp(0.1, 0.5),
                         };
                         h_try = (h_try * shrink).max(a.dt_min);
-                        t_new = t + h_try;
+                        t_new = t_from + h_try;
+                        continue;
                     }
+                    (_, None) => unreachable!("fixed steps are accepted or rescued"),
                 }
-                if tfet_obs::enabled() {
-                    tfet_obs::counter("lte.accepted_steps", result.stats.accepted_steps);
-                    tfet_obs::counter("lte.rejected_steps", result.stats.rejected_steps);
-                    tfet_obs::counter("lte.grown_steps", grown_steps);
-                    tfet_obs::counter("lte.newton_shrinks", newton_shrinks);
+
+                // Accept: re-linearize the table at the new operating point
+                // (and update the branch-current history from the companions
+                // that produced it), then record the step.
+                ws.caps.start.refill(self, &x, &ws.companions, history);
+                t = t_new;
+                ws.step_trace.record(t, h_try);
+                {
+                    let _span = tfet_obs::span("record");
+                    result.push(t, |node| mna.voltage_of(&x, node));
                 }
+                result.stats.accepted_steps += 1;
+                if event_fired(events, &mna, &x, t) {
+                    result.stats.early_exit = true;
+                    break 'time;
+                }
+                break;
             }
+        }
+        if adaptive.is_some() && tfet_obs::enabled() {
+            tfet_obs::counter("lte.accepted_steps", result.stats.accepted_steps);
+            tfet_obs::counter("lte.rejected_steps", result.stats.rejected_steps);
+            tfet_obs::counter("lte.grown_steps", grown_steps);
+            tfet_obs::counter("lte.newton_shrinks", newton_shrinks);
         }
 
         result.stats.newton_solves = ws.bufs.newton_solves - solves0;
@@ -1280,6 +1134,12 @@ mod tests {
         assert!((res.times().last().unwrap() - 4e-9).abs() < 1e-15);
     }
 
+    /// A UIC run from 0 V that may end early on `events`.
+    fn run_events(c: &Circuit, spec: &TransientSpec, events: &[StopEvent]) -> TransientResult {
+        let init = InitialState::Uic(vec![]);
+        with_workspace(|ws| c.transient_recorded(spec, &init, events, None, ws)).unwrap()
+    }
+
     #[test]
     fn stop_event_ends_run_early() {
         let mut c = Circuit::new();
@@ -1293,9 +1153,7 @@ mod tests {
             TransientSpec::new(20e-9, 1e-12),
             TransientSpec::fixed(20e-9, 10e-12),
         ] {
-            let res = c
-                .transient_events(&spec, &InitialState::Uic(vec![]), &events)
-                .unwrap();
+            let res = run_events(&c, &spec, &events);
             assert!(res.stats.early_exit, "event must fire");
             let t_end = *res.times().last().unwrap();
             // v crosses 0.5 at τ·ln 2 ≈ 0.69 ns; the run must stop shortly
@@ -1314,18 +1172,18 @@ mod tests {
         c.resistor(inp, out, 1e3);
         c.capacitor(out, Circuit::GND, 1e-12);
         let events = [StopEvent::diff_above(out, Circuit::GND, 0.5, 5e-9)];
-        let res = c
-            .transient_events(
-                &TransientSpec::new(20e-9, 1e-12),
-                &InitialState::Uic(vec![]),
-                &events,
-            )
-            .unwrap();
-        assert!(res.stats.early_exit);
-        assert!(
-            *res.times().last().unwrap() >= 5e-9,
-            "must not fire unarmed"
-        );
+        for spec in [
+            TransientSpec::new(20e-9, 1e-12),
+            TransientSpec::fixed(20e-9, 10e-12),
+        ] {
+            let res = run_events(&c, &spec, &events);
+            assert!(res.stats.early_exit);
+            let t_end = *res.times().last().unwrap();
+            assert!(t_end >= 5e-9, "must not fire unarmed");
+            // Armed at 5 ns with the output long past 0.5 V: the first
+            // accepted step from there ends the run.
+            assert!(t_end < 5.5e-9, "stopped at {t_end:e}");
+        }
     }
 
     #[test]
@@ -1582,6 +1440,9 @@ mod tests {
         assert_eq!(res.stats.accepted_steps, 5);
         assert_eq!(res.stats.rescued_steps, 5, "{:?}", res.stats);
         assert_eq!(res.stats.rescue_attempts, 10, "{:?}", res.stats);
+        // A rescued fixed step is accepted, never rejected: only the
+        // adaptive controller counts rejections.
+        assert_eq!(res.stats.rejected_steps, 0, "{:?}", res.stats);
         // The rescued run is still the physical RC discharge.
         assert!(res.voltage_at(a, 0.0) > 0.99);
         assert!(res.final_voltage(a) < 0.1, "v = {}", res.final_voltage(a));

@@ -11,11 +11,9 @@
 //! integrator's companion-model scratch. One workspace serves any circuit
 //! (buffers grow on demand and are reused thereafter), so a worker thread
 //! sweeping Monte-Carlo samples performs O(1) allocations for the whole
-//! sweep. Workers get one automatically through the crate-internal
-//! thread-local (`with_workspace`); callers that want explicit control —
-//! e.g. to hold buffers across many
-//! [`transient_with`](crate::netlist::Circuit) calls — can own one
-//! directly.
+//! sweep. One owner holds a workspace across runs: each
+//! [`CompiledCircuit`](crate::compiled::CompiledCircuit). One-shot solves
+//! borrow a thread-local one (`with_workspace`).
 
 use crate::latency::LatencyState;
 use crate::mna::{CompanionCaps, DeviceLin, IncrementalJac, Mna};
@@ -393,11 +391,10 @@ impl StepTrace {
 /// loop in this workspace — run allocation-free after warm-up.
 ///
 /// [`Circuit::transient`](crate::netlist::Circuit::transient) borrows a
-/// thread-local workspace transparently;
-/// [`Circuit::transient_with`](crate::netlist::Circuit::transient_with)
-/// accepts one explicitly.
+/// thread-local workspace transparently; a
+/// [`CompiledCircuit`](crate::compiled::CompiledCircuit) owns one.
 #[derive(Debug, Default)]
-pub struct NewtonWorkspace {
+pub(crate) struct NewtonWorkspace {
     pub(crate) bufs: SolverBufs,
     /// Snapshot of the initial guess that the g_min ladder anchors to.
     pub(crate) anchor: Vec<f64>,
@@ -416,13 +413,6 @@ pub struct NewtonWorkspace {
     /// Ring buffer of the most recent transient step attempts, read by the
     /// failure-forensics path.
     pub(crate) step_trace: StepTrace,
-}
-
-impl NewtonWorkspace {
-    /// Creates an empty workspace; buffers are sized on first use.
-    pub fn new() -> Self {
-        NewtonWorkspace::default()
-    }
 }
 
 thread_local! {
@@ -523,12 +513,14 @@ mod tests {
             .with_device_latency(DeviceLatency::On);
         let q = a.find_node("q").unwrap();
         let init = InitialState::Uic(vec![(q, 0.8)]);
-        let mut ws = NewtonWorkspace::new();
+        let mut ws = NewtonWorkspace::default();
         let mut last_sigs = None;
         for (name, c) in [("A", &a), ("B", &b), ("A", &a), ("A split", &a_split)] {
             let analyses0 = ws.bufs.sparse_analyses;
             let computed0 = SIGNATURES_COMPUTED.with(Cell::get);
-            let shared = c.transient_with(&spec, &init, &mut ws).unwrap();
+            let shared = c
+                .transient_recorded(&spec, &init, &[], None, &mut ws)
+                .unwrap();
             assert_eq!(
                 SIGNATURES_COMPUTED.with(Cell::get) - computed0,
                 1,
@@ -563,7 +555,7 @@ mod tests {
             last_sigs = Some(sigs);
 
             let fresh = c
-                .transient_with(&spec, &init, &mut NewtonWorkspace::new())
+                .transient_recorded(&spec, &init, &[], None, &mut NewtonWorkspace::default())
                 .unwrap();
             assert_bit_identical(&shared, &fresh, c.node_count());
         }
@@ -628,12 +620,16 @@ mod tests {
             s.inc.compose_into(&mut jac);
             (bits(&ws.bufs.f), bits(jac.values()))
         };
-        let mut ws = NewtonWorkspace::new();
+        let mut ws = NewtonWorkspace::default();
         let mut layouts = Vec::new();
         for (name, c) in [("A", &a), ("B", &b), ("A", &a)] {
-            let shared = c.transient_with(&spec, &init, &mut ws).unwrap();
-            let mut fresh_ws = NewtonWorkspace::new();
-            let fresh = c.transient_with(&spec, &init, &mut fresh_ws).unwrap();
+            let shared = c
+                .transient_recorded(&spec, &init, &[], None, &mut ws)
+                .unwrap();
+            let mut fresh_ws = NewtonWorkspace::default();
+            let fresh = c
+                .transient_recorded(&spec, &init, &[], None, &mut fresh_ws)
+                .unwrap();
             let mna = Mna::new(c).unwrap();
             assert_eq!(ws.companions.len(), mna.voltage_count(), "{name}");
             assert_bit_identical(&shared, &fresh, c.node_count());

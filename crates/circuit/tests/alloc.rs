@@ -4,7 +4,7 @@
 //! per-timestep inner loop performs **zero** heap allocations: doubling the
 //! number of steps must not change the allocation count at all (the result
 //! storage is pre-sized from the step count, and every solver buffer lives
-//! in the `NewtonWorkspace`).
+//! in the workspace a `CompiledCircuit` owns across its runs).
 //!
 //! This lives in an integration test because it installs a counting global
 //! allocator. The counts are the test thread's own: these transients (an RC
@@ -16,7 +16,7 @@ mod counting_alloc;
 
 use counting_alloc::{count_own, serial};
 use tfet_circuit::transient::InitialState;
-use tfet_circuit::{Circuit, NewtonWorkspace, TransientSpec, Waveform};
+use tfet_circuit::{Circuit, CompiledCircuit, TransientSpec, Waveform};
 
 /// A driven RC chain — nonlinear-free, but it exercises the full transient
 /// loop: companion rebuild, assemble, LU, Newton update, result push.
@@ -38,16 +38,16 @@ fn rc_chain() -> Circuit {
     c
 }
 
-fn run(c: &Circuit, steps: usize, ws: &mut NewtonWorkspace) -> usize {
+fn run(c: &mut CompiledCircuit, steps: usize) -> usize {
     let spec = TransientSpec::fixed(steps as f64 * 1e-12, 1e-12);
-    let (allocs, result) = count_own(|| c.transient_with(&spec, &InitialState::Uic(vec![]), ws));
+    let (allocs, result) = count_own(|| c.run(&spec, &InitialState::Uic(vec![]), &[]));
     assert_eq!(result.unwrap().len(), steps + 1);
     allocs
 }
 
-fn run_adaptive(c: &Circuit, t_stop: f64, ws: &mut NewtonWorkspace) -> usize {
+fn run_adaptive(c: &mut CompiledCircuit, t_stop: f64) -> usize {
     let spec = TransientSpec::new(t_stop, 1e-12);
-    let (allocs, result) = count_own(|| c.transient_with(&spec, &InitialState::Uic(vec![]), ws));
+    let (allocs, result) = count_own(|| c.run(&spec, &InitialState::Uic(vec![]), &[]));
     result.unwrap();
     allocs
 }
@@ -81,13 +81,12 @@ fn tracing_is_disabled_by_default_and_its_off_path_never_allocates() {
 #[test]
 fn transient_inner_loop_allocates_nothing_per_step() {
     let _guard = serial();
-    let c = rc_chain();
-    let mut ws = NewtonWorkspace::new();
+    let mut c = CompiledCircuit::compile(rc_chain()).unwrap();
     // Warm-up sizes every workspace buffer.
-    run(&c, 64, &mut ws);
+    run(&mut c, 64);
 
-    let short = run(&c, 200, &mut ws);
-    let long = run(&c, 400, &mut ws);
+    let short = run(&mut c, 200);
+    let long = run(&mut c, 400);
     // With a warm workspace the only allocations left are per-*run* (the
     // returned TransientResult's two pre-sized Vecs and MNA setup), so the
     // count must be independent of the step count.
@@ -100,14 +99,13 @@ fn transient_inner_loop_allocates_nothing_per_step() {
 #[test]
 fn adaptive_loop_allocates_nothing_per_step() {
     let _guard = serial();
-    let c = rc_chain();
-    let mut ws = NewtonWorkspace::new();
+    let mut c = CompiledCircuit::compile(rc_chain()).unwrap();
     // Warm-up sizes every workspace buffer, including the adaptive trial
     // and breakpoint buffers.
-    run_adaptive(&c, 1e-9, &mut ws);
+    run_adaptive(&mut c, 1e-9);
 
-    let short = run_adaptive(&c, 2e-9, &mut ws);
-    let long = run_adaptive(&c, 4e-9, &mut ws);
+    let short = run_adaptive(&mut c, 2e-9);
+    let long = run_adaptive(&mut c, 4e-9);
     // Doubling the simulated horizon multiplies the number of accepted
     // steps but must not change the allocation count: all trial-step
     // scratch lives in the workspace and the waveform store is pre-sized.

@@ -528,14 +528,27 @@ impl ArrayNetlist {
     }
 
     fn idx(&self, row: usize, col: usize) -> usize {
-        assert!(
-            row < self.spec.rows && col < self.spec.cols,
-            "address out of range"
-        );
-        row * self.spec.cols + col
+        self.cell_index(row, col).expect("address out of range")
+    }
+
+    /// The index of the cell at `(row, col)` in row-major order, or
+    /// [`SramError::InvalidParameter`] if the address is out of range.
+    fn cell_index(&self, row: usize, col: usize) -> Result<usize, SramError> {
+        if row < self.spec.rows && col < self.spec.cols {
+            Ok(row * self.spec.cols + col)
+        } else {
+            Err(SramError::InvalidParameter(format!(
+                "cell ({row}, {col}) is outside the {}×{} array",
+                self.spec.rows, self.spec.cols
+            )))
+        }
     }
 
     /// Decodes a cell's carried bit; `None` if degraded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the address is out of range.
     pub fn bit(&self, row: usize, col: usize) -> Option<bool> {
         let (vq, vqb) = self.state[self.idx(row, col)];
         decode(vq, vqb, self.spec.cell.vdd)
@@ -543,6 +556,10 @@ impl ArrayNetlist {
 
     /// Overwrites one cell's carried storage voltages with clean rails —
     /// test scaffolding for preparing patterns without simulating writes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the address is out of range.
     pub fn set_bit(&mut self, row: usize, col: usize, value: bool) {
         let vdd = self.spec.cell.vdd;
         let k = self.idx(row, col);
@@ -667,10 +684,9 @@ impl ArrayNetlist {
         pulse: f64,
     ) -> Result<TransientResult, SramError> {
         let _span = tfet_obs::span("array_netlist_op");
-        self.idx(row, col); // bounds check
-                            // Annotate any forensics bundle submitted below this frame with the
-                            // addressed cell: a convergence failure deep in the Newton loop
-                            // surfaces with the failing operation's (row, col) attached.
+        // Annotate any forensics bundle submitted below this frame with the
+        // addressed cell: a convergence failure deep in the Newton loop
+        // surfaces with the failing operation's (row, col) attached.
         let _fctx = tfet_obs::forensics::context(
             "array_op",
             tfet_obs::Value::Obj(vec![
@@ -752,12 +768,9 @@ impl ArrayNetlist {
     ///
     /// # Errors
     ///
-    /// [`SramError::InvalidParameter`] if the pulse is not positive and
-    /// finite (NaN included); simulation failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the address is out of range.
+    /// [`SramError::InvalidParameter`] if the address is out of range or
+    /// the pulse is not positive and finite (NaN included); simulation
+    /// failures.
     pub fn write_transient(
         &mut self,
         row: usize,
@@ -765,6 +778,7 @@ impl ArrayNetlist {
         value: bool,
         pulse: f64,
     ) -> Result<ArrayWrite, SramError> {
+        self.cell_index(row, col)?;
         if !(pulse > 0.0 && pulse.is_finite()) {
             return Err(SramError::InvalidParameter(format!(
                 "wordline pulse must be positive and finite, got {pulse:e} s"
@@ -813,12 +827,10 @@ impl ArrayNetlist {
     ///
     /// # Errors
     ///
-    /// Simulation failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the address is out of range.
+    /// [`SramError::InvalidParameter`] if the address is out of range;
+    /// simulation failures.
     pub fn read_transient(&mut self, row: usize, col: usize) -> Result<ArrayRead, SramError> {
+        self.cell_index(row, col)?;
         tfet_obs::counter("array_netlist.reads", 1);
         let result = self.run_op(row, col, None, self.spec.cell.sim.t_read)?;
         self.record_partition_telemetry("array_read", &result);
@@ -858,16 +870,14 @@ impl ArrayNetlist {
     ///
     /// # Errors
     ///
+    /// [`SramError::InvalidParameter`] if the address is out of range;
     /// [`SramError::Undefined`] if the addressed cell holds no clean bit
     /// (its carried voltages sit between the rails), since there is no
     /// opposite value to write. Simulation failures on a decisive probe
-    /// surface as [`WlCrit::Unbracketable`]; parameter errors propagate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the address is out of range.
+    /// surface as [`WlCrit::Unbracketable`].
     pub fn wl_crit(&mut self, row: usize, col: usize) -> Result<WlCrit, SramError> {
         let _span = tfet_obs::span("array_wl_crit");
+        self.cell_index(row, col)?;
         let Some(held) = self.bit(row, col) else {
             return Err(SramError::Undefined {
                 metric: "WL_crit",
@@ -917,6 +927,10 @@ impl ArrayNetlist {
     }
 
     /// Storage-node handles of a cell.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the address is out of range.
     pub fn cell_nodes(&self, row: usize, col: usize) -> &CellNodes {
         &self.cells[self.idx(row, col)]
     }
@@ -1028,6 +1042,18 @@ mod tests {
                 a.write_transient(0, 0, false, pulse),
                 Err(SramError::InvalidParameter(_))
             ));
+        }
+    }
+
+    #[test]
+    fn out_of_range_address_is_an_invalid_parameter() {
+        let mut a = small_array();
+        for (row, col) in [(2, 0), (0, 2)] {
+            let invalid =
+                |r: Result<(), SramError>| matches!(r, Err(SramError::InvalidParameter(_)));
+            assert!(invalid(a.write_transient(row, col, true, 1e-9).map(drop)));
+            assert!(invalid(a.read_transient(row, col).map(drop)));
+            assert!(invalid(a.wl_crit(row, col).map(drop)));
         }
     }
 

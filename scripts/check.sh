@@ -6,6 +6,12 @@ cd "$(dirname "$0")/.."
 
 # The gate must leave the tree as it found it (see the final step).
 status_before="$(git status --porcelain)"
+# The bench step rewrites results/BENCH_*.json; keep the reports as found
+# (committed, or a deliberate uncommitted refresh) to restore them from.
+figtmp="$(mktemp -d)"
+trap 'rm -rf "$figtmp"' EXIT
+mkdir -p "$figtmp/bench" "$figtmp/bench_found"
+cp results/BENCH_*.json "$figtmp/bench_found/"
 
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
@@ -28,14 +34,16 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "== no documented engine options =="
 # The dense solver and the latency-off baseline are oracles behind hidden
 # process hooks, not public options: rustdoc must render no page for them.
+# Held solver scratch has one owner, `CompiledCircuit`: the workspace type
+# stays crate-private as well.
 engine_pages="$(find target/doc -name '*SolverStrategy*' -o -name '*DeviceLatency*' \
-  -o -name '*NewtonOpts*')"
+  -o -name '*NewtonOpts*' -o -name '*NewtonWorkspace*')"
 if [ -n "$engine_pages" ]; then
-  echo "rustdoc rendered pages for engine oracles:"
+  echo "rustdoc rendered pages for engine oracles or solver scratch:"
   echo "$engine_pages"
   exit 1
 fi
-echo "no page for SolverStrategy, DeviceLatency or NewtonOpts"
+echo "no page for SolverStrategy, DeviceLatency, NewtonOpts or NewtonWorkspace"
 
 echo "== perfbench build (the benchmark's imports of the public API) =="
 # perfbench is its own Cargo workspace, so the workspace steps above never
@@ -99,16 +107,15 @@ cargo test -q -p tfet-sram --offline quarantine
 cargo test -q -p tfet-integration --offline --test observability quarantine
 cargo test -q -p tfet-circuit --offline --test latency
 
-figtmp="$(mktemp -d)"
-mkdir -p "$figtmp/bench"
 # Moves the bench reports the quick benches wrote into the temp dir and
-# restores the committed ones; the trap runs it if a bench fails midway.
+# restores the ones found at the start; the trap runs it if a bench fails
+# midway.
 bench_reports_pending=0
 restore_bench_reports() {
   for f in results/BENCH_*.json; do
     if [ -e "$f" ]; then mv -f "$f" "$figtmp/bench/"; fi
   done
-  git checkout -- 'results/BENCH_*.json'
+  cp "$figtmp/bench_found/"BENCH_*.json results/
   bench_reports_pending=0
 }
 cleanup() {
