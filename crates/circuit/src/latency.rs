@@ -40,7 +40,7 @@
 //! serially in fixed netlist order, so thread count changes wall-clock
 //! only, never bits).
 
-use crate::mna::BYPASS_VTOL;
+use crate::mna::{row_of, BYPASS_VTOL};
 use crate::netlist::{Circuit, NodeId};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use tfet_numerics::GroupedIndices;
@@ -99,11 +99,25 @@ impl DeviceLatency {
 pub const GUARD_VTOL: f64 = 16.0 * BYPASS_VTOL;
 
 /// Minimum full device evaluations in one assembly before the evaluation
-/// loop fans out across threads. Below this, scoped-thread spawn overhead
-/// (~10 µs) exceeds the model-evaluation work; single-cell circuits (≤ 7
-/// devices) never come close, so the parallel path is exercised only by
-/// array-scale netlists.
-pub const PAR_EVAL_MIN: usize = 192;
+/// loop fans out across threads ([`fans_out`]).
+///
+/// Each fan-out spawns one scoped OS thread per worker and joins them.
+/// Measured on a 2-vCPU VM: two spawns plus the join cost 86–260 µs, one
+/// TFET linearization about 220 ns, and two threads evaluate a batch about
+/// 1.5× faster than one. Fanning out saves `n · 220 ns · (1 − 1/1.5)`, so
+/// it pays only above roughly 1,200–3,500 evaluations. On the 64×64
+/// array's write+read pair every batch holds either at most ~1,400
+/// evaluations (steady steps; these stay serial) or at least ~4,100 (most
+/// cells refreshing at once, as at each operation's start; these fan out).
+/// Single-cell circuits (≤ 7 devices) never come close.
+pub const PAR_EVAL_MIN: usize = 4096;
+
+/// Whether one assembly that fully evaluates `n_eval` devices fans the
+/// evaluations out across `threads` workers (otherwise they run serially
+/// on the calling thread). Either way the results are bit-identical.
+pub fn fans_out(n_eval: usize, threads: usize) -> bool {
+    threads > 1 && n_eval >= PAR_EVAL_MIN
+}
 
 /// Worker-thread override for parallel device evaluation (0 = auto).
 static ASSEMBLY_THREADS: AtomicUsize = AtomicUsize::new(0);
@@ -246,6 +260,10 @@ pub(crate) struct LatencyState {
     pub(crate) sig: u64,
     /// Device index → partition ownership (CSR both ways).
     pub(crate) owner: GroupedIndices,
+    /// Per device, the unknown-vector rows of its gate, drain and source
+    /// ([`NO_ROW`](crate::mna::NO_ROW) for ground), so the assembly phases
+    /// read terminal voltages without touching the transistor records.
+    pub(crate) terminal_rows: Vec<[u32; 3]>,
     /// `watch_off[p]..watch_off[p + 1]` indexes `watch_rows`/`watch_ref`.
     watch_off: Vec<usize>,
     /// Unknown-vector rows of (non-ground) watch nodes, all partitions.
@@ -306,6 +324,11 @@ impl LatencyState {
         let parts = circuit.latency_partitions();
         let groups: Vec<Vec<usize>> = parts.iter().map(|p| p.devices.clone()).collect();
         let owner = GroupedIndices::from_groups(circuit.transistors().len(), &groups);
+        let terminal_rows = circuit
+            .transistors()
+            .iter()
+            .map(|m| [row_of(m.g), row_of(m.d), row_of(m.s)])
+            .collect();
         let mut watch_off = Vec::with_capacity(parts.len() + 1);
         let mut watch_rows = Vec::new();
         let mut guard_off = Vec::with_capacity(parts.len() + 1);
@@ -336,6 +359,7 @@ impl LatencyState {
         LatencyState {
             sig,
             owner,
+            terminal_rows,
             watch_off,
             watch_rows,
             watch_ref,
@@ -463,6 +487,17 @@ mod tests {
         assert_eq!(assembly_threads(), 3);
         set_assembly_threads(0);
         assert!(assembly_threads() >= 1);
+    }
+
+    #[test]
+    fn only_large_batches_fan_out() {
+        // The 64×64 array's steady assemblies stay serial; the full
+        // evaluation that opens each operation fans out.
+        assert!(!fans_out(805, 2));
+        assert!(fans_out(25_000, 2));
+        assert!(!fans_out(25_000, 1));
+        assert!(fans_out(PAR_EVAL_MIN, 2));
+        assert!(!fans_out(PAR_EVAL_MIN - 1, 8));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! its Jacobian at a candidate `x` so Newton–Raphson can iterate.
 
 use crate::error::SimError;
-use crate::latency::{assembly_threads, partition_signature, LatencyState, PAR_EVAL_MIN};
+use crate::latency::{assembly_threads, fans_out, partition_signature, LatencyState};
 use crate::netlist::{Circuit, NodeId, Transistor};
 use std::sync::OnceLock;
 use tfet_numerics::{par_for_each_mut, GroupedIndices, Matrix, SparseMatrix, SparsityPattern};
@@ -390,15 +390,37 @@ pub(crate) struct AssemblyStats {
 }
 
 /// Sentinel row for a ground terminal (no KCL equation).
-const NO_ROW: u32 = u32::MAX;
+pub(crate) const NO_ROW: u32 = u32::MAX;
 
 /// KCL row of `node`, or [`NO_ROW`] for ground.
 #[inline]
-fn row_of(node: NodeId) -> u32 {
+pub(crate) fn row_of(node: NodeId) -> u32 {
     if node.is_ground() {
         NO_ROW
     } else {
         u32::try_from(node.index() - 1).expect("node count fits in u32")
+    }
+}
+
+/// Voltage at KCL row `r` of the unknown vector `x` (0 for ground).
+#[inline]
+fn voltage_at(x: &[f64], r: u32) -> f64 {
+    if r == NO_ROW {
+        0.0
+    } else {
+        x[r as usize]
+    }
+}
+
+/// Adds a current `i` flowing from row `ra` to row `rb` into the residual
+/// (ground rows take no equation).
+#[inline]
+fn stamp_current_rows(f: &mut [f64], ra: u32, rb: u32, i: f64) {
+    if ra != NO_ROW {
+        f[ra as usize] += i;
+    }
+    if rb != NO_ROW {
+        f[rb as usize] -= i;
     }
 }
 
@@ -426,8 +448,7 @@ impl CompanionBranch {
     /// The voltage `v_a − v_b` in the unknown vector `x`.
     #[inline]
     pub(crate) fn v_ab(&self, x: &[f64]) -> f64 {
-        let v = |r: u32| if r == NO_ROW { 0.0 } else { x[r as usize] };
-        v(self.ra) - v(self.rb)
+        voltage_at(x, self.ra) - voltage_at(x, self.rb)
     }
 }
 
@@ -534,13 +555,7 @@ impl CompanionCaps {
     /// [`Mna::stamp_current`] per branch.
     fn stamp_residual(&self, x: &[f64], f: &mut [f64]) {
         for br in &self.branches {
-            let i = br.geq * br.v_ab(x) + br.ieq;
-            if br.ra != NO_ROW {
-                f[br.ra as usize] += i;
-            }
-            if br.rb != NO_ROW {
-                f[br.rb as usize] -= i;
-            }
+            stamp_current_rows(f, br.ra, br.rb, br.geq * br.v_ab(x) + br.ieq);
         }
     }
 
@@ -943,9 +958,10 @@ impl<'c> Mna<'c> {
     ///    entries and references always describe one coherent operating
     ///    point); ungrouped devices keep the per-device bypass test.
     /// 2. **evaluate** — run the marked device models, serially or fanned
-    ///    across threads when the batch is large ([`PAR_EVAL_MIN`]). Each
-    ///    evaluation writes only its own cache slot and depends only on `x`,
-    ///    so the fan-out is embarrassingly parallel and bit-deterministic.
+    ///    across threads when the batch pays for the thread spawns
+    ///    ([`fans_out`]). Each evaluation writes only its own cache slot and
+    ///    depends only on `x`, so the fan-out is embarrassingly parallel and
+    ///    bit-deterministic.
     /// 3. **stamp** — serial, in netlist order. The residual replay
     ///    `i = i₀ + gm·Δvg + gds·Δvd + gss·Δvs` is exact (Δv ≡ 0) for
     ///    freshly evaluated devices and second-order accurate for dormant or
@@ -1010,7 +1026,7 @@ impl<'c> Mna<'c> {
         stats.cells_refreshed += cells_refreshed;
         stats.guard_refreshes += guard_refreshes;
         let mut n_eval = 0usize;
-        for (idx, m) in self.circuit.transistors.iter().enumerate() {
+        for (idx, &[rg, rd, rs]) in lat.terminal_rows.iter().enumerate() {
             let g = lat.owner.owner_of(idx);
             let eval = if g != GroupedIndices::UNGROUPED {
                 if lat.dormant[g] {
@@ -1021,9 +1037,7 @@ impl<'c> Mna<'c> {
                 }
             } else {
                 let e = &cache[idx];
-                let vg = self.voltage_of(x, m.g);
-                let vd = self.voltage_of(x, m.d);
-                let vs = self.voltage_of(x, m.s);
+                let (vg, vd, vs) = (voltage_at(x, rg), voltage_at(x, rd), voltage_at(x, rs));
                 if e.valid
                     && (vg - e.vg).abs() < BYPASS_VTOL
                     && (vd - e.vd).abs() < BYPASS_VTOL
@@ -1043,16 +1057,14 @@ impl<'c> Mna<'c> {
         let _s_eval = tfet_obs::span("eval");
 
         // Phase 2: evaluate marked devices (parallel when worthwhile).
-        let eval_mask = &lat.eval_mask;
+        let (eval_mask, rows) = (&lat.eval_mask, &lat.terminal_rows);
         let evaluate = |idx: usize, e: &mut DeviceLin| {
-            let m = &self.circuit.transistors[idx];
-            let vg = self.voltage_of(x, m.g);
-            let vd = self.voltage_of(x, m.d);
-            let vs = self.voltage_of(x, m.s);
-            *e = DeviceLin::evaluate(m, vg, vd, vs);
+            let [rg, rd, rs] = rows[idx];
+            let (vg, vd, vs) = (voltage_at(x, rg), voltage_at(x, rd), voltage_at(x, rs));
+            *e = DeviceLin::evaluate(&self.circuit.transistors[idx], vg, vd, vs);
         };
         let threads = assembly_threads();
-        if n_eval >= PAR_EVAL_MIN && threads > 1 {
+        if fans_out(n_eval, threads) {
             par_for_each_mut(cache, Some(threads), |idx, e| {
                 if eval_mask[idx] {
                     evaluate(idx, e);
@@ -1070,13 +1082,10 @@ impl<'c> Mna<'c> {
         let _s_stamp = tfet_obs::span("stamp");
         // Phase 3: residual for every device; Jacobian deltas only for the
         // devices whose linearization changed this assembly.
-        for (idx, m) in self.circuit.transistors.iter().enumerate() {
-            let e = &cache[idx];
-            let vg = self.voltage_of(x, m.g);
-            let vd = self.voltage_of(x, m.d);
-            let vs = self.voltage_of(x, m.s);
+        for (idx, (e, &[rg, rd, rs])) in cache.iter().zip(&lat.terminal_rows).enumerate() {
+            let (vg, vd, vs) = (voltage_at(x, rg), voltage_at(x, rd), voltage_at(x, rs));
             let i = e.i + e.gm * (vg - e.vg) + e.gds * (vd - e.vd) + e.gss * (vs - e.vs);
-            self.stamp_current(f, m.d, m.s, i);
+            stamp_current_rows(f, rd, rs, i);
             if lat.eval_mask[idx] {
                 inc.restamp_device(idx, e);
             }

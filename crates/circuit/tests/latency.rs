@@ -12,10 +12,10 @@
 //!   bounded by the initial settle).
 //!
 //! A third test pins the deterministic parallel evaluation claim: the same
-//! array transient, bit-identical at 1, 4 and 8 assembly threads.
+//! array transient, bit-identical at 1, 2, 4 and 8 assembly threads.
 
 use std::sync::Arc;
-use tfet_circuit::latency::PAR_EVAL_MIN;
+use tfet_circuit::latency::{fans_out, PAR_EVAL_MIN};
 use tfet_circuit::transient::InitialState;
 use tfet_circuit::{
     set_assembly_threads, CellPartition, Circuit, DeviceLatency, GuardKind, NodeId, TransientSpec,
@@ -234,8 +234,8 @@ fn quiescent_hold_never_refreshes_dormant_cells() {
 
 #[test]
 fn parallel_evaluation_is_bit_identical_across_thread_counts() {
-    // Enough cells that full-evaluation assemblies exceed PAR_EVAL_MIN and
-    // actually take the threaded path.
+    // Enough cells (5 devices each) that one full-evaluation assembly
+    // crosses PAR_EVAL_MIN and actually takes the threaded path.
     let n_cells = PAR_EVAL_MIN / 5 + 2;
     let bl_wave = Waveform::step(VDD, 0.0, 0.4e-9, 20e-12);
     let spec = TransientSpec::new(1.2e-9, 1e-12);
@@ -250,12 +250,21 @@ fn parallel_evaluation_is_bit_identical_across_thread_counts() {
     };
 
     let (base, storage) = run(1);
+    // A run starts with every refresh point invalidated, so its first
+    // assembly cold-refreshes every cell at once and evaluates all of
+    // their devices as one batch. That batch must fan out.
+    let first_batch = 5 * base
+        .partitions
+        .iter()
+        .filter(|t| t.cold_refreshes > 0)
+        .count();
+    assert_eq!(first_batch, 5 * n_cells, "{:?}", base.stats);
     assert!(
-        base.stats.device_evals as usize >= PAR_EVAL_MIN,
-        "test must be big enough to exercise the parallel path: {:?}",
-        base.stats
+        fans_out(first_batch, 2),
+        "test must be big enough to exercise the parallel path: {first_batch} evaluations"
     );
-    for threads in [4, 8] {
+    // 2 is the benchmark's assembly thread count.
+    for threads in [2, 4, 8] {
         let (other, _) = run(threads);
         assert_eq!(base.times(), other.times(), "threads = {threads}");
         for &(q, qb) in &storage {

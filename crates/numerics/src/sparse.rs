@@ -19,7 +19,13 @@
 //!   `P·A·Q = L·U`, and compiles a flat *replay script* (scatter map +
 //!   per-column update/divide slot lists). [`SparseLu::refactorize`] then
 //!   replays that script over new values with zero allocation and zero
-//!   index arithmetic beyond array reads — the cheap per-iteration path.
+//!   index arithmetic beyond array reads — the cheap per-iteration path —
+//!   and gathers the new factor values into row-major copies of `L` and
+//!   `U`. [`SparseLu::solve_into`] solves one row at a time from those
+//!   copies: each row is one contiguous run of `u32` column indices and
+//!   values reduced into one accumulator, with the same floating-point
+//!   operations in the same order as a column-by-column scatter, so the
+//!   result is bit-identical to it.
 //!
 //! Pivoting is *static*: the row order chosen at analysis time is reused by
 //! every refactorization. This is the standard circuit-simulator trade
@@ -245,6 +251,11 @@ pub struct SparseLu {
     /// Sub-diagonal slots divided by the column pivot, grouped per column.
     div: Vec<usize>,
     col_div: Vec<usize>,
+    /// Row-oriented copies of the factors for the triangular solves,
+    /// gathered from `fvals` after every factorization: L's rows list
+    /// columns `j < r` ascending, U's rows list `j > r` descending.
+    lower: TriRows,
+    upper: TriRows,
     /// Solve scratch (permuted frame).
     work: Vec<f64>,
     analyzed_nnz: usize,
@@ -517,6 +528,20 @@ impl SparseLu {
             self.col_div[j + 1] = self.div.len();
         }
 
+        // Row copies for the solves. Walking columns in ascending order
+        // lists each L row's columns ascending; walking them in descending
+        // order lists each U row's columns descending — the orders in which
+        // the column-oriented elimination reaches each row.
+        let (fcol_ptr, frow_idx) = (&self.fcol_ptr, &self.frow_idx);
+        let column = |j: usize| (fcol_ptr[j]..fcol_ptr[j + 1]).map(move |s| (frow_idx[s], j, s));
+        self.lower = TriRows::build(n, (0..n).flat_map(|j| column(j).filter(move |e| e.0 > j)));
+        self.upper = TriRows::build(
+            n,
+            (0..n)
+                .rev()
+                .flat_map(|j| column(j).filter(move |e| e.0 < j)),
+        );
+
         self.work = vec![0.0; n];
         self.analyzed = true;
         self.refactorize(a)
@@ -557,11 +582,21 @@ impl SparseLu {
                 self.fvals[s] *= inv;
             }
         }
+        self.lower.gather(&self.fvals);
+        self.upper.gather(&self.fvals);
         self.factored = true;
         Ok(())
     }
 
     /// Solves `A x = b` using the stored factors. Allocation-free.
+    ///
+    /// Row-oriented: unknown `r` of `L y = P b` (then of `U w = y`) is its
+    /// right-hand side minus its row's entries times the unknowns already
+    /// solved (then divided by the pivot, for `U`), read from the row copies
+    /// in elimination order (ascending columns for `L`, descending for `U`)
+    /// and skipping unknowns that are exactly zero. That is the order in
+    /// which a column-oriented solve reaches the row, so both give the same
+    /// bits.
     ///
     /// Panics unless factored and `b`/`x` have length `n` — the hot path
     /// owns its buffers, so mismatches are caller bugs.
@@ -572,11 +607,29 @@ impl SparseLu {
         );
         assert_eq!(b.len(), self.n, "rhs length mismatch");
         assert_eq!(x.len(), self.n, "solution length mismatch");
+        let w = &mut self.work;
+        // Forward: L y = P b (unit diagonal), one row at a time.
+        for (r, &pr) in self.row_perm.iter().enumerate() {
+            w[r] = self.lower.reduce(r, b[pr], w);
+        }
+        // Backward: U w = y, one row at a time; unknown r in the permuted
+        // frame is original unknown col_perm[r].
+        for r in (0..self.n).rev() {
+            let wr = self.upper.reduce(r, w[r], w) / self.fvals[self.diag_slot[r]];
+            w[r] = wr;
+            x[self.col_perm[r]] = wr;
+        }
+    }
+
+    /// Column-oriented reference solve: scatters each solved unknown into
+    /// the rows below (forward) or above (backward) it.
+    /// [`solve_into`](SparseLu::solve_into) must match it bit for bit.
+    #[cfg(test)]
+    fn solve_by_columns(&mut self, b: &[f64], x: &mut [f64]) {
         let n = self.n;
         for i in 0..n {
             self.work[i] = b[self.row_perm[i]];
         }
-        // Forward: L y = P b (unit diagonal), column-oriented.
         for j in 0..n {
             let yj = self.work[j];
             if yj != 0.0 {
@@ -585,7 +638,6 @@ impl SparseLu {
                 }
             }
         }
-        // Backward: U w = y, column-oriented.
         for j in (0..n).rev() {
             self.work[j] /= self.fvals[self.diag_slot[j]];
             let wj = self.work[j];
@@ -599,11 +651,82 @@ impl SparseLu {
                 }
             }
         }
-        // Undo the column permutation: unknown j in the permuted frame is
-        // original unknown col_perm[j].
         for j in 0..n {
             x[self.col_perm[j]] = self.work[j];
         }
+    }
+}
+
+/// One triangular factor stored by rows (CSR) for the solves: per row, the
+/// off-diagonal columns in elimination order with `u32` indices, and the
+/// values gathered from the column-major factor after each factorization.
+///
+/// The column-oriented solve subtracts `v·y[j]` from row `r` as each
+/// unknown `j` is solved, skipping `y[j] == 0.0`. [`TriRows::reduce`] runs
+/// the same subtractions in the same order into one accumulator, so the
+/// row solve matches it bit for bit while streaming each row's entries
+/// contiguously.
+#[derive(Debug, Clone, Default)]
+struct TriRows {
+    /// `ptr[r]..ptr[r + 1]` indexes row `r`'s entries.
+    ptr: Vec<usize>,
+    /// Column of each entry.
+    col: Vec<u32>,
+    /// Value of each entry (gathered).
+    val: Vec<f64>,
+    /// Factor slot each value is gathered from.
+    src: Vec<u32>,
+}
+
+impl TriRows {
+    /// Lays out `(row, column, factor slot)` entries by row, keeping their
+    /// given order within each row.
+    fn build(n: usize, entries: impl Iterator<Item = (usize, usize, usize)>) -> TriRows {
+        let entries: Vec<(usize, usize, usize)> = entries.collect();
+        let index = |v: usize| u32::try_from(v).expect("factor size fits in u32");
+        let mut ptr = vec![0usize; n + 1];
+        for &(r, _, _) in &entries {
+            ptr[r + 1] += 1;
+        }
+        for r in 0..n {
+            ptr[r + 1] += ptr[r];
+        }
+        let mut next = ptr.clone();
+        let mut col = vec![0u32; entries.len()];
+        let mut src = vec![0u32; entries.len()];
+        for &(r, c, s) in &entries {
+            let k = next[r];
+            next[r] += 1;
+            col[k] = index(c);
+            src[k] = index(s);
+        }
+        TriRows {
+            ptr,
+            col,
+            val: vec![0.0; entries.len()],
+            src,
+        }
+    }
+
+    /// Copies the current values out of the column-major factor storage.
+    fn gather(&mut self, fvals: &[f64]) {
+        for (v, &s) in self.val.iter_mut().zip(&self.src) {
+            *v = fvals[s as usize];
+        }
+    }
+
+    /// `acc` minus row `r`'s entries times the solved unknowns `y`, in
+    /// stored order, skipping unknowns that are exactly zero.
+    #[inline]
+    fn reduce(&self, r: usize, mut acc: f64, y: &[f64]) -> f64 {
+        let (lo, hi) = (self.ptr[r], self.ptr[r + 1]);
+        for (&c, &v) in self.col[lo..hi].iter().zip(&self.val[lo..hi]) {
+            let yj = y[c as usize];
+            if yj != 0.0 {
+                acc -= v * yj;
+            }
+        }
+        acc
     }
 }
 
@@ -684,6 +807,7 @@ fn min_degree_order(p: &SparsityPattern) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn dense_pattern(n: usize) -> Vec<(usize, usize)> {
         (0..n).flat_map(|r| (0..n).map(move |c| (r, c))).collect()
@@ -843,6 +967,74 @@ mod tests {
         let sparse_x = a.solve(&b).unwrap();
         let dense_x = a.to_dense().solve(&b).unwrap();
         assert_close(&sparse_x, &dense_x, 1e-12);
+    }
+
+    /// A random sparse system: a full diagonal (kept dominant so the draw
+    /// factors) plus random off-diagonal entries, some exactly zero, and a
+    /// right-hand side mixing exact zeros, `-0.0`, NaN and finite values.
+    fn random_system() -> impl Strategy<Value = (SparseMatrix, Vec<f64>)> {
+        (1usize..14)
+            .prop_flat_map(|n| {
+                let entries =
+                    prop::collection::vec((0..n, 0..n, 0usize..4, -1.0f64..1.0), 0..4 * n);
+                let rhs = prop::collection::vec((0usize..6, -1.0f64..1.0), n);
+                (Just(n), entries, rhs)
+            })
+            .prop_map(|(n, entries, rhs)| {
+                let coords: Vec<(usize, usize)> = (0..n)
+                    .map(|i| (i, i))
+                    .chain(entries.iter().map(|&(r, c, _, _)| (r, c)))
+                    .collect();
+                let mut a = SparseMatrix::new(SparsityPattern::from_entries(n, &coords));
+                for i in 0..n {
+                    a.add(i, i, 4.0 * n as f64);
+                }
+                for &(r, c, kind, v) in &entries {
+                    a.add(r, c, if kind == 0 { 0.0 } else { v });
+                }
+                let b = rhs
+                    .iter()
+                    .map(|&(kind, v)| match kind {
+                        0 | 1 => 0.0,
+                        2 => -0.0,
+                        3 => f64::NAN,
+                        _ => v,
+                    })
+                    .collect();
+                (a, b)
+            })
+    }
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest! {
+        #[test]
+        fn row_solve_matches_column_solve_bit_for_bit(
+            (mut a, b) in random_system(),
+            scale in -3.0f64..3.0,
+        ) {
+            let n = a.dim();
+            let mut lu = SparseLu::new();
+            lu.analyze(&a).unwrap();
+            let (mut rows, mut cols) = (vec![0.0; n], vec![0.0; n]);
+            lu.solve_into(&b, &mut rows);
+            lu.solve_by_columns(&b, &mut cols);
+            prop_assert_eq!(bits(&rows), bits(&cols));
+
+            // Refactorized values (off-diagonal entries rescaled, exact
+            // zeros kept) go through the same gathered row copies.
+            for v in a.values_mut() {
+                if v.abs() < 2.0 {
+                    *v *= scale;
+                }
+            }
+            lu.refactorize(&a).unwrap();
+            lu.solve_into(&b, &mut rows);
+            lu.solve_by_columns(&b, &mut cols);
+            prop_assert_eq!(bits(&rows), bits(&cols));
+        }
     }
 
     #[test]

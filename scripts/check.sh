@@ -16,6 +16,12 @@ cp results/BENCH_*.json "$figtmp/bench_found/"
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
+echo "== scripts/bench_pair.sh: syntax and dry run =="
+# The pair script runs only by hand (it takes many minutes of benchmark
+# time), so check here that it parses and resolves both sides.
+bash -n scripts/bench_pair.sh
+scripts/bench_pair.sh --parent HEAD --seeds 1 --dry-run
+
 echo "== cargo clippy -D warnings =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
