@@ -27,6 +27,26 @@
 //! bound compiled circuit is bit-identical to a fresh build per call — the
 //! determinism regression suite pins this.
 //!
+//! # The checkpoint trail
+//!
+//! A family of runs that differ only late in time — the probes of one
+//! `WL_crit` bisection, whose wordline pulses match until the narrower one
+//! falls — repeat each other's first steps bit for bit.
+//! [`run_on_trail`](CompiledCircuit::run_on_trail) records the family's
+//! first run as a trail of checkpoints (state, capacitor history, bypass
+//! linearizations, factorization, step trace) and resumes every later run
+//! from the latest checkpoint it provably shares. "Provably" is the
+//! equality rule of the [`transient`](crate::transient) module: equal spec,
+//! engine, initial state and devices, and every source bit-identical before
+//! the checkpoint's reach, where only a 0 V plateau extends agreement past
+//! a breakpoint the two waveforms do not share. Results are bit-identical
+//! to [`run`](CompiledCircuit::run), which stays cold and is the oracle;
+//! per-run stats count only the work the run performed. The trail is
+//! cleared when a run records, when a device is bound and on any error, so
+//! nothing carries from one family to the next. Its checkpoints fit a fixed
+//! memory budget (coarsened when a recording runs long), and circuits with
+//! latency partitions record nothing.
+//!
 //! The savings are observable, not asserted: every [`TransientResult`]
 //! reports `circuit_builds`, `param_binds` and `runs` in its
 //! [`SolveStats`], and the counters aggregate under
@@ -38,6 +58,7 @@ use crate::error::SimError;
 use crate::mna::Mna;
 use crate::netlist::{Circuit, NodeId, SourceId};
 use crate::probe::{SolveStats, TransientResult};
+use crate::trail::{Trail, TrailRole};
 use crate::transient::{InitialState, StopEvent, TransientSpec};
 use crate::waveform::Waveform;
 use crate::workspace::NewtonWorkspace;
@@ -65,6 +86,9 @@ pub struct ParamHandle {
 pub struct CompiledCircuit {
     circuit: Circuit,
     ws: NewtonWorkspace,
+    /// The checkpoint trail [`run_on_trail`](Self::run_on_trail) records
+    /// and resumes from.
+    trail: Trail,
     /// Builds not yet attributed to a run (1 after compile, 0 after the
     /// first run reports it).
     pending_builds: u64,
@@ -97,6 +121,7 @@ impl CompiledCircuit {
         Ok(CompiledCircuit {
             circuit,
             ws,
+            trail: Trail::default(),
             pending_builds: 1,
             pending_binds: 0,
             lifetime: SolveStats::default(),
@@ -139,8 +164,9 @@ impl CompiledCircuit {
     pub fn bind_device(&mut self, index: usize, model: Arc<dyn DeviceModel>, width_um: f64) {
         self.circuit.set_transistor_device(index, model, width_um);
         // The cached linearization (and any retained factorization) was
-        // computed with the old model/width.
+        // computed with the old model/width, and so was every checkpoint.
         self.ws.bufs.invalidate_caches();
+        self.trail.clear();
         self.pending_binds += 1;
     }
 
@@ -186,6 +212,40 @@ impl CompiledCircuit {
         self.run_recorded(spec, initial, events, Some(probes))
     }
 
+    /// Like [`run`](CompiledCircuit::run), on the compiled circuit's
+    /// checkpoint trail: [`TrailRole::Record`] clears the trail, runs cold
+    /// and checkpoints every accepted step; [`TrailRole::Resume`] restores
+    /// the latest checkpoint this run provably shares with the recorded run
+    /// and integrates only the rest (see the [module docs](self)).
+    ///
+    /// The result's times, voltages and final state are bit-identical to
+    /// [`run`](CompiledCircuit::run)'s; its stats count the work this run
+    /// performed, so a resumed run reports fewer steps and solves. For a
+    /// family of runs that share a prefix, such as the probes of one
+    /// `WL_crit` bisection: the first records, the rest resume.
+    ///
+    /// # Errors
+    ///
+    /// As [`run`](CompiledCircuit::run). An error clears the trail.
+    #[doc(hidden)]
+    pub fn run_on_trail(
+        &mut self,
+        spec: &TransientSpec,
+        initial: &InitialState,
+        events: &[StopEvent],
+        role: TrailRole,
+    ) -> Result<TransientResult, SimError> {
+        let run = self.circuit.transient_on_trail(
+            spec,
+            initial,
+            events,
+            &mut self.ws,
+            &mut self.trail,
+            role,
+        );
+        self.finish_run(run)
+    }
+
     fn run_recorded(
         &mut self,
         spec: &TransientSpec,
@@ -193,9 +253,19 @@ impl CompiledCircuit {
         events: &[StopEvent],
         probes: Option<&[NodeId]>,
     ) -> Result<TransientResult, SimError> {
-        let mut result =
-            self.circuit
-                .transient_recorded(spec, initial, events, probes, &mut self.ws)?;
+        let run = self
+            .circuit
+            .transient_recorded(spec, initial, events, probes, &mut self.ws);
+        self.finish_run(run)
+    }
+
+    /// Attributes pending builds and binds to a finished run and absorbs
+    /// its stats into the lifetime view; clears the trail on an error.
+    fn finish_run(
+        &mut self,
+        run: Result<TransientResult, SimError>,
+    ) -> Result<TransientResult, SimError> {
+        let mut result = run.inspect_err(|_| self.trail.clear())?;
         result.stats.circuit_builds = std::mem::take(&mut self.pending_builds);
         result.stats.param_binds = std::mem::take(&mut self.pending_binds);
         self.lifetime.absorb(&result.stats);

@@ -62,7 +62,7 @@ impl SolverStrategy {
 
 /// The engine one solve runs: the linear-solve strategy and the
 /// device-latency mode, fixed when the run starts.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Engine {
     pub(crate) solver: SolverStrategy,
     pub(crate) latency: DeviceLatency,

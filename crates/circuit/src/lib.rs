@@ -75,6 +75,7 @@ pub mod mna;
 pub mod netlist;
 pub mod probe;
 pub mod spice;
+mod trail;
 pub mod transient;
 pub mod waveform;
 mod workspace;
@@ -88,5 +89,7 @@ pub use latency::{
 pub use netlist::{Circuit, NodeId, SourceId};
 pub use probe::{SolveStats, TransientResult};
 pub use spice::{DcSweep, Deck, DeckAnalysis, DeckRun, Subckt, SubcktCard};
+#[doc(hidden)]
+pub use trail::TrailRole;
 pub use transient::{AdaptiveOpts, Integrator, StepControl, StopEvent, TransientSpec};
 pub use waveform::Waveform;

@@ -19,7 +19,12 @@ use std::sync::Arc;
 /// A [`TransientResult::stats`] is strictly **per-run**: the engine
 /// snapshots the workspace's monotone effort counters at entry and stores
 /// the difference at exit, so the numbers describe that run alone no matter
-/// how many runs shared the workspace before it. Two views aggregate:
+/// how many runs shared the workspace before it. They count only the work
+/// the run performed: a run resumed from a checkpoint trail
+/// ([`CompiledCircuit::run_on_trail`]) records the restored prefix's
+/// samples but counts none of its steps, solves or evaluations, so its
+/// `accepted_steps` is smaller than its recorded sample count minus one.
+/// Two views aggregate:
 ///
 /// * [`absorb`](SolveStats::absorb) — caller-driven: sum any set of per-run
 ///   stats (a `WL_crit` search, a Monte-Carlo batch).
@@ -31,9 +36,11 @@ use std::sync::Arc;
 /// view still accounts for every build and bind exactly once.
 ///
 /// [`CompiledCircuit::lifetime_stats`]: crate::CompiledCircuit::lifetime_stats
+/// [`CompiledCircuit::run_on_trail`]: crate::CompiledCircuit::run_on_trail
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
-    /// Time steps accepted (recorded in the waveform store).
+    /// Time steps this run accepted (each recorded in the waveform store;
+    /// a resumed run's restored steps are recorded but not counted).
     pub accepted_steps: u64,
     /// Adaptive trial steps rejected by the local-truncation-error test
     /// or by a Newton failure at the attempted step size.
@@ -215,6 +222,23 @@ impl TransientResult {
                 self.data.extend(p.nodes.iter().map(|n| p.last[n.index()]));
             }
         }
+    }
+
+    /// Copies a full recording's time axis and samples into `times` and
+    /// `data`, reusing their buffers.
+    pub(crate) fn save_samples(&self, times: &mut Vec<f64>, data: &mut Vec<f64>) {
+        assert!(self.probes.is_none(), "only full recordings are saved");
+        times.clone_from(&self.times);
+        data.clone_from(&self.data);
+    }
+
+    /// Appends samples saved by [`save_samples`](Self::save_samples) from a
+    /// recording of the same circuit.
+    pub(crate) fn extend_samples(&mut self, times: &[f64], data: &[f64]) {
+        assert!(self.probes.is_none(), "only full recordings are extended");
+        assert_eq!(data.len(), times.len() * self.node_count, "sample shape");
+        self.times.extend_from_slice(times);
+        self.data.extend_from_slice(data);
     }
 
     /// Voltages per recorded step.

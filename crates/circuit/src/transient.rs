@@ -44,6 +44,26 @@
 //! charge difference. Measured on the cell and array metrics, this caps both
 //! integrators at first order — trapezoidal included — under step halving;
 //! charge-based companions are ROADMAP item 2.
+//!
+//! # Resuming from a checkpoint trail
+//!
+//! A run of a [`CompiledCircuit`](crate::CompiledCircuit) on its checkpoint
+//! trail either records a checkpoint after every accepted step or resumes
+//! from the latest checkpoint of the recorded run it provably shares, and
+//! runs only the rest of the loop. The equality rule: the spec (`dt`,
+//! integrator, step control), engine, initial state and devices are equal;
+//! every source gives bit-identical values before the checkpoint's *reach*
+//! (the latest trial time proposed up to it, after the breakpoint clamp and
+//! before the `t_stop` clamp); under adaptive control the reach stays half
+//! a floor step clear of the first breakpoint the two schedules do not
+//! share and of both `t_stop`s, under fixed control the grid still includes
+//! the step; and no stop event arms before the checkpoint's time. A PWL
+//! value is `v[i]·(1−t) + v[i+1]·t`, so only a 0 V plateau is exact at
+//! every segment fraction: an active-low wordline agrees with a wider pulse
+//! until its own pulse ends, any other plateau only until its edge tops
+//! out. Resumed runs are bit-identical to cold ones; their stats count the
+//! work they performed. The trail's module docs (`trail.rs`) hold the full
+//! argument.
 
 use crate::dc::{solve_op, Engine, SolverStrategy};
 use crate::error::SimError;
@@ -51,6 +71,7 @@ use crate::latency::DeviceLatency;
 use crate::mna::{CompanionCaps, Mna};
 use crate::netlist::{Circuit, NodeId};
 use crate::probe::{SolveStats, TransientResult};
+use crate::trail::{Trail, TrailRole};
 use crate::workspace::{with_workspace, NewtonWorkspace};
 
 /// Integration method.
@@ -117,6 +138,18 @@ pub struct TransientSpec {
     latency: Option<DeviceLatency>,
 }
 
+/// The duration contract of every spec: a finite, positive `t_stop` (an
+/// infinite one would never end the run) and a finite, positive `dt` no
+/// larger than it.
+fn check_durations(t_stop: f64, dt: f64) {
+    assert!(t_stop > 0.0 && dt > 0.0, "durations must be positive");
+    assert!(
+        t_stop.is_finite() && dt.is_finite(),
+        "durations must be finite, got t_stop = {t_stop:e} s, dt = {dt:e} s"
+    );
+    assert!(dt <= t_stop, "dt must not exceed t_stop");
+}
+
 impl TransientSpec {
     /// A backward-Euler spec with **adaptive** step control seeded at `dt`:
     /// LTE tolerance [`DEFAULT_LTOL` = 0.5 mV], step bounds
@@ -125,10 +158,10 @@ impl TransientSpec {
     ///
     /// # Panics
     ///
-    /// Panics if either duration is non-positive or `dt > t_stop`.
+    /// Panics if either duration is non-positive or not finite (NaN
+    /// included), or `dt > t_stop`.
     pub fn new(t_stop: f64, dt: f64) -> Self {
-        assert!(t_stop > 0.0 && dt > 0.0, "durations must be positive");
-        assert!(dt <= t_stop, "dt must not exceed t_stop");
+        check_durations(t_stop, dt);
         TransientSpec {
             t_stop,
             dt,
@@ -149,10 +182,10 @@ impl TransientSpec {
     ///
     /// # Panics
     ///
-    /// Panics if either duration is non-positive or `dt > t_stop`.
+    /// Panics if either duration is non-positive or not finite (NaN
+    /// included), or `dt > t_stop`.
     pub fn fixed(t_stop: f64, dt: f64) -> Self {
-        assert!(t_stop > 0.0 && dt > 0.0, "durations must be positive");
-        assert!(dt <= t_stop, "dt must not exceed t_stop");
+        check_durations(t_stop, dt);
         TransientSpec {
             t_stop,
             dt,
@@ -227,7 +260,7 @@ impl TransientSpec {
 }
 
 /// How the transient obtains its initial state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum InitialState {
     /// Solve the DC operating point at `t = 0`, seeded with voltage hints
     /// (hints pick the basin for bistable circuits).
@@ -301,11 +334,11 @@ impl StopEvent {
 /// capacitance, its voltage `v_a − v_b`, and (trapezoidal runs only) the
 /// branch current the companion stamps that produced the state carry.
 #[derive(Debug, Clone, Default)]
-struct CapValues {
+pub(crate) struct CapValues {
     c: Vec<f64>,
     v_ab: Vec<f64>,
     /// Empty unless the run is trapezoidal: backward Euler never reads it.
-    i_prev: Vec<f64>,
+    pub(crate) i_prev: Vec<f64>,
 }
 
 impl CapValues {
@@ -331,7 +364,13 @@ impl CapValues {
     /// A capacitance that is not positive is stored as 0 and keeps its
     /// slot; its companion stamps add zeros, which leave every residual and
     /// Jacobian sum bit-identical to leaving the branch out.
-    fn refill(&mut self, circuit: &Circuit, x: &[f64], comps: &CompanionCaps, history: bool) {
+    pub(crate) fn refill(
+        &mut self,
+        circuit: &Circuit,
+        x: &[f64],
+        comps: &CompanionCaps,
+        history: bool,
+    ) {
         let _span = tfet_obs::span("relinearize");
         let volt = |n: NodeId| if n.is_ground() { 0.0 } else { x[n.index() - 1] };
         let mut k = circuit.capacitors.len();
@@ -375,7 +414,7 @@ impl CapValues {
 #[derive(Debug, Default)]
 pub(crate) struct CapTable {
     /// Values at the start of the step being solved.
-    start: CapValues,
+    pub(crate) start: CapValues,
     /// Values re-linearized at an adaptive trial's midpoint.
     mid: CapValues,
 }
@@ -641,6 +680,52 @@ impl Circuit {
         out.dedup_by(|a, b| *a - *b < min_sep);
     }
 
+    /// Solves a run's initial state at `t = 0`.
+    fn initial_state(
+        &self,
+        mna: &Mna<'_>,
+        initial: &InitialState,
+        engine: Engine,
+        ws: &mut NewtonWorkspace,
+    ) -> Result<Vec<f64>, SimError> {
+        match initial {
+            InitialState::DcOp(hints) => {
+                self.dc_state_with(mna, hints, ws, engine).inspect_err(|e| {
+                    capture_failure(mna, ws, None, "initial-dc", 0.0, 0.0, e);
+                })
+            }
+            InitialState::Uic(ics) => {
+                // Pin node voltages; derive consistent branch currents by a
+                // single Newton solve with enormous companion conductances
+                // holding every node at its IC (equivalent to a Δt → 0 step).
+                let mut x0 = vec![0.0; mna.unknown_count()];
+                for &(node, v) in ics {
+                    if !node.is_ground() {
+                        x0[node.index() - 1] = v;
+                    }
+                }
+                let hold = CompanionCaps::from_branches((1..=mna.voltage_count()).map(|i| {
+                    let g_hold = 1e3; // siemens: overwhelms any device
+                    (NodeId(i), Circuit::GND, g_hold, -g_hold * x0[i - 1])
+                }));
+                solve_op(
+                    mna,
+                    &mut ws.bufs,
+                    &mut ws.anchor,
+                    x0,
+                    0.0,
+                    Some(&hold),
+                    engine,
+                    Some(0.0),
+                    false,
+                )
+                .inspect_err(|e| {
+                    capture_failure(mna, ws, None, "initial-uic", 0.0, 0.0, e);
+                })
+            }
+        }
+    }
+
     /// Runs a transient analysis.
     ///
     /// Node voltages for every node are recorded at every accepted step,
@@ -682,6 +767,41 @@ impl Circuit {
         probes: Option<&[NodeId]>,
         ws: &mut NewtonWorkspace,
     ) -> Result<TransientResult, SimError> {
+        self.transient_run(spec, initial, events, probes, ws, None)
+    }
+
+    /// A full-recording run on the checkpoint trail `trail` (see
+    /// [`crate::trail`]): [`TrailRole::Record`] clears the trail, runs cold
+    /// and checkpoints the run; [`TrailRole::Resume`] restores the latest
+    /// checkpoint the run provably shares and runs only the rest. Either
+    /// way the result's times and voltages are bit-identical to
+    /// [`transient_recorded`](Self::transient_recorded)'s; its stats count
+    /// the work this run performed.
+    ///
+    /// # Errors
+    ///
+    /// As [`transient_recorded`](Self::transient_recorded).
+    pub(crate) fn transient_on_trail(
+        &self,
+        spec: &TransientSpec,
+        initial: &InitialState,
+        events: &[StopEvent],
+        ws: &mut NewtonWorkspace,
+        trail: &mut Trail,
+        role: TrailRole,
+    ) -> Result<TransientResult, SimError> {
+        self.transient_run(spec, initial, events, None, ws, Some((trail, role)))
+    }
+
+    fn transient_run(
+        &self,
+        spec: &TransientSpec,
+        initial: &InitialState,
+        events: &[StopEvent],
+        probes: Option<&[NodeId]>,
+        ws: &mut NewtonWorkspace,
+        trail: Option<(&mut Trail, TrailRole)>,
+    ) -> Result<TransientResult, SimError> {
         let _span = tfet_obs::span("transient");
         let mna = Mna::new(self)?;
         let n_v = mna.voltage_count();
@@ -706,50 +826,8 @@ impl Circuit {
         let dormant0 = ws.bufs.devices_dormant;
         let crefresh0 = ws.bufs.cells_refreshed;
         let grefresh0 = ws.bufs.guard_refreshes;
+        let analyzed0 = ws.bufs.sparse.as_ref().is_some_and(|s| s.lu.is_analyzed());
         ws.step_trace.clear();
-
-        // --- Initial state -------------------------------------------------
-        let mut x = match initial {
-            InitialState::DcOp(hints) => match self.dc_state_with(&mna, hints, ws, engine) {
-                Ok(x) => x,
-                Err(e) => {
-                    capture_failure(&mna, ws, None, "initial-dc", 0.0, 0.0, &e);
-                    return Err(e);
-                }
-            },
-            InitialState::Uic(ics) => {
-                // Pin node voltages; derive consistent branch currents by a
-                // single Newton solve with enormous companion conductances
-                // holding every node at its IC (equivalent to a Δt → 0 step).
-                let mut x0 = vec![0.0; mna.unknown_count()];
-                for &(node, v) in ics {
-                    if !node.is_ground() {
-                        x0[node.index() - 1] = v;
-                    }
-                }
-                let hold = CompanionCaps::from_branches((1..=n_v).map(|i| {
-                    let g_hold = 1e3; // siemens: overwhelms any device
-                    (NodeId(i), Circuit::GND, g_hold, -g_hold * x0[i - 1])
-                }));
-                match solve_op(
-                    &mna,
-                    &mut ws.bufs,
-                    &mut ws.anchor,
-                    x0,
-                    0.0,
-                    Some(&hold),
-                    engine,
-                    Some(0.0),
-                    false,
-                ) {
-                    Ok(x) => x,
-                    Err(e) => {
-                        capture_failure(&mna, ws, None, "initial-uic", 0.0, 0.0, &e);
-                        return Err(e);
-                    }
-                }
-            }
-        };
 
         // Pre-size the waveform store so recording never reallocates
         // mid-run: exact for the fixed grid, an estimate (initial-step
@@ -766,7 +844,6 @@ impl Circuit {
             None => TransientResult::with_capacity(self.node_count(), capacity),
             Some(nodes) => TransientResult::probed(self.node_names(), nodes, capacity),
         };
-        result.push(0.0, |node| mna.voltage_of(&x, node));
 
         // The run's capacitor table: laid out once, its values taken at the
         // initial state (no branch-current history yet — the first step is
@@ -778,7 +855,43 @@ impl Circuit {
         };
         ws.caps
             .lay_out(self, &mut ws.companions, history, adaptive.is_some());
-        ws.caps.start.refill(self, &x, &ws.companions, false);
+
+        // A resumed run starts from the latest checkpoint it shares with
+        // the recorded run; a recording run checkpoints every step.
+        let (mut recording, resume) = match trail {
+            None => (None, None),
+            Some((tr, TrailRole::Record)) => {
+                tr.clear();
+                (Some(tr), None)
+            }
+            Some((tr, TrailRole::Resume)) => {
+                let k = tr.resume_point(self, spec, engine, initial, events, &ws.breakpoints, ws);
+                (None, k.map(|k| (&*tr, k)))
+            }
+        };
+        let mut x = Vec::new();
+        // Accepted steps behind the state `x` (restored ones included), the
+        // loop's time, the controller's next step, and the latest trial
+        // time proposed so far (the checkpoints' reach).
+        let (mut step_no, mut t, mut h, mut reach) = (0u64, 0.0, spec.dt, 0.0f64);
+        if let Some((tr, k)) = resume {
+            (step_no, t, h, reach) = tr.restore(k, self, &mut x, ws, &mut result);
+            if tfet_obs::enabled() {
+                tfet_obs::counter("transient.resumed_runs", 1);
+                tfet_obs::counter("transient.resumed_steps", step_no);
+            }
+        } else {
+            x = self.initial_state(&mna, initial, engine, ws)?;
+            result.push(0.0, |node| mna.voltage_of(&x, node));
+            ws.caps.start.refill(self, &x, &ws.companions, false);
+            if let Some(tr) = recording.as_deref_mut() {
+                tr.start(self, spec, engine, initial, &x, analyses0, analyzed0, ws);
+            }
+            if let Some(a) = adaptive {
+                h = spec.dt.clamp(a.dt_min, a.dt_max);
+            }
+        }
+        let mut recording = recording.filter(|tr| tr.is_open());
 
         // --- The step loop ---------------------------------------------------
         // Newton solve of one step to `t_to` from `x0` against the companions
@@ -797,8 +910,6 @@ impl Circuit {
             )
         };
         let steps = (spec.t_stop / spec.dt).round() as u64;
-        let mut t = 0.0;
-        let mut h = adaptive.map_or(spec.dt, |a| spec.dt.clamp(a.dt_min, a.dt_max));
         let mut bp_idx = 0;
         let mut grown_steps = 0u64;
         let mut newton_shrinks = 0u64;
@@ -807,11 +918,12 @@ impl Circuit {
             let (t_from, mut t_new, mut h_try) = match adaptive {
                 // The grid point after the last accepted one.
                 None => {
-                    let step = result.stats.accepted_steps + 1;
+                    let step = step_no + 1;
                     if step > steps {
                         break;
                     }
                     let t_new = step as f64 * spec.dt;
+                    reach = reach.max(t_new);
                     (t_new - spec.dt, t_new, spec.dt)
                 }
                 // The controller's step, clamped to land exactly on the next
@@ -831,6 +943,7 @@ impl Circuit {
                             t_new = bp;
                         }
                     }
+                    reach = reach.max(t_new);
                     if t_new > spec.t_stop - 0.5 * a.dt_min {
                         t_new = spec.t_stop;
                     }
@@ -845,8 +958,7 @@ impl Circuit {
                 // which a UIC or DC start does not provide — so the first
                 // step is always backward Euler (the standard SPICE
                 // bootstrap).
-                let use_be = spec.integrator == Integrator::BackwardEuler
-                    || result.stats.accepted_steps == 0;
+                let use_be = spec.integrator == Integrator::BackwardEuler || step_no == 0;
                 // The full step: the fixed grid's one solve, the adaptive
                 // trial's coarse one. Adaptive control then solves the same
                 // step as two half steps with a midpoint re-linearization of
@@ -882,6 +994,9 @@ impl Circuit {
                     matches!(trial, Ok(lte) if at_floor || adaptive.is_some_and(|a| lte <= a.ltol));
                 if !accepted {
                     ws.step_trace.record(t_new, -h_try);
+                    if let Some(tr) = recording.as_deref_mut() {
+                        tr.log_attempt(t_new, -h_try);
+                    }
                     if adaptive.is_some() {
                         result.stats.rejected_steps += 1;
                         newton_shrinks += trial.is_err() as u64;
@@ -964,12 +1079,20 @@ impl Circuit {
                     result.push(t, |node| mna.voltage_of(&x, node));
                 }
                 result.stats.accepted_steps += 1;
+                step_no += 1;
+                if let Some(tr) = recording.as_deref_mut() {
+                    tr.log_attempt(t, h_try);
+                    tr.checkpoint(step_no, t, h, reach, &x, ws);
+                }
                 if event_fired(events, &mna, &x, t) {
                     result.stats.early_exit = true;
                     break 'time;
                 }
                 break;
             }
+        }
+        if let Some(tr) = recording {
+            tr.finish(&result);
         }
         if adaptive.is_some() && tfet_obs::enabled() {
             tfet_obs::counter("lte.accepted_steps", result.stats.accepted_steps);
@@ -1612,5 +1735,17 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_dt_rejected_fixed() {
         TransientSpec::fixed(1e-9, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "durations must be finite")]
+    fn infinite_t_stop_rejected() {
+        TransientSpec::new(f64::INFINITY, 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "durations must be finite")]
+    fn infinite_t_stop_rejected_fixed() {
+        TransientSpec::fixed(f64::INFINITY, 1e-12);
     }
 }

@@ -122,6 +122,54 @@ impl Waveform {
             out.extend_from_slice(lut.axis());
         }
     }
+
+    /// A time `T` before which `self` and `other` give bit-identical values:
+    /// `self.value(t)` and `other.value(t)` have equal bits for every
+    /// `t < T` (`+∞`: everywhere; `−∞`: nowhere proven). The transient
+    /// checkpoint trail resumes a run only where every source passes this
+    /// test.
+    ///
+    /// A PWL value is `v[i]·(1−f) + v[i+1]·f` on the segment `i` holding
+    /// `t`, with `f` its fraction of the segment. Two tables that share
+    /// their first `p ≥ 2` breakpoints (times and values) locate every
+    /// `t < x[p−1]` in the same segment at the same fraction, so they agree
+    /// there. Past `x[p−1]` the segments' ends differ, and so does `f` —
+    /// and a level held across a segment is exact under the formula only
+    /// when it is zero: `0·(1−f) + 0·f` is the same zero for any `f`,
+    /// while `0.8·(1−f) + 0.8·f` can round one ulp off 0.8 for some `f`.
+    /// So a zero plateau that opens the first differing segment of both
+    /// tables extends the agreement to the earlier of the two segment ends
+    /// (an active-low wordline held at 0 V until its pulse ends); any
+    /// other plateau ends it.
+    pub(crate) fn agrees_before(&self, other: &Waveform) -> f64 {
+        match (self, other) {
+            (Waveform::Dc(a), Waveform::Dc(b)) if a.to_bits() == b.to_bits() => f64::INFINITY,
+            (Waveform::Pwl(a), Waveform::Pwl(b)) => {
+                let (xa, va, xb, vb) = (a.axis(), a.values(), b.axis(), b.values());
+                let same = |i: usize| {
+                    xa[i].to_bits() == xb[i].to_bits() && va[i].to_bits() == vb[i].to_bits()
+                };
+                let n = xa.len().min(xb.len());
+                let p = (0..n).take_while(|&i| same(i)).count();
+                if p == xa.len() && p == xb.len() {
+                    return f64::INFINITY;
+                }
+                let zero_plateau = p >= 1
+                    && p < n
+                    && va[p - 1] == 0.0
+                    && va[p] == 0.0
+                    && va[p].to_bits() == vb[p].to_bits();
+                if zero_plateau {
+                    xa[p].min(xb[p])
+                } else if p >= 2 {
+                    xa[p - 1]
+                } else {
+                    f64::NEG_INFINITY
+                }
+            }
+            _ => f64::NEG_INFINITY,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -180,6 +228,57 @@ mod tests {
         // Starts at base and immediately ramps.
         assert!(w.value(0.0) > 0.7);
         assert!((w.value(50e-12) - 0.0).abs() < 1e-9);
+    }
+
+    /// Asserts `a` and `b` give bit-identical values on a dense grid up to
+    /// (not including) `t_end`.
+    fn assert_agree(a: &Waveform, b: &Waveform, t_end: f64) {
+        for k in 0..4000 {
+            let t = -1e-12 + k as f64 * (t_end + 1e-12) / 4000.0;
+            assert_eq!(a.value(t).to_bits(), b.value(t).to_bits(), "t = {t:e}");
+        }
+    }
+
+    #[test]
+    fn agreement_of_pulses_of_different_widths() {
+        // Active-low wordline: the 0 V plateau is exact under any segment
+        // fraction, so the pulses agree until the narrower one falls.
+        let wide = Waveform::pulse(0.8, 0.0, 250e-12, 4e-9, 10e-12);
+        let narrow = Waveform::pulse(0.8, 0.0, 250e-12, 400e-12, 10e-12);
+        let t = wide.agrees_before(&narrow);
+        assert_eq!(t, 250e-12 + 400e-12 - 10e-12);
+        assert_eq!(narrow.agrees_before(&wide), t);
+        assert_agree(&wide, &narrow, t);
+        // Active-high: the plateau interpolates 0.8 at different fractions,
+        // so agreement ends at the top of the rising edge.
+        let wide = Waveform::pulse(0.0, 0.8, 250e-12, 4e-9, 10e-12);
+        let narrow = Waveform::pulse(0.0, 0.8, 250e-12, 400e-12, 10e-12);
+        let t = wide.agrees_before(&narrow);
+        assert_eq!(t, 250e-12 + 10e-12);
+        assert_agree(&wide, &narrow, t);
+        // Narrowed edges move the first breakpoint: nothing is shared.
+        let edged = Waveform::pulse(0.8, 0.0, 250e-12, 30e-12, 7.5e-12);
+        assert_eq!(edged.agrees_before(&narrow), f64::NEG_INFINITY);
+    }
+
+    #[test]
+    fn agreement_of_equal_and_unrelated_waveforms() {
+        let step = Waveform::step(0.8, 0.0, 200e-12, 10e-12);
+        assert_eq!(step.agrees_before(&step.clone()), f64::INFINITY);
+        assert_eq!(
+            Waveform::dc(0.8).agrees_before(&Waveform::dc(0.8)),
+            f64::INFINITY
+        );
+        assert_eq!(
+            Waveform::dc(0.8).agrees_before(&Waveform::dc(0.7)),
+            f64::NEG_INFINITY
+        );
+        assert_eq!(Waveform::dc(0.8).agrees_before(&step), f64::NEG_INFINITY);
+        // A table that extends another agrees up to the shorter one's end.
+        let longer = Waveform::pwl(&[(0.0, 0.8), (1e-9, 0.8), (2e-9, 0.0), (3e-9, 0.5)]);
+        let shorter = Waveform::pwl(&[(0.0, 0.8), (1e-9, 0.8), (2e-9, 0.0)]);
+        assert_eq!(longer.agrees_before(&shorter), 2e-9);
+        assert_agree(&longer, &shorter, 2e-9);
     }
 
     #[test]

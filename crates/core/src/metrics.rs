@@ -17,7 +17,7 @@ use crate::error::SramError;
 use crate::ops::{hold_setup, run_write, ReadExperiment, WriteExperiment};
 use crate::snm::{static_noise_margin, SnmCondition};
 use crate::tech::{CellKind, CellParams};
-use tfet_circuit::{CompiledCircuit, SolveStats};
+use tfet_circuit::{CompiledCircuit, SolveStats, TrailRole};
 use tfet_numerics::roots::{critical_threshold, critical_threshold_seeded_checked, Threshold};
 
 /// Result of a critical-pulse-width search.
@@ -174,6 +174,14 @@ pub fn wl_crit_on(
 /// `circuit_builds` far below `runs` — the build/bind/run ratio the
 /// throughput bench pins.
 ///
+/// The endpoint probe records a checkpoint trail in the compiled circuit
+/// and every later probe resumes from the latest checkpoint it provably
+/// shares with it — the settle, the bitline edge and, for active-low
+/// wordlines, the pulse up to the probe's own falling edge — so `effort`
+/// counts only the steps each probe adds. The value is bit-identical to a
+/// search of cold [`WriteExperiment::run`] probes, and never depends on
+/// what the experiment ran before.
+///
 /// # Errors
 ///
 /// As [`wl_crit`]. The asymmetric 6T cell is rejected even here: its
@@ -183,7 +191,28 @@ pub fn wl_crit_compiled(
     exp: &mut WriteExperiment,
     hint: Option<f64>,
 ) -> Result<WlCritRun, SramError> {
+    wl_crit_search(exp, hint, true)
+}
+
+/// The `WL_crit` search. With `trail`, the endpoint probe records the
+/// experiment's checkpoint trail and every later probe resumes from the
+/// prefix it shares with it; without, every probe is a cold
+/// [`WriteExperiment::run`] — the oracle the trail is tested against. The
+/// value, the probes and every recorded waveform are the same either way;
+/// only the effort differs.
+fn wl_crit_search(
+    exp: &mut WriteExperiment,
+    hint: Option<f64>,
+    trail: bool,
+) -> Result<WlCritRun, SramError> {
     let _span = tfet_obs::span("wl_crit");
+    let probe_run = |exp: &mut WriteExperiment, w: f64, role: TrailRole| {
+        if trail {
+            exp.run_on_trail(w, role)
+        } else {
+            exp.run(w)
+        }
+    };
     if exp.kind() == CellKind::TfetAsym6T {
         return Err(SramError::Undefined {
             metric: "WL_crit",
@@ -200,7 +229,7 @@ pub fn wl_crit_compiled(
     // fails, the search has no verdict — report a typed Unbracketable
     // outcome (with the cause) instead of propagating a raw solver error,
     // so sweeps and Monte-Carlo studies can degrade instead of aborting.
-    let probe = match exp.run(hi) {
+    let probe = match probe_run(exp, hi, TrailRole::Record) {
         Ok(probe) => probe,
         Err(e) => {
             oracle_calls += 1;
@@ -236,7 +265,7 @@ pub fn wl_crit_compiled(
     }
     let th = critical_threshold_seeded_checked(lo, hi, pulse_tol, hint, |w| {
         oracle_calls += 1;
-        match exp.run(w) {
+        match probe_run(exp, w, TrailRole::Resume) {
             Ok(r) => {
                 effort.absorb(&r.result.stats);
                 Some(r.flipped())
@@ -463,6 +492,7 @@ fn retention_search(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::WriteRun;
     use crate::tech::{AccessConfig, SteppingMode};
 
     fn fast(params: CellParams) -> CellParams {
@@ -506,6 +536,133 @@ mod tests {
             f.effort.newton_iters,
             a.effort.newton_iters
         );
+    }
+
+    /// Asserts two write runs recorded the same times and voltages, bit for
+    /// bit, on every node, and reached the same verdict.
+    fn assert_same_write(resumed: &WriteRun, cold: &WriteRun, what: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(resumed.result.times()),
+            bits(cold.result.times()),
+            "{what}: times"
+        );
+        let nodes = resumed.nodes;
+        for n in [
+            nodes.q, nodes.qb, nodes.bl, nodes.blb, nodes.wl, nodes.vdd, nodes.vss,
+        ] {
+            assert_eq!(
+                bits(&resumed.result.trace(n)),
+                bits(&cold.result.trace(n)),
+                "{what}: trace of {n:?}"
+            );
+            assert_eq!(
+                resumed.result.final_voltage(n).to_bits(),
+                cold.result.final_voltage(n).to_bits(),
+                "{what}: final voltage of {n:?}"
+            );
+        }
+        assert_eq!(resumed.flipped(), cold.flipped(), "{what}: verdict");
+    }
+
+    /// A probe resumed from the trail equals a cold `run` bit for bit, for
+    /// pulses on both sides of `4·t_edge` (where the wordline edges start to
+    /// narrow), under p- and n-type access, every write assist (whose rails
+    /// rebind width-dependent windows) and both stepping modes.
+    #[test]
+    fn resumed_write_probes_equal_cold_runs() {
+        let assists = [
+            None,
+            Some(WriteAssist::VddLowering),
+            Some(WriteAssist::GndRaising),
+            Some(WriteAssist::WordlineLowering),
+            Some(WriteAssist::BitlineRaising),
+        ];
+        let mut cases = Vec::new();
+        for access in [AccessConfig::InwardP, AccessConfig::InwardN] {
+            for assist in assists {
+                cases.push((access, assist, SteppingMode::Adaptive));
+            }
+        }
+        cases.push((AccessConfig::InwardP, None, SteppingMode::Fixed));
+        let mut restored_somewhere = false;
+        for (access, assist, stepping) in cases {
+            let mut p = fast(CellParams::tfet6t(access).with_beta(0.6));
+            p.sim.stepping = stepping;
+            p.sim.max_pulse = 1e-9;
+            let edge4 = 4.0 * p.sim.t_edge;
+            let mut exp = WriteExperiment::compile(&p, assist).unwrap();
+            exp.run_on_trail(p.sim.max_pulse, TrailRole::Record)
+                .unwrap();
+            for w in [0.75 * edge4, edge4, 1.25 * edge4, 430e-12, p.sim.max_pulse] {
+                let what = format!("{access:?} {assist:?} {stepping:?} w = {w:e}");
+                let resumed = exp.run_on_trail(w, TrailRole::Resume).unwrap();
+                let cold = exp.run(w).unwrap();
+                assert_same_write(&resumed, &cold, &what);
+                assert!(
+                    resumed.result.stats.newton_solves <= cold.result.stats.newton_solves,
+                    "{what}: {:?} vs {:?}",
+                    resumed.result.stats,
+                    cold.result.stats
+                );
+                restored_somewhere |=
+                    resumed.result.stats.accepted_steps < cold.result.stats.accepted_steps;
+            }
+        }
+        assert!(restored_somewhere, "no probe resumed from the trail");
+    }
+
+    /// The search's value and probes equal those of a search whose every
+    /// probe is a cold run, at a fraction of the Newton solves.
+    #[test]
+    fn trail_search_equals_cold_search_at_lower_effort() {
+        for hint in [None, Some(430e-12)] {
+            let p = fast(CellParams::tfet6t(AccessConfig::InwardP).with_beta(0.6));
+            let mut exp = WriteExperiment::compile(&p, None).unwrap();
+            let cold = wl_crit_search(&mut exp, hint, false).unwrap();
+            let trail = wl_crit_compiled(&mut exp, hint).unwrap();
+            let bits = |v: WlCrit| v.as_finite().map(f64::to_bits);
+            assert_eq!(bits(trail.value), bits(cold.value), "hint {hint:?}");
+            assert!(trail.value.as_finite().is_some(), "hint {hint:?}");
+            assert_eq!(trail.oracle_calls, cold.oracle_calls, "hint {hint:?}");
+            assert_eq!(trail.effort.runs, cold.effort.runs, "hint {hint:?}");
+            assert!(
+                10 * trail.effort.newton_solves <= 6 * cold.effort.newton_solves,
+                "hint {hint:?}: solves with the trail {} vs cold {}",
+                trail.effort.newton_solves,
+                cold.effort.newton_solves
+            );
+        }
+    }
+
+    /// A search's effort depends only on the bound cell and the hint, never
+    /// on what the experiment ran before: the trail is cleared at every
+    /// search and bind, so nothing carries from one search to the next.
+    #[test]
+    fn search_effort_does_not_depend_on_history() {
+        let base = fast(CellParams::tfet6t(AccessConfig::InwardP).with_beta(0.6));
+        let other = base.clone().with_beta(0.5);
+        let hint = Some(430e-12);
+        let per_search = |mut s: SolveStats| {
+            // Builds and binds are attributed to the next run, so they
+            // depend on history by design.
+            (s.circuit_builds, s.param_binds) = (0, 0);
+            s
+        };
+        let mut fresh = WriteExperiment::compile(&base, None).unwrap();
+        let reference = wl_crit_compiled(&mut fresh, hint).unwrap();
+
+        let mut used = WriteExperiment::compile(&base, None).unwrap();
+        wl_crit_compiled(&mut used, None).unwrap();
+        let again = wl_crit_compiled(&mut used, hint).unwrap();
+        assert_eq!(per_search(again.effort), per_search(reference.effort));
+        used.bind_cell(&other).unwrap();
+        wl_crit_compiled(&mut used, hint).unwrap();
+        used.run(1e-9).unwrap();
+        used.bind_cell(&base).unwrap();
+        let rebound = wl_crit_compiled(&mut used, hint).unwrap();
+        assert_eq!(per_search(rebound.effort), per_search(reference.effort));
+        assert_eq!(rebound.value, reference.value);
     }
 
     #[test]

@@ -39,7 +39,7 @@ use crate::tech::{CellKind, CellParams, SimOptions};
 use crate::topology::{CellNodes, CellTopology};
 use tfet_circuit::transient::InitialState;
 use tfet_circuit::{
-    Circuit, CompiledCircuit, NodeId, ParamHandle, SolveStats, SourceId, StopEvent,
+    Circuit, CompiledCircuit, NodeId, ParamHandle, SolveStats, SourceId, StopEvent, TrailRole,
     TransientResult, Waveform,
 };
 
@@ -434,16 +434,39 @@ impl WriteExperiment {
     }
 
     /// Runs the write with a wordline pulse of the given width, binding
-    /// the per-run stimuli and executing against the compiled form.
+    /// the per-run stimuli and executing against the compiled form. Always
+    /// a cold run: nothing carries over from earlier runs.
     ///
     /// # Errors
     ///
-    /// Simulation failures and non-positive pulse widths.
+    /// Simulation failures, and [`SramError::InvalidParameter`] for a pulse
+    /// width that is not positive and finite (NaN included).
     pub fn run(&mut self, pulse_width: f64) -> Result<WriteRun, SramError> {
+        self.run_as(pulse_width, None)
+    }
+
+    /// [`run`](Self::run) on the compiled circuit's checkpoint trail: a
+    /// `WL_crit` search records its first probe and resumes every later
+    /// one from the prefix they share. Bit-identical to [`run`](Self::run)
+    /// in every recorded time and voltage; the stats count only the work
+    /// this run performed.
+    pub(crate) fn run_on_trail(
+        &mut self,
+        pulse_width: f64,
+        role: TrailRole,
+    ) -> Result<WriteRun, SramError> {
+        self.run_as(pulse_width, Some(role))
+    }
+
+    fn run_as(
+        &mut self,
+        pulse_width: f64,
+        trail: Option<TrailRole>,
+    ) -> Result<WriteRun, SramError> {
         let _span = tfet_obs::span("write");
-        if pulse_width <= 0.0 {
+        if !(pulse_width > 0.0 && pulse_width.is_finite()) {
             return Err(SramError::InvalidParameter(format!(
-                "pulse width must be positive, got {pulse_width}"
+                "pulse width must be positive and finite, got {pulse_width:e} s"
             )));
         }
         let sim = self.sim;
@@ -498,11 +521,14 @@ impl WriteExperiment {
             0.35 * vdd,
             t_a1 + 2.0 * sim.t_edge,
         )];
-        let result = self.compiled.run(
-            &sim.spec(t_end),
-            &self.initial,
-            if sim.early_exit { &events } else { &[] },
-        )?;
+        let spec = sim.spec(t_end);
+        let events: &[StopEvent] = if sim.early_exit { &events } else { &[] };
+        let result = match trail {
+            None => self.compiled.run(&spec, &self.initial, events),
+            Some(role) => self
+                .compiled
+                .run_on_trail(&spec, &self.initial, events, role),
+        }?;
         Ok(WriteRun {
             result,
             nodes: self.nodes,
@@ -1006,10 +1032,19 @@ mod tests {
     #[test]
     fn write_rejects_bad_pulse() {
         let p = CellParams::cmos6t();
-        assert!(matches!(
-            run_write(&p, None, -1.0),
-            Err(SramError::InvalidParameter(_))
-        ));
+        let mut exp = WriteExperiment::compile(&p, None).unwrap();
+        for w in [f64::NAN, f64::INFINITY, 0.0, -1.0, -1e-12] {
+            match exp.run(w) {
+                Err(SramError::InvalidParameter(msg)) => {
+                    assert!(msg.contains("must be positive and finite"), "{w}: {msg}")
+                }
+                other => panic!("pulse width {w}: expected a typed error, got {other:?}"),
+            }
+            assert!(matches!(
+                run_write(&p, None, w),
+                Err(SramError::InvalidParameter(_))
+            ));
+        }
     }
 
     #[test]

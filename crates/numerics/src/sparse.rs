@@ -284,6 +284,37 @@ impl SparseLu {
         self.factored
     }
 
+    /// The pivot orderings of the last analysis: `(row_perm, col_perm)`.
+    /// Together with the analyzed pattern they fix every symbolic structure
+    /// of the factorization (fill-in, replay script, solve rows), so two
+    /// engines analyzed over one pattern with equal orderings accept each
+    /// other's [`factor_values`](SparseLu::factor_values).
+    pub fn ordering(&self) -> (&[usize], &[usize]) {
+        (&self.row_perm, &self.col_perm)
+    }
+
+    /// The numeric factor values, one per factor slot — a snapshot
+    /// [`restore_factor_values`](SparseLu::restore_factor_values) puts
+    /// back.
+    pub fn factor_values(&self) -> &[f64] {
+        &self.fvals
+    }
+
+    /// Puts back factor values taken by
+    /// [`factor_values`](SparseLu::factor_values) under the current
+    /// analysis (equal [`ordering`](SparseLu::ordering)): afterwards the
+    /// engine solves exactly as it did when the snapshot was taken.
+    /// Allocation-free.
+    ///
+    /// Panics unless analyzed and `vals` has one value per factor slot.
+    pub fn restore_factor_values(&mut self, vals: &[f64]) {
+        assert!(self.analyzed, "restore_factor_values before analyze");
+        self.fvals.copy_from_slice(vals);
+        self.lower.gather(&self.fvals);
+        self.upper.gather(&self.fvals);
+        self.factored = true;
+    }
+
     /// Symbolic analysis + first factorization.
     ///
     /// Chooses a fill-reducing column order (greedy minimum degree on the
@@ -891,6 +922,39 @@ mod tests {
         lu.refactorize(&a).unwrap();
         lu.solve_into(&b, &mut x);
         assert_close(&x, &a.to_dense().solve(&b).unwrap(), 1e-12);
+    }
+
+    #[test]
+    fn restored_factor_values_solve_bit_for_bit() {
+        let p = SparsityPattern::from_entries(3, &[(0, 0), (1, 1), (2, 2), (0, 2), (2, 0)]);
+        let mut a = SparseMatrix::new(p);
+        for (r, c, v) in [
+            (0, 0, 2.0),
+            (1, 1, 3.0),
+            (2, 2, 4.0),
+            (0, 2, 1.0),
+            (2, 0, -1.0),
+        ] {
+            a.add(r, c, v);
+        }
+        let mut lu = SparseLu::new();
+        lu.analyze(&a).unwrap();
+        let order = (lu.ordering().0.to_vec(), lu.ordering().1.to_vec());
+        let saved = lu.factor_values().to_vec();
+        let b = [1.0, 2.0, 3.0];
+        let mut before = vec![0.0; 3];
+        lu.solve_into(&b, &mut before);
+
+        a.values_mut().iter_mut().for_each(|v| *v *= 1.7);
+        lu.refactorize(&a).unwrap();
+        lu.restore_factor_values(&saved);
+        assert_eq!(
+            (lu.ordering().0, lu.ordering().1),
+            (&order.0[..], &order.1[..])
+        );
+        let mut after = vec![0.0; 3];
+        lu.solve_into(&b, &mut after);
+        assert_eq!(bits(&after), bits(&before));
     }
 
     #[test]
