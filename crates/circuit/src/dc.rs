@@ -321,10 +321,9 @@ fn newton_sparse(
                         gmin,
                         anchor,
                         caps,
-                        &mut s.jac,
+                        s.jac.pattern(),
                         &mut s.inc,
                         &mut bufs.f,
-                        &mut bufs.device_cache,
                         lat,
                     )
                 }

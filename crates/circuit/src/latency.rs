@@ -1,5 +1,5 @@
 //! Quiescent-partition device latency: cell-level dormancy tiers for
-//! array-scale transients, plus deterministic parallel device evaluation.
+//! array-scale transients, plus the thread count of their helper pool.
 //!
 //! A bitcell array transient is dominated by devices that do nothing: during
 //! a write, every row but one holds its state at sub-µV drift, yet a naive
@@ -31,18 +31,32 @@
 //! dormancy decision compares against. Drift therefore accumulates against a
 //! fixed refresh point and can never creep past tolerance unnoticed.
 //!
+//! The tier's state is split into shards (`LatencyShard`): contiguous
+//! transistor ranges cut between partitions, each with the partitions that
+//! live in it. A transient of a partitioned circuit with at least
+//! [`POOL_MIN_DEVICES`] transistors starts a helper pool (`pool.rs`) when
+//! [`set_assembly_threads`] (or the machine) gives it more than one thread:
+//! one helper per extra thread, started once per run, joined when the run
+//! ends. Each assembly's decide and evaluate phases then run shard by shard
+//! on every thread, and so do the run's other per-item passes (capacitor
+//! re-linearization, companion stamps, the linear Jacobian part and its
+//! composition). Every item is computed by one thread from inputs no other
+//! thread writes, and everything order-dependent — the residual stamps and
+//! the incremental Jacobian's deltas — stays serial in netlist order, so
+//! the thread count changes wall-clock only, never bits: the waveforms,
+//! stats and partition telemetry of a run are the same at 1 and at 8
+//! threads. Smaller circuits never start a thread.
+//!
 //! No option turns the tier off. Its full-evaluation baseline is a reference
 //! oracle reached only through a hidden process hook, which the
 //! `figures --latency-off` identity gate sets at startup, and a hidden
-//! per-run override for the tests that compare both modes. The module also
-//! owns [`set_assembly_threads`] for the deterministic parallel
-//! device-evaluation fan-out (per-device results are pure and merged
-//! serially in fixed netlist order, so thread count changes wall-clock
-//! only, never bits).
+//! per-run override for the tests that compare both modes.
 
-use crate::mna::{row_of, BYPASS_VTOL};
+use crate::mna::{row_of, AssemblyStats, DeviceLin, BYPASS_VTOL, NO_ROW};
 use crate::netlist::{Circuit, NodeId};
+use crate::pool::Volts;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use tfet_numerics::GroupedIndices;
 
 /// Whether the quiescent-partition latency tier (and the per-device bypass
@@ -98,45 +112,49 @@ impl DeviceLatency {
 /// disturbance reaches amplitudes where the cached linearization degrades.
 pub const GUARD_VTOL: f64 = 16.0 * BYPASS_VTOL;
 
-/// Minimum full device evaluations in one assembly before the evaluation
-/// loop fans out across threads ([`fans_out`]).
+/// Minimum transistors in a latency-partitioned circuit before its
+/// transients start a helper pool ([`pools`]).
 ///
-/// Each fan-out spawns one scoped OS thread per worker and joins them.
-/// Measured on a 2-vCPU VM: two spawns plus the join cost 86–260 µs, one
-/// TFET linearization about 220 ns, and two threads evaluate a batch about
-/// 1.5× faster than one. Fanning out saves `n · 220 ns · (1 − 1/1.5)`, so
-/// it pays only above roughly 1,200–3,500 evaluations. On the 64×64
-/// array's write+read pair every batch holds either at most ~1,400
-/// evaluations (steady steps; these stay serial) or at least ~4,100 (most
-/// cells refreshing at once, as at each operation's start; these fan out).
-/// Single-cell circuits (≤ 7 devices) never come close.
-pub const PAR_EVAL_MIN: usize = 4096;
+/// A pooled run splits five passes between the caller and its helpers (see
+/// `pool.rs`). Helpers park between passes, and the cheapest pass that
+/// runs on every Newton iteration, dormancy decisions plus device
+/// evaluation, costs about 14 ns per transistor on the 64×64 array
+/// (decide 170 µs plus eval 177 µs per assembly over 25,216 transistors,
+/// measured on a 2-vCPU VM). Measured there too, a parked helper wakes in
+/// 10–37 µs, and a helper still spinning from the previous pass answers in
+/// 0.4 µs. Splitting that pass in two saves `n · 14 ns / 2`, which covers a
+/// typical wake (28 µs) from about 4,000 transistors up. Below that the
+/// pool costs more than it saves, and a run's one spawn per helper already
+/// outweighs the millisecond-scale transients of single cells (≤ 7
+/// transistors), which never start one.
+pub const POOL_MIN_DEVICES: usize = 4096;
 
-/// Whether one assembly that fully evaluates `n_eval` devices fans the
-/// evaluations out across `threads` workers (otherwise they run serially
-/// on the calling thread). Either way the results are bit-identical.
-pub fn fans_out(n_eval: usize, threads: usize) -> bool {
-    threads > 1 && n_eval >= PAR_EVAL_MIN
+/// Whether a transient of `circuit` starts a helper pool when more than
+/// one assembly thread is set: only a latency-partitioned circuit of at
+/// least [`POOL_MIN_DEVICES`] transistors does.
+pub fn pools(circuit: &Circuit) -> bool {
+    !circuit.latency_partitions().is_empty() && circuit.transistors().len() >= POOL_MIN_DEVICES
 }
 
 /// Worker-thread override for parallel device evaluation (0 = auto).
 static ASSEMBLY_THREADS: AtomicUsize = AtomicUsize::new(0);
 
-/// Sets the worker-thread count for parallel device evaluation during
-/// assembly. `0` restores the default: available parallelism clamped by
-/// `RAYON_NUM_THREADS`, resolved per solve. Evaluation results are merged
-/// serially in fixed netlist order, so any setting produces bit-identical
-/// solutions — this knob trades wall-clock only.
+/// Sets the thread count of the helper pool that large partitioned
+/// transients start (the caller plus its helpers). `0` restores the
+/// default: available parallelism clamped by `RAYON_NUM_THREADS`, resolved
+/// once at the start of each such run. Every pooled pass computes the same
+/// bits on any thread count, so this knob trades wall-clock only.
 pub fn set_assembly_threads(n: usize) {
     ASSEMBLY_THREADS.store(n, Ordering::Relaxed);
 }
 
-/// The resolved worker-thread count for parallel device evaluation.
+/// The resolved assembly thread count (at least 1).
 pub(crate) fn assembly_threads() -> usize {
     match ASSEMBLY_THREADS.load(Ordering::Relaxed) {
         0 => tfet_numerics::parallel::default_threads(),
         n => n,
     }
+    .max(1)
 }
 
 /// Classification of a guard node, used to *attribute* a guard-forced
@@ -183,9 +201,9 @@ impl GuardKind {
 }
 
 /// Per-partition dormancy telemetry, accumulated over one run by the
-/// dormancy-decision pass (`LatencyState::update_dormancy`, which runs
-/// serially inside the Newton loop, so every count is bit-identical at any
-/// device-evaluation thread count).
+/// dormancy-decision pass (`LatencyShard::update_dormancy`: each partition's
+/// counts are updated by one thread from its own state alone, so every
+/// count is bit-identical at any assembly thread count).
 ///
 /// `decisions` counts dormancy decisions (one per assembly); `dormant` the
 /// subset where the whole cell was replayed from cache, so
@@ -251,19 +269,45 @@ pub struct CellPartition {
     pub guard_kinds: Vec<GuardKind>,
 }
 
-/// Per-workspace runtime state of the latency tier: device→partition
-/// ownership, flattened watch/guard node rows with their refresh-point
-/// reference voltages, and the per-iteration dormancy scratch.
+/// Per-workspace runtime state of the latency tier, split into shards:
+/// contiguous transistor ranges cut between partitions, each with the
+/// partitions that live in it. One shard per chunk of the run's helper
+/// pool ([`Pool::devices`](crate::pool::Pool)); a single shard when the
+/// run has none.
 #[derive(Debug)]
 pub(crate) struct LatencyState {
     /// Combined topology + partition signature this state was built for.
     pub(crate) sig: u64,
-    /// Device index → partition ownership (CSR both ways).
-    pub(crate) owner: GroupedIndices,
+    /// `bounds[k]..bounds[k + 1]`: the transistors of shard `k`.
+    bounds: Vec<usize>,
+    /// The shards, each behind its own (never contended) lock so the
+    /// chunks of a pooled pass can take them on any thread.
+    shards: Arc<Vec<Mutex<LatencyShard>>>,
+    /// Per partition: its shard and its index there.
+    home: Vec<(usize, usize)>,
+}
+
+/// The latency tier's state for one contiguous range of transistors: their
+/// bypass cache and evaluation decisions, plus the partitions whose
+/// devices lie in the range (a partition with no devices lives in shard 0),
+/// with their flattened watch/guard node rows, refresh-point reference
+/// voltages and dormancy scratch.
+#[derive(Debug, Default)]
+pub(crate) struct LatencyShard {
+    /// First transistor (netlist index) of the shard.
+    pub(crate) dev0: usize,
+    /// Per device: the shard-local index of its partition, or
+    /// [`GroupedIndices::UNGROUPED`].
+    owner: Vec<usize>,
     /// Per device, the unknown-vector rows of its gate, drain and source
     /// ([`NO_ROW`](crate::mna::NO_ROW) for ground), so the assembly phases
     /// read terminal voltages without touching the transistor records.
     pub(crate) terminal_rows: Vec<[u32; 3]>,
+    /// Per device, the linearization of its last full evaluation (the
+    /// bypass cache; invalidated at every run entry and rebind).
+    pub(crate) cache: Vec<DeviceLin>,
+    /// Per device, whether the latest assembly evaluated it (scratch).
+    pub(crate) eval_mask: Vec<bool>,
     /// `watch_off[p]..watch_off[p + 1]` indexes `watch_rows`/`watch_ref`.
     watch_off: Vec<usize>,
     /// Unknown-vector rows of (non-ground) watch nodes, all partitions.
@@ -280,14 +324,21 @@ pub(crate) struct LatencyState {
     guard_kind: Vec<GuardKind>,
     /// Per-partition dormancy telemetry, accumulated since the last
     /// [`reset_telemetry`](LatencyState::reset_telemetry).
-    pub(crate) telemetry: Vec<PartitionTelemetry>,
+    telemetry: Vec<PartitionTelemetry>,
     /// Whether partition `p` has a trustworthy refresh point (cache entries
     /// and reference voltages from one coherent evaluation).
-    pub(crate) fresh: Vec<bool>,
+    fresh: Vec<bool>,
     /// Per-iteration dormancy verdicts (scratch, rewritten each assembly).
-    pub(crate) dormant: Vec<bool>,
-    /// Per-device evaluation decisions (scratch, rewritten each assembly).
-    pub(crate) eval_mask: Vec<bool>,
+    dormant: Vec<bool>,
+    /// The latest [`decide`](LatencyShard::decide)'s effort counts.
+    pub(crate) stats: AssemblyStats,
+}
+
+/// Locks a shard. A lock poisoned by a panicking pass is taken anyway: that
+/// panic already failed its run, and every run starts by invalidating all
+/// shard state.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// FNV-1a over the partition definitions, mixed into the MNA pattern
@@ -319,27 +370,33 @@ pub(crate) fn partition_signature(base: u64, parts: &[CellPartition]) -> u64 {
 }
 
 impl LatencyState {
-    /// Builds the runtime state for a circuit's registered partitions.
-    pub(crate) fn build(circuit: &Circuit, sig: u64) -> LatencyState {
+    /// Builds the runtime state for a circuit's registered partitions,
+    /// sharded at the transistor bounds `bounds` (which must not cut a
+    /// partition).
+    pub(crate) fn build(circuit: &Circuit, sig: u64, bounds: &[usize]) -> LatencyState {
         let parts = circuit.latency_partitions();
         let groups: Vec<Vec<usize>> = parts.iter().map(|p| p.devices.clone()).collect();
         let owner = GroupedIndices::from_groups(circuit.transistors().len(), &groups);
-        let terminal_rows = circuit
-            .transistors()
-            .iter()
-            .map(|m| [row_of(m.g), row_of(m.d), row_of(m.s)])
+        let shard_of = |d: usize| bounds.partition_point(|&b| b <= d) - 1;
+        let mut shards: Vec<LatencyShard> = bounds
+            .windows(2)
+            .map(|w| LatencyShard {
+                dev0: w[0],
+                ..LatencyShard::default()
+            })
             .collect();
-        let mut watch_off = Vec::with_capacity(parts.len() + 1);
-        let mut watch_rows = Vec::new();
-        let mut guard_off = Vec::with_capacity(parts.len() + 1);
-        let mut guard_rows = Vec::new();
-        let mut guard_kind = Vec::new();
-        watch_off.push(0);
-        guard_off.push(0);
+        let mut home = Vec::with_capacity(parts.len());
+        for sh in &mut shards {
+            sh.watch_off.push(0);
+            sh.guard_off.push(0);
+        }
         for p in parts {
+            let k = p.devices.first().map_or(0, |&d| shard_of(d));
+            let sh = &mut shards[k];
+            home.push((k, sh.fresh.len()));
             // Ground is fixed at 0 V by definition: it can never move, so
             // it contributes nothing to a dormancy decision.
-            watch_rows.extend(
+            sh.watch_rows.extend(
                 p.watch
                     .iter()
                     .filter(|n| !n.is_ground())
@@ -347,47 +404,154 @@ impl LatencyState {
             );
             for (i, n) in p.guard.iter().enumerate() {
                 if !n.is_ground() {
-                    guard_rows.push(n.index() - 1);
-                    guard_kind.push(p.guard_kinds.get(i).copied().unwrap_or_default());
+                    sh.guard_rows.push(n.index() - 1);
+                    sh.guard_kind
+                        .push(p.guard_kinds.get(i).copied().unwrap_or_default());
                 }
             }
-            watch_off.push(watch_rows.len());
-            guard_off.push(guard_rows.len());
+            sh.watch_off.push(sh.watch_rows.len());
+            sh.guard_off.push(sh.guard_rows.len());
+            sh.telemetry.push(PartitionTelemetry::default());
+            sh.fresh.push(false);
+            sh.dormant.push(false);
         }
-        let watch_ref = vec![0.0; watch_rows.len()];
-        let guard_ref = vec![0.0; guard_rows.len()];
+        for (k, sh) in shards.iter_mut().enumerate() {
+            let devices = bounds[k]..bounds[k + 1];
+            sh.owner = devices
+                .clone()
+                .map(|d| match owner.owner_of(d) {
+                    GroupedIndices::UNGROUPED => GroupedIndices::UNGROUPED,
+                    g => {
+                        assert_eq!(home[g].0, k, "shard bounds cut partition {g}");
+                        home[g].1
+                    }
+                })
+                .collect();
+            sh.terminal_rows = circuit.transistors()[devices.clone()]
+                .iter()
+                .map(|m| [row_of(m.g), row_of(m.d), row_of(m.s)])
+                .collect();
+            sh.cache = vec![DeviceLin::default(); devices.len()];
+            sh.eval_mask = vec![false; devices.len()];
+            sh.watch_ref = vec![0.0; sh.watch_rows.len()];
+            sh.guard_ref = vec![0.0; sh.guard_rows.len()];
+        }
         LatencyState {
             sig,
-            owner,
-            terminal_rows,
-            watch_off,
-            watch_rows,
-            watch_ref,
-            guard_off,
-            guard_rows,
-            guard_ref,
-            guard_kind,
-            telemetry: vec![PartitionTelemetry::default(); parts.len()],
-            fresh: vec![false; parts.len()],
-            dormant: vec![false; parts.len()],
-            eval_mask: vec![false; circuit.transistors().len()],
+            bounds: bounds.to_vec(),
+            shards: Arc::new(shards.into_iter().map(Mutex::new).collect()),
+            home,
         }
     }
 
-    /// Invalidates every refresh point (run entry, rebind): no partition may
-    /// claim dormancy until it has re-evaluated once under the new state.
+    /// Whether this state was built for signature `sig` at shard bounds
+    /// `bounds`.
+    pub(crate) fn fits(&self, sig: u64, bounds: &[usize]) -> bool {
+        self.sig == sig && self.bounds == bounds
+    }
+
+    /// The shards, in transistor order.
+    pub(crate) fn shards(&self) -> &[Mutex<LatencyShard>] {
+        &self.shards
+    }
+
+    /// A handle on the shards, for a job to own.
+    pub(crate) fn shards_handle(&self) -> Arc<Vec<Mutex<LatencyShard>>> {
+        Arc::clone(&self.shards)
+    }
+
+    /// Invalidates every refresh point and bypass-cache entry (run entry,
+    /// rebind): no partition may claim dormancy, and no device be served
+    /// from its cache, until it has re-evaluated once under the new state.
     pub(crate) fn invalidate(&mut self) {
-        self.fresh.fill(false);
+        for sh in self.shards.iter() {
+            let mut sh = lock(sh);
+            sh.fresh.fill(false);
+            for e in &mut sh.cache {
+                e.valid = false;
+            }
+        }
     }
 
     /// Zeroes the per-partition telemetry so the next harvest covers exactly
     /// one run (called at transient entry).
     pub(crate) fn reset_telemetry(&mut self) {
-        self.telemetry.fill(PartitionTelemetry::default());
+        for sh in self.shards.iter() {
+            lock(sh).telemetry.fill(PartitionTelemetry::default());
+        }
     }
 
-    /// Re-decides dormancy for every partition at the candidate state `x`
-    /// and refreshes the reference voltages of every non-dormant partition.
+    /// Copies the per-partition telemetry into `out`, in partition order.
+    pub(crate) fn harvest_telemetry(&self, out: &mut Vec<PartitionTelemetry>) {
+        let shards: Vec<_> = self.shards.iter().map(lock).collect();
+        out.clear();
+        out.extend(self.home.iter().map(|&(k, i)| shards[k].telemetry[i]));
+    }
+}
+
+impl LatencyShard {
+    /// The decide phase of one assembly at the candidate state `x`:
+    /// re-decides dormancy for every partition of the shard
+    /// ([`update_dormancy`](Self::update_dormancy)), then marks each device
+    /// for evaluation — partition members iff their cell is not dormant (a
+    /// refreshed cell re-evaluates *all* its devices, so cache entries and
+    /// references always describe one coherent operating point), ungrouped
+    /// devices by the per-device bypass test. Leaves the counts in
+    /// [`stats`](Self::stats).
+    pub(crate) fn decide<X: Volts + ?Sized>(&mut self, x: &X) {
+        let mut stats = AssemblyStats::default();
+        (stats.cells_refreshed, stats.guard_refreshes) = self.update_dormancy(x);
+        for ((mask, &g), (e, &[rg, rd, rs])) in self
+            .eval_mask
+            .iter_mut()
+            .zip(&self.owner)
+            .zip(self.cache.iter().zip(&self.terminal_rows))
+        {
+            *mask = if g != GroupedIndices::UNGROUPED {
+                if self.dormant[g] {
+                    stats.dormant += 1;
+                    false
+                } else {
+                    true
+                }
+            } else {
+                let (vg, vd, vs) = (volt(x, rg), volt(x, rd), volt(x, rs));
+                if e.valid
+                    && (vg - e.vg).abs() < BYPASS_VTOL
+                    && (vd - e.vd).abs() < BYPASS_VTOL
+                    && (vs - e.vs).abs() < BYPASS_VTOL
+                {
+                    stats.bypassed += 1;
+                    false
+                } else {
+                    true
+                }
+            };
+            stats.evals += u64::from(*mask);
+        }
+        self.stats = stats;
+    }
+
+    /// The evaluate phase: runs the device model of every marked device of
+    /// `circuit` at `x`, writing only that device's cache entry.
+    pub(crate) fn evaluate<X: Volts + ?Sized>(&mut self, circuit: &Circuit, x: &X) {
+        let devices = &circuit.transistors()[self.dev0..self.dev0 + self.cache.len()];
+        for (((e, &eval), &[rg, rd, rs]), m) in self
+            .cache
+            .iter_mut()
+            .zip(&self.eval_mask)
+            .zip(&self.terminal_rows)
+            .zip(devices)
+        {
+            if eval {
+                *e = DeviceLin::evaluate(m, volt(x, rg), volt(x, rd), volt(x, rs));
+            }
+        }
+    }
+
+    /// Re-decides dormancy for every partition of the shard at the
+    /// candidate state `x` and refreshes the reference voltages of every
+    /// non-dormant partition.
     ///
     /// Returns `(cells_refreshed, guard_refreshes)`: total partitions
     /// refreshed this call, and the subset refreshed *specifically because a
@@ -397,10 +561,10 @@ impl LatencyState {
     /// Also accumulates the per-partition [`PartitionTelemetry`]: every call
     /// is one decision per partition, classified as dormant or as a refresh
     /// with its cause (cold / watch / guard, the latter attributed per
-    /// tripping [`GuardKind`]). This runs serially regardless of the
-    /// device-evaluation thread count, so telemetry is bit-identical across
-    /// thread counts by construction.
-    pub(crate) fn update_dormancy(&mut self, x: &[f64]) -> (u64, u64) {
+    /// tripping [`GuardKind`]). Each partition's decision reads only its own
+    /// state and `x`, so the telemetry is bit-identical however the shards
+    /// are spread over threads.
+    fn update_dormancy<X: Volts + ?Sized>(&mut self, x: &X) -> (u64, u64) {
         let mut cells_refreshed = 0u64;
         let mut guard_refreshes = 0u64;
         for p in 0..self.fresh.len() {
@@ -411,12 +575,12 @@ impl LatencyState {
                 && self.watch_rows[w0..w1]
                     .iter()
                     .zip(&self.watch_ref[w0..w1])
-                    .all(|(&r, v)| (x[r] - v).abs() < BYPASS_VTOL);
+                    .all(|(&r, v)| (x.at(r) - v).abs() < BYPASS_VTOL);
             let guard_quiet = fresh
                 && self.guard_rows[g0..g1]
                     .iter()
                     .zip(&self.guard_ref[g0..g1])
-                    .all(|(&r, v)| (x[r] - v).abs() < GUARD_VTOL);
+                    .all(|(&r, v)| (x.at(r) - v).abs() < GUARD_VTOL);
             let dormant = watch_quiet && guard_quiet;
             self.dormant[p] = dormant;
             let tel = &mut self.telemetry[p];
@@ -441,7 +605,7 @@ impl LatencyState {
                         .zip(&self.guard_ref[g0..g1])
                         .zip(&self.guard_kind[g0..g1])
                     {
-                        if (x[r] - v).abs() >= GUARD_VTOL {
+                        if (x.at(r) - v).abs() >= GUARD_VTOL {
                             tripped[k as usize] = true;
                         }
                     }
@@ -454,18 +618,28 @@ impl LatencyState {
                     .iter()
                     .zip(&mut self.watch_ref[w0..w1])
                 {
-                    *v = x[*r];
+                    *v = x.at(*r);
                 }
                 for (r, v) in self.guard_rows[g0..g1]
                     .iter()
                     .zip(&mut self.guard_ref[g0..g1])
                 {
-                    *v = x[*r];
+                    *v = x.at(*r);
                 }
                 self.fresh[p] = true;
             }
         }
         (cells_refreshed, guard_refreshes)
+    }
+}
+
+/// Voltage at KCL row `r` of `x` (0 for ground).
+#[inline]
+fn volt<X: Volts + ?Sized>(x: &X, r: u32) -> f64 {
+    if r == NO_ROW {
+        0.0
+    } else {
+        x.at(r as usize)
     }
 }
 
@@ -491,13 +665,27 @@ mod tests {
 
     #[test]
     fn only_large_batches_fan_out() {
-        // The 64×64 array's steady assemblies stay serial; the full
-        // evaluation that opens each operation fans out.
-        assert!(!fans_out(805, 2));
-        assert!(fans_out(25_000, 2));
-        assert!(!fans_out(25_000, 1));
-        assert!(fans_out(PAR_EVAL_MIN, 2));
-        assert!(!fans_out(PAR_EVAL_MIN - 1, 8));
+        // The 64×64 array pools; cells, small arrays and unpartitioned
+        // circuits never start a thread.
+        let row = |devices: usize, partitioned: bool| {
+            let mut c = Circuit::new();
+            let a = c.node("a");
+            let model = std::sync::Arc::new(tfet_devices::NTfet::nominal());
+            for _ in 0..devices {
+                c.transistor("M", model.clone(), a, a, Circuit::GND, 0.1);
+            }
+            if partitioned {
+                c.set_latency_partitions(vec![CellPartition {
+                    devices: vec![0],
+                    ..CellPartition::default()
+                }]);
+            }
+            c
+        };
+        assert!(pools(&row(POOL_MIN_DEVICES, true)));
+        assert!(!pools(&row(POOL_MIN_DEVICES - 1, true)));
+        assert!(!pools(&row(POOL_MIN_DEVICES, false)));
+        assert!(!pools(&row(6, true)));
     }
 
     #[test]

@@ -41,10 +41,12 @@
 //! sparse transient solver then skips assembly for whole cells whose
 //! terminal nodes sit within tolerance of their last refresh point, with a
 //! tight guard on shared wordline/bitline nodes force-refreshing a dormant
-//! cell the moment an adjacent line moves. Large evaluation batches fan out
-//! across threads deterministically (stamps merge serially in netlist
-//! order). The full-evaluation baseline the identity gates diff against is
-//! likewise an oracle behind a hidden hook, not an option of any spec.
+//! cell the moment an adjacent line moves. A large partitioned transient
+//! starts one helper pool per run and splits its per-device, per-branch and
+//! per-slot passes across it deterministically (stamps merge serially in
+//! netlist order). The full-evaluation baseline the identity gates diff
+//! against is likewise an oracle behind a hidden hook, not an option of
+//! any spec.
 //!
 //! # Examples
 //!
@@ -73,6 +75,7 @@ pub mod error;
 pub mod latency;
 pub mod mna;
 pub mod netlist;
+mod pool;
 pub mod probe;
 pub mod spice;
 mod trail;

@@ -8,10 +8,12 @@
 //! its Jacobian at a candidate `x` so Newton–Raphson can iterate.
 
 use crate::error::SimError;
-use crate::latency::{assembly_threads, fans_out, partition_signature, LatencyState};
+use crate::latency::{lock, partition_signature, LatencyState};
 use crate::netlist::{Circuit, NodeId, Transistor};
-use std::sync::OnceLock;
-use tfet_numerics::{par_for_each_mut, GroupedIndices, Matrix, SparseMatrix, SparsityPattern};
+use crate::pool::{Pool, SharedF64, Volts};
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
+use tfet_numerics::{Matrix, SparseMatrix, SparsityPattern};
 
 /// Jacobian assembly target: dense [`Matrix`] or pattern-backed
 /// [`SparseMatrix`]. The MNA stamps are target-generic so both solver
@@ -81,25 +83,26 @@ const NO_SLOT: usize = usize::MAX;
 ///
 /// * `lin_values` — the linear part, rebuilt only when its inputs change
 ///   (detected in O(1) via the companion list's mutation stamp and g_min),
-///   and even then through cached slots: the static stamps (resistors,
-///   voltage-source units) are precomputed once, and the per-branch
-///   companion slots are reused while the companion list's layout stamp is
-///   unchanged — a rebuild is a `memcpy` plus one add per branch entry, no
-///   searches;
+///   and even then as one gather per slot ([`LinGather`]): the static
+///   stamps (resistors, voltage-source units, precomputed once), then the
+///   slot's companion conductances in branch order, then g_min — the adds,
+///   in the order, that stamping the branches one by one would make;
 /// * `trans_values` — the transistor part, maintained by
 ///   subtract-old/add-new deltas through per-device precomputed slots
 ///   whenever a device is freshly evaluated.
 ///
-/// The full matrix is composed as one O(nnz) vector add — replacing
-/// O(devices) slot-searched stamps — and only when something reads it: an
-/// assembly leaves the matrix stale
+/// The full matrix `lin_values + trans_values` is composed as one O(nnz)
+/// vector add into `composed` — replacing O(devices) slot-searched stamps —
+/// and only when something reads it: an assembly leaves the matrix stale
 /// ([`JacStale::Compose`](crate::workspace::JacStale::Compose)), and the
 /// solver composes before a refactorization or a consistency check, the only
-/// readers. An iteration that reuses a factorization never pays for it. Repeated
-/// subtract/add cycles drift `trans_values` by at most a few ulps per
-/// refresh (the deltas are exact floating-point values, not accumulated
-/// sums), far inside Newton's convergence tolerance, and every mutation is
-/// serial in netlist order so results stay independent of thread count.
+/// readers, which read `composed` in place. An iteration that reuses a
+/// factorization never pays for it. Repeated subtract/add cycles drift
+/// `trans_values` by at most a few ulps per refresh (the deltas are exact
+/// floating-point values, not accumulated sums), far inside Newton's
+/// convergence tolerance, and every delta is applied serially in netlist
+/// order so results stay independent of thread count. The gather and the
+/// composition are per-slot, so a run's helper pool splits them by slot.
 #[derive(Debug, Default)]
 pub(crate) struct IncrementalJac {
     /// Per-transistor slots `[(rd,cg),(rd,rd),(rd,cs),(rs,cg),(rs,cd),(rs,rs)]`,
@@ -108,18 +111,20 @@ pub(crate) struct IncrementalJac {
     /// The linearization currently stamped in `trans_values`, per device.
     stamped: Vec<DeviceLin>,
     /// Linear-part values (resistors, cap conductances, vsource units, gmin).
-    lin_values: Vec<f64>,
+    lin_values: SharedF64,
     /// Transistor conductance values.
-    trans_values: Vec<f64>,
+    trans_values: SharedF64,
+    /// `lin_values + trans_values` as of the latest composition.
+    pub(crate) composed: SharedF64,
     /// Bias-independent linear stamps (resistors, vsource units), built once.
-    static_values: Vec<f64>,
+    static_values: Arc<Vec<f64>>,
     /// Diagonal slot per voltage node, for the g_min contribution.
     diag_slots: Vec<usize>,
-    /// Per companion branch: slots `[(ra,ra),(ra,rb),(rb,rb),(rb,ra)]`,
-    /// `NO_SLOT` where a terminal is ground.
-    cap_slots: Vec<[usize; 4]>,
-    /// Layout stamp of the companion list `cap_slots` was computed for
-    /// (0: none yet).
+    /// The linear part's per-slot gather over the companion list whose
+    /// layout stamp is `cap_layout`.
+    gather: Arc<LinGather>,
+    /// Layout stamp of the companion list `gather` was built for (0: none
+    /// yet).
     cap_layout: u64,
     /// Mutation stamp of the companion list `lin_values` was built from.
     lin_gen: u64,
@@ -127,6 +132,137 @@ pub(crate) struct IncrementalJac {
     lin_gmin: f64,
     /// False until the first linear rebuild.
     lin_valid: bool,
+}
+
+/// Marks a [`LinGather`] term that subtracts its branch's conductance.
+const NEG_TERM: u32 = 1 << 31;
+/// The [`LinGather`] term that adds g_min (last in a diagonal slot).
+const GMIN_TERM: u32 = u32::MAX;
+
+/// The companion and g_min terms of every Jacobian slot's linear part, in
+/// the order stamping adds them: per branch in layout order, its
+/// `(ra,ra) +geq, (ra,rb) −geq, (rb,rb) +geq, (rb,ra) −geq` entries; then
+/// g_min on each voltage node's diagonal.
+#[derive(Debug, Default)]
+struct LinGather {
+    /// `offsets[s]..offsets[s + 1]` indexes `terms` for slot `s`.
+    offsets: Vec<usize>,
+    /// Branch index (with [`NEG_TERM`] set for a subtraction), or
+    /// [`GMIN_TERM`].
+    terms: Vec<u32>,
+    /// Slot bounds of `chunks` chunks of near-equal gather work.
+    bounds: Vec<usize>,
+}
+
+impl LinGather {
+    /// Builds the gather of the companion branches `rows` over `pattern`,
+    /// split into `chunks` chunks.
+    fn build(
+        rows: &[(u32, u32)],
+        pattern: &SparsityPattern,
+        diag_slots: &[usize],
+        chunks: usize,
+    ) -> LinGather {
+        assert!(rows.len() < NEG_TERM as usize, "companion branch count");
+        let slot = |r: u32, c: u32| {
+            if r == NO_ROW || c == NO_ROW {
+                NO_SLOT
+            } else {
+                let (r, c) = (r as usize, c as usize);
+                pattern
+                    .slot(r, c)
+                    .unwrap_or_else(|| panic!("companion slot ({r},{c}) outside sparsity pattern"))
+            }
+        };
+        let branch_terms = rows.iter().enumerate().flat_map(|(b, &(ra, rb))| {
+            [
+                (slot(ra, ra), b as u32),
+                (slot(ra, rb), b as u32 | NEG_TERM),
+                (slot(rb, rb), b as u32),
+                (slot(rb, ra), b as u32 | NEG_TERM),
+            ]
+            .into_iter()
+            .filter(|&(s, _)| s != NO_SLOT)
+        });
+        let all_terms = || {
+            branch_terms
+                .clone()
+                .chain(diag_slots.iter().map(|&s| (s, GMIN_TERM)))
+        };
+        let nnz = pattern.nnz();
+        let mut offsets = vec![0usize; nnz + 1];
+        for (s, _) in all_terms() {
+            offsets[s + 1] += 1;
+        }
+        for s in 0..nnz {
+            offsets[s + 1] += offsets[s];
+        }
+        let mut terms = vec![0u32; offsets[nnz]];
+        let mut fill = offsets.clone();
+        for (s, term) in all_terms() {
+            terms[fill[s]] = term;
+            fill[s] += 1;
+        }
+        let mut gather = LinGather {
+            offsets,
+            terms,
+            bounds: Vec::new(),
+        };
+        gather.split(chunks);
+        gather
+    }
+
+    /// Splits the slots into `chunks` contiguous chunks of near-equal work
+    /// (one unit per slot plus one per term).
+    fn split(&mut self, chunks: usize) {
+        let nnz = self.offsets.len() - 1;
+        let work = |s: usize| s + self.offsets[s];
+        let total = work(nnz);
+        let mut s = 0;
+        self.bounds.clear();
+        self.bounds.push(0);
+        for k in 1..chunks {
+            let target = total * k / chunks;
+            while s < nnz && work(s) < target {
+                s += 1;
+            }
+            self.bounds.push(s);
+        }
+        self.bounds.push(nnz);
+    }
+
+    /// Number of chunks.
+    fn chunks(&self) -> usize {
+        self.bounds.len() - 1
+    }
+
+    /// Writes the linear part of chunk `k`'s slots into `lin`: each slot's
+    /// static value, plus its terms in order over the conductances `geq`
+    /// (g_min terms only when `gmin > 0`).
+    fn run(&self, k: usize, statics: &[f64], geq: &SharedF64, gmin: f64, lin: &SharedF64) {
+        let slots = self.bounds[k]..self.bounds[k + 1];
+        let ends = self.offsets[slots.start..=slots.end].windows(2);
+        for ((out, &v), w) in lin
+            .cells(slots.clone())
+            .iter()
+            .zip(&statics[slots])
+            .zip(ends)
+        {
+            let mut v = v;
+            for &t in &self.terms[w[0]..w[1]] {
+                if t == GMIN_TERM {
+                    if gmin > 0.0 {
+                        v += gmin;
+                    }
+                } else if t & NEG_TERM != 0 {
+                    v += -geq.get((t & !NEG_TERM) as usize);
+                } else {
+                    v += geq.get(t as usize);
+                }
+            }
+            out.set(v);
+        }
+    }
 }
 
 impl IncrementalJac {
@@ -190,11 +326,12 @@ impl IncrementalJac {
         IncrementalJac {
             stamped: vec![DeviceLin::default(); tslots.len()],
             tslots,
-            lin_values: vec![0.0; nnz],
-            trans_values: vec![0.0; nnz],
-            static_values,
+            lin_values: SharedF64::zeros(nnz),
+            trans_values: SharedF64::zeros(nnz),
+            composed: SharedF64::zeros(nnz),
+            static_values: Arc::new(static_values),
             diag_slots,
-            cap_slots: Vec::new(),
+            gather: Arc::default(),
             cap_layout: 0,
             lin_gen: 0,
             lin_gmin: 0.0,
@@ -207,47 +344,44 @@ impl IncrementalJac {
     /// `ieq` moves every step but only enters the residual, and `geq`
     /// changes arrive together with a new stamp).
     ///
-    /// The rebuild itself runs through cached slots: a copy of the static
-    /// stamps, one signed add per companion-branch slot, and the g_min
-    /// diagonal. The branch slots are recomputed only when the list's
-    /// layout stamp changed — once per transient run for its hold solve and
-    /// once for its steps — so the steady path does no slot search and no
-    /// membership compare.
-    fn refresh_linear(&mut self, gmin: f64, caps: &CompanionCaps, pattern: &SparsityPattern) {
+    /// The rebuild is the per-slot [`LinGather`], split across `pool`'s
+    /// threads when there is one. The gather is rebuilt only when the list's
+    /// layout stamp changed — once per transient run for its hold solve
+    /// and once for its steps — so the steady path does no slot search and
+    /// no membership compare.
+    fn refresh_linear(
+        &mut self,
+        gmin: f64,
+        caps: &CompanionCaps,
+        pattern: &SparsityPattern,
+        pool: Option<&Pool<'_>>,
+    ) {
         if self.lin_valid && self.lin_gmin == gmin && self.lin_gen == caps.generation() {
             return;
         }
+        let chunks = pool.map_or(1, Pool::chunks);
         if self.cap_layout != caps.layout() {
-            let slot = |r: u32, c: u32| {
-                if r == NO_ROW || c == NO_ROW {
-                    NO_SLOT
-                } else {
-                    let (r, c) = (r as usize, c as usize);
-                    pattern.slot(r, c).unwrap_or_else(|| {
-                        panic!("companion slot ({r},{c}) outside sparsity pattern")
-                    })
-                }
-            };
-            self.cap_slots.clear();
-            self.cap_slots.extend(caps.branches().iter().map(|br| {
-                let (ra, rb) = (br.ra, br.rb);
-                [slot(ra, ra), slot(ra, rb), slot(rb, rb), slot(rb, ra)]
-            }));
+            self.gather = Arc::new(LinGather::build(
+                caps.rows(),
+                pattern,
+                &self.diag_slots,
+                chunks,
+            ));
             self.cap_layout = caps.layout();
+        } else if self.gather.chunks() != chunks {
+            Arc::get_mut(&mut self.gather)
+                .expect("no job holds the gather between passes")
+                .split(chunks);
         }
-        self.lin_values.copy_from_slice(&self.static_values);
-        for (slots, br) in self.cap_slots.iter().zip(caps.branches()) {
-            let geq = br.geq;
-            // Even indices are diagonal (+geq), odd are off-diagonal (−geq).
-            for (k, &s) in slots.iter().enumerate() {
-                if s != NO_SLOT {
-                    self.lin_values[s] += if k % 2 == 0 { geq } else { -geq };
-                }
-            }
-        }
-        if gmin > 0.0 {
-            for &s in &self.diag_slots {
-                self.lin_values[s] += gmin;
+        match pool {
+            None => self
+                .gather
+                .run(0, &self.static_values, &caps.geq, gmin, &self.lin_values),
+            Some(pool) => {
+                let gather = Arc::clone(&self.gather);
+                let statics = Arc::clone(&self.static_values);
+                let (geq, lin) = (caps.geq.alias(), self.lin_values.alias());
+                pool.run(chunks, move |k| gather.run(k, &statics, &geq, gmin, &lin));
             }
         }
         self.lin_gen = caps.generation();
@@ -266,8 +400,8 @@ impl IncrementalJac {
         pattern: &SparsityPattern,
     ) -> bool {
         let mut fresh = IncrementalJac::build(mna, pattern);
-        fresh.refresh_linear(self.lin_gmin, caps, pattern);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        fresh.refresh_linear(self.lin_gmin, caps, pattern, None);
+        let bits = |v: &SharedF64| v.iter().map(f64::to_bits).collect::<Vec<_>>();
         bits(&self.lin_values) == bits(&fresh.lin_values)
     }
 
@@ -277,13 +411,14 @@ impl IncrementalJac {
     fn restamp_device(&mut self, idx: usize, e: &DeviceLin) {
         let slots = self.tslots[idx];
         let old = self.stamped[idx];
+        let trans = &self.trans_values;
         if old.valid {
             for (s, v) in slots
                 .iter()
                 .zip([old.gm, old.gds, old.gss, -old.gm, -old.gds, -old.gss])
             {
                 if *s != NO_SLOT {
-                    self.trans_values[*s] -= v;
+                    trans.set(*s, trans.get(*s) - v);
                 }
             }
         }
@@ -292,22 +427,39 @@ impl IncrementalJac {
             .zip([e.gm, e.gds, e.gss, -e.gm, -e.gds, -e.gss])
         {
             if *s != NO_SLOT {
-                self.trans_values[*s] += v;
+                trans.set(*s, trans.get(*s) + v);
             }
         }
         self.stamped[idx] = *e;
     }
 
-    /// Writes `lin_values + trans_values` into `jac`'s value storage.
-    pub(crate) fn compose_into(&self, jac: &mut SparseMatrix) {
+    /// Composes `lin_values + trans_values` into `composed`, split by slot
+    /// across `pool`'s threads when there is one.
+    pub(crate) fn compose(&self, pool: Option<&Pool<'_>>) {
         let _s = tfet_obs::span("compose");
-        let vals = jac.values_mut();
-        for ((v, l), t) in vals
-            .iter_mut()
-            .zip(&self.lin_values)
-            .zip(&self.trans_values)
-        {
-            *v = l + t;
+        let compose = |slots: Range<usize>, lin: &SharedF64, trans: &SharedF64, out: &SharedF64| {
+            let sums = lin
+                .cells(slots.clone())
+                .iter()
+                .zip(trans.cells(slots.clone()));
+            for (out, (l, t)) in out.cells(slots).iter().zip(sums) {
+                out.set(l.get() + t.get());
+            }
+        };
+        let n = self.composed.len();
+        match pool {
+            None => compose(0..n, &self.lin_values, &self.trans_values, &self.composed),
+            Some(pool) => {
+                let chunks = pool.chunks();
+                let (lin, trans, out) = (
+                    self.lin_values.alias(),
+                    self.trans_values.alias(),
+                    self.composed.alias(),
+                );
+                pool.run(chunks, move |k| {
+                    compose(n * k / chunks..n * (k + 1) / chunks, &lin, &trans, &out);
+                });
+            }
         }
     }
 }
@@ -339,7 +491,7 @@ impl DeviceLin {
     /// A full model evaluation of transistor `m` at terminal voltages
     /// `vg/vd/vs`, scaled by its width.
     #[inline]
-    fn evaluate(m: &Transistor, vg: f64, vd: f64, vs: f64) -> DeviceLin {
+    pub(crate) fn evaluate(m: &Transistor, vg: f64, vd: f64, vs: f64) -> DeviceLin {
         let w = m.width_um;
         let (i, gm, gds, gs) = m.model.linearize_per_um(vg, vd, vs);
         DeviceLin {
@@ -389,6 +541,17 @@ pub(crate) struct AssemblyStats {
     pub(crate) guard_refreshes: u64,
 }
 
+impl AssemblyStats {
+    /// Adds `other`'s counts into these.
+    pub(crate) fn add(&mut self, other: &AssemblyStats) {
+        self.evals += other.evals;
+        self.bypassed += other.bypassed;
+        self.dormant += other.dormant;
+        self.cells_refreshed += other.cells_refreshed;
+        self.guard_refreshes += other.guard_refreshes;
+    }
+}
+
 /// Sentinel row for a ground terminal (no KCL equation).
 pub(crate) const NO_ROW: u32 = u32::MAX;
 
@@ -432,26 +595,6 @@ fn next_stamp() -> u64 {
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
-/// One companion-model branch: the terminals' KCL rows ([`NO_ROW`] for
-/// ground) and the stamp values.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CompanionBranch {
-    pub(crate) ra: u32,
-    pub(crate) rb: u32,
-    /// Companion conductance.
-    pub(crate) geq: f64,
-    /// Companion current, flowing a→b.
-    pub(crate) ieq: f64,
-}
-
-impl CompanionBranch {
-    /// The voltage `v_a − v_b` in the unknown vector `x`.
-    #[inline]
-    pub(crate) fn v_ab(&self, x: &[f64]) -> f64 {
-        voltage_at(x, self.ra) - voltage_at(x, self.rb)
-    }
-}
-
 /// Linearized (companion-model) capacitor contributions for one transient
 /// step: for each branch `a → b`, a conductance `geq` plus a constant
 /// current `ieq` flowing a→b, such that the branch current is
@@ -462,16 +605,22 @@ impl CompanionBranch {
 /// `ieq = −geq·v_ab(t_n) − i_ab(t_n)`).
 ///
 /// The branch list — its *layout* — is fixed when the list is laid out and
-/// carries the terminals' KCL rows precomputed, so the residual and
-/// Jacobian loops index the unknown vector directly. Each step rewrites
-/// only the values. Two stamps track the list: the layout stamp changes
-/// only when the branches themselves change, the generation stamp on every
-/// mutation; both are unique across all instances (never-laid-out lists
-/// stay at 0).
+/// carries the terminals' KCL rows precomputed (a sentinel for ground), so
+/// the residual and Jacobian loops index the unknown vector directly. Each
+/// step rewrites only the values, which live in shared arrays so a
+/// run's helper pool can write them chunk by chunk. Two stamps track the
+/// list: the layout stamp changes only when the branches themselves change,
+/// the generation stamp on every mutation; both are unique across all
+/// instances (never-laid-out lists stay at 0).
 #[derive(Debug, Clone, Default)]
 pub struct CompanionCaps {
-    branches: Vec<CompanionBranch>,
-    /// Layout stamp: which branch list `branches` holds.
+    /// `(ra, rb)` per branch: the KCL rows of its terminals.
+    rows: Arc<Vec<(u32, u32)>>,
+    /// Companion conductance per branch.
+    pub(crate) geq: SharedF64,
+    /// Companion current per branch, flowing a→b.
+    pub(crate) ieq: SharedF64,
+    /// Layout stamp: which branch list `rows` holds.
     layout: u64,
     /// Mutation stamp of the values (and layout).
     generation: u64,
@@ -484,53 +633,49 @@ impl CompanionCaps {
     ///
     /// Panics if a node index does not fit in `u32`.
     pub fn from_branches(branches: impl IntoIterator<Item = (NodeId, NodeId, f64, f64)>) -> Self {
-        let mut caps = CompanionCaps {
-            branches: branches
-                .into_iter()
-                .map(|(a, b, geq, ieq)| CompanionBranch {
-                    ra: row_of(a),
-                    rb: row_of(b),
-                    geq,
-                    ieq,
-                })
-                .collect(),
-            layout: next_stamp(),
-            generation: 0,
-        };
-        caps.touch();
+        let branches: Vec<_> = branches.into_iter().collect();
+        let mut caps = CompanionCaps::default();
+        caps.set_layout(branches.iter().map(|&(a, b, _, _)| (a, b)));
+        for (k, &(_, _, geq, ieq)) in branches.iter().enumerate() {
+            caps.geq.set(k, geq);
+            caps.ieq.set(k, ieq);
+        }
         caps
     }
 
     /// Lays the list out over the `(a, b)` branches, in order, with every
-    /// value zeroed, and takes a fresh layout stamp. Reuses the buffer.
+    /// value zeroed, and takes a fresh layout stamp. Reuses the buffers
+    /// unless a job still holds them.
     pub(crate) fn set_layout(&mut self, branches: impl IntoIterator<Item = (NodeId, NodeId)>) {
-        self.branches.clear();
-        self.branches
-            .extend(branches.into_iter().map(|(a, b)| CompanionBranch {
-                ra: row_of(a),
-                rb: row_of(b),
-                geq: 0.0,
-                ieq: 0.0,
-            }));
+        let rows = Arc::make_mut(&mut self.rows);
+        rows.clear();
+        rows.extend(branches.into_iter().map(|(a, b)| (row_of(a), row_of(b))));
+        let n = rows.len();
+        self.geq.reset(n);
+        self.ieq.reset(n);
         self.layout = next_stamp();
         self.touch();
     }
 
     /// Number of branches.
     pub(crate) fn len(&self) -> usize {
-        self.branches.len()
+        self.rows.len()
     }
 
-    /// Every branch, in layout order.
-    pub(crate) fn branches(&self) -> &[CompanionBranch] {
-        &self.branches
+    /// `(ra, rb)` of every branch, in layout order.
+    pub(crate) fn rows(&self) -> &[(u32, u32)] {
+        &self.rows
     }
 
-    /// Every branch, for rewriting the values in place (the rows must stay
-    /// as laid out). The writer must [`touch`](Self::touch) the list
-    /// afterwards.
-    pub(crate) fn branches_mut(&mut self) -> &mut [CompanionBranch] {
-        &mut self.branches
+    /// A second handle on the same branches and values, for a job to own.
+    pub(crate) fn alias(&self) -> CompanionCaps {
+        CompanionCaps {
+            rows: Arc::clone(&self.rows),
+            geq: self.geq.alias(),
+            ieq: self.ieq.alias(),
+            layout: self.layout,
+            generation: self.generation,
+        }
     }
 
     /// Records that the values changed by taking a fresh globally-unique
@@ -554,30 +699,41 @@ impl CompanionCaps {
     /// `f` — the same terms, in the same order, as one
     /// [`Mna::stamp_current`] per branch.
     fn stamp_residual(&self, x: &[f64], f: &mut [f64]) {
-        for br in &self.branches {
-            stamp_current_rows(f, br.ra, br.rb, br.geq * br.v_ab(x) + br.ieq);
+        let all = 0..self.len();
+        let values = self.geq.cells(all.clone()).iter().zip(self.ieq.cells(all));
+        for (&(ra, rb), (geq, ieq)) in self.rows.iter().zip(values) {
+            let v_ab = voltage_at(x, ra) - voltage_at(x, rb);
+            stamp_current_rows(f, ra, rb, geq.get() * v_ab + ieq.get());
         }
     }
 
     /// Stamps every branch conductance into `j` — the same adds, in the same
     /// order, as one [`Mna::stamp_conductance`] per branch.
     fn stamp_conductances<J: JacTarget>(&self, j: &mut J) {
-        for br in &self.branches {
-            let (ra, rb, g) = (br.ra as usize, br.rb as usize, br.geq);
-            if br.ra != NO_ROW {
+        for (k, &(ra_, rb_)) in self.rows.iter().enumerate() {
+            let (ra, rb, g) = (ra_ as usize, rb_ as usize, self.geq.get(k));
+            if ra_ != NO_ROW {
                 j.add(ra, ra, g);
-                if br.rb != NO_ROW {
+                if rb_ != NO_ROW {
                     j.add(ra, rb, -g);
                 }
             }
-            if br.rb != NO_ROW {
+            if rb_ != NO_ROW {
                 j.add(rb, rb, g);
-                if br.ra != NO_ROW {
+                if ra_ != NO_ROW {
                     j.add(rb, ra, -g);
                 }
             }
         }
     }
+}
+
+/// The voltage `v_a − v_b` across a branch with KCL rows `(ra, rb)` in the
+/// state `x`.
+#[inline]
+pub(crate) fn branch_voltage<X: Volts + ?Sized>(x: &X, (ra, rb): (u32, u32)) -> f64 {
+    let at = |r: u32| if r == NO_ROW { 0.0 } else { x.at(r as usize) };
+    at(ra) - at(rb)
 }
 
 /// Assembled view of a circuit, ready for repeated Jacobian/residual
@@ -586,10 +742,14 @@ impl CompanionCaps {
 /// One `Mna` serves one analysis (a transient run or a DC solve) over a
 /// borrowed, immutable circuit, so the topology it describes cannot change
 /// while it lives: the structural signatures the solver workspace keys its
-/// cached state on are computed on first use and memoised here.
+/// cached state on are computed on first use and memoised here. A large
+/// partitioned transient also carries its run's helper pool here, which
+/// every pooled pass of the analysis reaches through it.
 #[derive(Debug)]
 pub struct Mna<'c> {
     circuit: &'c Circuit,
+    /// The run's helper pool, if it started one.
+    pool: Option<Pool<'c>>,
     /// Non-ground node count (voltage unknowns).
     n_v: usize,
     /// Total unknowns (`n_v` + voltage-source branch currents).
@@ -620,11 +780,24 @@ impl<'c> Mna<'c> {
         let n_x = n_v + circuit.vsource_count();
         Ok(Mna {
             circuit,
+            pool: None,
             n_v,
             n_x,
             pattern_sig: OnceLock::new(),
             partition_sig: OnceLock::new(),
         })
+    }
+
+    /// Attaches a run's helper pool: every pooled pass of this analysis
+    /// splits its work across it.
+    pub(crate) fn with_pool(mut self, pool: Pool<'c>) -> Self {
+        self.pool = Some(pool);
+        self
+    }
+
+    /// The analysis's helper pool, if it has one.
+    pub(crate) fn pool(&self) -> Option<&Pool<'c>> {
+        self.pool.as_ref()
     }
 
     /// Number of unknowns.
@@ -638,7 +811,7 @@ impl<'c> Mna<'c> {
     }
 
     /// The circuit under analysis.
-    pub fn circuit(&self) -> &Circuit {
+    pub fn circuit(&self) -> &'c Circuit {
         self.circuit
     }
 
@@ -952,16 +1125,15 @@ impl<'c> Mna<'c> {
     /// maintenance.
     ///
     /// 1. **decide** — re-evaluate dormancy per partition against the
-    ///    refresh-point references ([`LatencyState::update_dormancy`]), then
-    ///    mark each device: partition members evaluate iff their cell is not
-    ///    dormant (a refreshed cell re-evaluates *all* its devices, so cache
-    ///    entries and references always describe one coherent operating
-    ///    point); ungrouped devices keep the per-device bypass test.
-    /// 2. **evaluate** — run the marked device models, serially or fanned
-    ///    across threads when the batch pays for the thread spawns
-    ///    ([`fans_out`]). Each evaluation writes only its own cache slot and
-    ///    depends only on `x`, so the fan-out is embarrassingly parallel and
-    ///    bit-deterministic.
+    ///    refresh-point references, then mark each device: partition
+    ///    members evaluate iff their cell is not dormant, ungrouped devices
+    ///    keep the per-device bypass test ([`LatencyShard::decide`]).
+    /// 2. **evaluate** — run the marked device models
+    ///    ([`LatencyShard::evaluate`]). Each evaluation writes only its own
+    ///    cache slot and depends only on `x`.
+    ///
+    ///    Both phases work shard by shard; with a helper pool each is one
+    ///    pooled pass over the shards, bit-deterministic at any thread count.
     /// 3. **stamp** — serial, in netlist order. The residual replay
     ///    `i = i₀ + gm·Δvg + gds·Δvd + gss·Δvs` is exact (Δv ≡ 0) for
     ///    freshly evaluated devices and second-order accurate for dormant or
@@ -977,14 +1149,14 @@ impl<'c> Mna<'c> {
     ///    device capacitances moved. `jac` itself is left stale: the caller
     ///    marks it [`JacStale::Compose`](crate::workspace::JacStale::Compose),
     ///    and the sum is composed only when the solver reads the matrix
-    ///    ([`IncrementalJac::compose_into`]).
+    ///    ([`IncrementalJac::compose`]).
     ///
     /// On an array where >90 % of cells are dormant this turns the dominant
     /// per-iteration cost — thousands of slot-searched stamps for devices
     /// whose conductances have not changed — into slot updates for the
     /// freshly evaluated devices alone, plus one O(nnz) vector add per
-    /// refactorization or consistency check. The fixed serial order of every matrix mutation
-    /// keeps results independent of thread count.
+    /// refactorization or consistency check. The fixed serial order of every
+    /// Jacobian delta keeps results independent of thread count.
     #[allow(clippy::too_many_arguments)] // solver-internal hot path
     pub(crate) fn assemble_sparse_latent(
         &self,
@@ -993,101 +1165,70 @@ impl<'c> Mna<'c> {
         gmin: f64,
         anchor: Option<&[f64]>,
         caps: &CompanionCaps,
-        jac: &mut SparseMatrix,
+        pattern: &SparsityPattern,
         inc: &mut IncrementalJac,
         f: &mut [f64],
-        cache: &mut [DeviceLin],
         lat: &mut LatencyState,
     ) -> AssemblyStats {
         assert_eq!(x.len(), self.n_x, "state vector length");
         assert_eq!(f.len(), self.n_x, "residual length");
-        assert_eq!(
-            cache.len(),
-            self.circuit.transistors.len(),
-            "bypass cache length"
-        );
         f.fill(0.0);
-        let mut stats = AssemblyStats::default();
 
         // Linear Jacobian part: rebuilt only when its values changed.
         {
             let _s = tfet_obs::span("lin");
-            inc.refresh_linear(gmin, caps, jac.pattern());
+            inc.refresh_linear(gmin, caps, pattern, self.pool());
         }
 
-        // Residual stamps in `assemble_residual`'s order, so the two paths
-        // agree term for term (the Jacobian's linear entries, voltage-source
-        // units and g_min diagonal included, live in the linear part).
-        self.stamp_linear_residual(x, t, Some(caps), f);
-
-        // Phase 1: decide which devices need a fresh evaluation.
-        let _s_decide = tfet_obs::span("decide");
-        let (cells_refreshed, guard_refreshes) = lat.update_dormancy(x);
-        stats.cells_refreshed += cells_refreshed;
-        stats.guard_refreshes += guard_refreshes;
-        let mut n_eval = 0usize;
-        for (idx, &[rg, rd, rs]) in lat.terminal_rows.iter().enumerate() {
-            let g = lat.owner.owner_of(idx);
-            let eval = if g != GroupedIndices::UNGROUPED {
-                if lat.dormant[g] {
-                    stats.dormant += 1;
-                    false
-                } else {
-                    true
-                }
-            } else {
-                let e = &cache[idx];
-                let (vg, vd, vs) = (voltage_at(x, rg), voltage_at(x, rd), voltage_at(x, rs));
-                if e.valid
-                    && (vg - e.vg).abs() < BYPASS_VTOL
-                    && (vd - e.vd).abs() < BYPASS_VTOL
-                    && (vs - e.vs).abs() < BYPASS_VTOL
+        // The linear residual, stamped in `assemble_residual`'s order so the
+        // two paths agree term for term (the Jacobian's linear entries,
+        // voltage-source units and g_min diagonal included, live in the
+        // linear part); then phases 1 and 2: decide which devices need a
+        // fresh evaluation, and evaluate them. With a pool, the helpers
+        // decide while this thread stamps the linear residual, which reads
+        // nothing they write.
+        match self.pool() {
+            Some(pool) => {
+                let xs = pool.share_x(x);
+                let n = lat.shards().len();
+                let (shards, xs_decide) = (lat.shards_handle(), xs.alias());
+                let deciding = pool.submit(n, move |k| lock(&shards[k]).decide(&xs_decide));
+                self.stamp_linear_residual(x, t, Some(caps), f);
                 {
-                    stats.bypassed += 1;
-                    false
-                } else {
-                    true
+                    let _s = tfet_obs::span("decide");
+                    deciding.join();
                 }
-            };
-            lat.eval_mask[idx] = eval;
-            n_eval += eval as usize;
-        }
-        stats.evals += n_eval as u64;
-        drop(_s_decide);
-        let _s_eval = tfet_obs::span("eval");
-
-        // Phase 2: evaluate marked devices (parallel when worthwhile).
-        let (eval_mask, rows) = (&lat.eval_mask, &lat.terminal_rows);
-        let evaluate = |idx: usize, e: &mut DeviceLin| {
-            let [rg, rd, rs] = rows[idx];
-            let (vg, vd, vs) = (voltage_at(x, rg), voltage_at(x, rd), voltage_at(x, rs));
-            *e = DeviceLin::evaluate(&self.circuit.transistors[idx], vg, vd, vs);
-        };
-        let threads = assembly_threads();
-        if fans_out(n_eval, threads) {
-            par_for_each_mut(cache, Some(threads), |idx, e| {
-                if eval_mask[idx] {
-                    evaluate(idx, e);
+                let _s = tfet_obs::span("eval");
+                let (shards, circuit) = (lat.shards_handle(), self.circuit);
+                pool.run(n, move |k| lock(&shards[k]).evaluate(circuit, &xs));
+            }
+            None => {
+                self.stamp_linear_residual(x, t, Some(caps), f);
+                let mut shard = lock(&lat.shards()[0]);
+                {
+                    let _s = tfet_obs::span("decide");
+                    shard.decide(x);
                 }
-            });
-        } else {
-            for (idx, e) in cache.iter_mut().enumerate() {
-                if eval_mask[idx] {
-                    evaluate(idx, e);
-                }
+                let _s = tfet_obs::span("eval");
+                shard.evaluate(self.circuit, x);
             }
         }
 
-        drop(_s_eval);
         let _s_stamp = tfet_obs::span("stamp");
         // Phase 3: residual for every device; Jacobian deltas only for the
         // devices whose linearization changed this assembly.
-        for (idx, (e, &[rg, rd, rs])) in cache.iter().zip(&lat.terminal_rows).enumerate() {
-            let (vg, vd, vs) = (voltage_at(x, rg), voltage_at(x, rd), voltage_at(x, rs));
-            let i = e.i + e.gm * (vg - e.vg) + e.gds * (vd - e.vd) + e.gss * (vs - e.vs);
-            stamp_current_rows(f, rd, rs, i);
-            if lat.eval_mask[idx] {
-                inc.restamp_device(idx, e);
+        let mut stats = AssemblyStats::default();
+        for shard in lat.shards() {
+            let shard = lock(shard);
+            stats.add(&shard.stats);
+            let rows = shard.terminal_rows.iter().zip(&shard.eval_mask);
+            for (k, (e, (&[rg, rd, rs], &evaluated))) in shard.cache.iter().zip(rows).enumerate() {
+                let (vg, vd, vs) = (voltage_at(x, rg), voltage_at(x, rd), voltage_at(x, rs));
+                let i = e.i + e.gm * (vg - e.vg) + e.gds * (vd - e.vd) + e.gss * (vs - e.vs);
+                stamp_current_rows(f, rd, rs, i);
+                if evaluated {
+                    inc.restamp_device(shard.dev0 + k, e);
+                }
             }
         }
         drop(_s_stamp);

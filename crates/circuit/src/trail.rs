@@ -274,7 +274,7 @@ impl Trail {
             stale: sparse.map_or(JacStale::No, |s| s.stale),
         });
         self.xs.extend_from_slice(x);
-        self.i_prevs.extend_from_slice(&ws.caps.start.i_prev);
+        self.i_prevs.extend(ws.caps.start.i_prev.iter());
         self.devices.extend_from_slice(&ws.bufs.device_cache);
         match sparse {
             Some(s) if factors => self.factors.extend_from_slice(s.lu.factor_values()),
@@ -397,11 +397,13 @@ impl Trail {
         // `c` and `v_ab` are functions of `x` alone: re-derive them exactly
         // as the recording's accept path did; the branch currents carry
         // history and come from the checkpoint.
-        ws.caps.start.refill(circuit, x, &ws.companions, false);
+        ws.caps
+            .start
+            .refill(circuit, None, x, &ws.companions, false);
         ws.caps
             .start
             .i_prev
-            .copy_from_slice(row(&self.i_prevs, self.n_i, k));
+            .copy_from(row(&self.i_prevs, self.n_i, k));
         ws.bufs
             .device_cache
             .copy_from_slice(row(&self.devices, self.n_dev, k));

@@ -68,11 +68,15 @@
 use crate::dc::{solve_op, Engine, SolverStrategy};
 use crate::error::SimError;
 use crate::latency::DeviceLatency;
-use crate::mna::{CompanionCaps, Mna};
-use crate::netlist::{Circuit, NodeId};
+use crate::latency::{assembly_threads, pools};
+use crate::mna::{branch_voltage, CompanionCaps, Mna};
+use crate::netlist::{Circuit, NodeId, Transistor};
+use crate::pool::{F64Cell, Pool, SharedF64, Volts};
 use crate::probe::{SolveStats, TransientResult};
 use crate::trail::{Trail, TrailRole};
 use crate::workspace::{with_workspace, NewtonWorkspace};
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Integration method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -333,69 +337,134 @@ impl StopEvent {
 /// Per-branch values of the capacitor table at one state: each branch's
 /// capacitance, its voltage `v_a − v_b`, and (trapezoidal runs only) the
 /// branch current the companion stamps that produced the state carry.
+///
+/// The values live in [`SharedF64`] arrays so a run's helper pool can fill
+/// them chunk by chunk.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CapValues {
-    c: Vec<f64>,
-    v_ab: Vec<f64>,
+    c: SharedF64,
+    v_ab: SharedF64,
     /// Empty unless the run is trapezoidal: backward Euler never reads it.
-    pub(crate) i_prev: Vec<f64>,
+    pub(crate) i_prev: SharedF64,
 }
 
 impl CapValues {
     /// Sizes the values for `circuit`'s table of `n` branches and writes the
     /// explicit capacitors' values, which never change during a run.
     fn lay_out(&mut self, circuit: &Circuit, n: usize, history: bool) {
-        self.c.clear();
-        self.c.extend(circuit.capacitors.iter().map(|c| c.farads));
-        self.c.resize(n, 0.0);
-        self.v_ab.clear();
-        self.v_ab.resize(n, 0.0);
-        self.i_prev.clear();
-        if history {
-            self.i_prev.resize(n, 0.0);
+        self.c.reset(n);
+        for (k, cap) in circuit.capacitors.iter().enumerate() {
+            self.c.set(k, cap.farads);
         }
+        self.v_ab.reset(n);
+        self.i_prev.reset(if history { n } else { 0 });
     }
 
     /// Re-linearizes the table at the state `x` in one pass: evaluates every
     /// transistor's capacitances, stores every branch's voltage, and — with
     /// `history` — derives each branch's current from the companion stamps
-    /// `comps` that produced `x` (`i = geq·v_ab + ieq`).
+    /// `comps` that produced `x` (`i = geq·v_ab + ieq`). With a `pool`, the
+    /// pass runs chunk by chunk across its threads.
     ///
     /// A capacitance that is not positive is stored as 0 and keeps its
     /// slot; its companion stamps add zeros, which leave every residual and
     /// Jacobian sum bit-identical to leaving the branch out.
-    pub(crate) fn refill(
+    pub(crate) fn refill<'c>(
         &mut self,
-        circuit: &Circuit,
+        circuit: &'c Circuit,
+        pool: Option<&Pool<'c>>,
         x: &[f64],
         comps: &CompanionCaps,
         history: bool,
     ) {
         let _span = tfet_obs::span("relinearize");
-        let volt = |n: NodeId| if n.is_ground() { 0.0 } else { x[n.index() - 1] };
-        let mut k = circuit.capacitors.len();
-        for m in &circuit.transistors {
+        let all = RefillChunk {
+            devices: 0..circuit.transistors.len(),
+            first_branch: circuit.capacitors.len(),
+            branches: 0..comps.len(),
+        };
+        match pool {
+            None => all.run(circuit, x, self, comps, history),
+            Some(pool) => {
+                let xs = pool.share_x(x);
+                let (vals, comps) = (self.alias(), comps.alias());
+                let (devices, branches) = (Arc::clone(&pool.devices), Arc::clone(&pool.branches));
+                pool.run(pool.chunks(), move |k| {
+                    let chunk = RefillChunk {
+                        devices: devices[k]..devices[k + 1],
+                        first_branch: if k == 0 {
+                            all.first_branch
+                        } else {
+                            branches[k]
+                        },
+                        branches: branches[k]..branches[k + 1],
+                    };
+                    chunk.run(circuit, &xs, &vals, &comps, history);
+                });
+            }
+        }
+    }
+
+    /// A second handle on the same values, for a job to own.
+    fn alias(&self) -> CapValues {
+        CapValues {
+            c: self.c.alias(),
+            v_ab: self.v_ab.alias(),
+            i_prev: self.i_prev.alias(),
+        }
+    }
+}
+
+/// One chunk of [`CapValues::refill`]: the transistors `devices`, whose
+/// branches start at `first_branch`, and the table branches `branches`.
+struct RefillChunk {
+    devices: Range<usize>,
+    first_branch: usize,
+    branches: Range<usize>,
+}
+
+impl RefillChunk {
+    /// Re-linearizes this chunk of `vals` at the state `x`.
+    fn run<X: Volts + ?Sized>(
+        &self,
+        circuit: &Circuit,
+        x: &X,
+        vals: &CapValues,
+        comps: &CompanionCaps,
+        history: bool,
+    ) {
+        let volt = |n: NodeId| {
+            if n.is_ground() {
+                0.0
+            } else {
+                x.at(n.index() - 1)
+            }
+        };
+        let mut k = self.first_branch;
+        for m in &circuit.transistors[self.devices.clone()] {
             let caps = m.model.caps_per_um(volt(m.g), volt(m.d), volt(m.s));
             let w = m.width_um;
-            for (a, b, c) in [
-                (m.g, m.s, caps.cgs * w),
-                (m.g, m.d, caps.cgd * w),
-                (m.d, Circuit::GND, caps.cdb * w),
-                (m.s, Circuit::GND, caps.csb * w),
-            ] {
+            let values = [caps.cgs * w, caps.cgd * w, caps.cdb * w, caps.csb * w];
+            for ((a, b), c) in m.cap_terminals().into_iter().zip(values) {
                 if a != b {
-                    self.c[k] = if c > 0.0 { c } else { 0.0 };
+                    vals.c.set(k, if c > 0.0 { c } else { 0.0 });
                     k += 1;
                 }
             }
         }
-        debug_assert_eq!(k, self.c.len(), "capacitor table layout");
-        for (v, br) in self.v_ab.iter_mut().zip(comps.branches()) {
-            *v = br.v_ab(x);
+        debug_assert_eq!(k, self.branches.end, "capacitor table layout");
+        let branches = self.branches.clone();
+        let voltages = comps.rows()[branches.clone()]
+            .iter()
+            .zip(vals.v_ab.cells(branches.clone()));
+        for (&rows, v_ab) in voltages {
+            v_ab.set(branch_voltage(x, rows));
         }
         if history {
-            for ((i, &v), br) in self.i_prev.iter_mut().zip(&self.v_ab).zip(comps.branches()) {
-                *i = br.geq * v + br.ieq;
+            let cell = |a| cells(a, &branches);
+            let stamps = cell(&comps.geq).zip(cell(&comps.ieq));
+            for ((i_prev, v), (geq, ieq)) in cell(&vals.i_prev).zip(cell(&vals.v_ab)).zip(stamps) {
+                i_prev.set(geq.get() * v.get() + ieq.get());
             }
         }
     }
@@ -439,32 +508,52 @@ impl CapTable {
     }
 }
 
+/// The values of `a` at `range`, to walk in step with others.
+fn cells<'a>(a: &'a SharedF64, range: &Range<usize>) -> std::slice::Iter<'a, F64Cell> {
+    a.cells(range.clone()).iter()
+}
+
 /// Fills `out`'s values with the companion-model stamps of `vals` for one
-/// step of `dt` from the state the values were taken at.
-fn build_companions(vals: &CapValues, dt: f64, use_be: bool, out: &mut CompanionCaps) {
+/// step of `dt` from the state the values were taken at, chunk by chunk
+/// across `pool`'s threads when there is one.
+fn build_companions(
+    vals: &CapValues,
+    dt: f64,
+    use_be: bool,
+    out: &mut CompanionCaps,
+    pool: Option<&Pool<'_>>,
+) {
     let _span = tfet_obs::span("companions");
-    let branches = out.branches_mut();
-    if use_be {
-        for ((br, &c), &v_ab) in branches.iter_mut().zip(&vals.c).zip(&vals.v_ab) {
-            let geq = c / dt;
-            br.geq = geq;
-            br.ieq = -geq * v_ab;
+    assert!(
+        use_be || vals.i_prev.len() == vals.c.len(),
+        "trapezoidal companions need the branch-current history"
+    );
+    let fill = move |branches: Range<usize>, vals: &CapValues, out: &CompanionCaps| {
+        let cell = |a| cells(a, &branches);
+        let state = cell(&vals.c).zip(cell(&vals.v_ab));
+        let stamps = cell(&out.geq).zip(cell(&out.ieq));
+        if use_be {
+            for ((c, v_ab), (geq_out, ieq)) in state.zip(stamps) {
+                let geq = c.get() / dt;
+                geq_out.set(geq);
+                ieq.set(-geq * v_ab.get());
+            }
+        } else {
+            for (((c, v_ab), (geq_out, ieq)), i_prev) in state.zip(stamps).zip(cell(&vals.i_prev)) {
+                let geq = 2.0 * c.get() / dt;
+                geq_out.set(geq);
+                ieq.set(-geq * v_ab.get() - i_prev.get());
+            }
         }
-    } else {
-        assert_eq!(
-            vals.i_prev.len(),
-            vals.c.len(),
-            "trapezoidal companions need the branch-current history"
-        );
-        for (((br, &c), &v_ab), &i_prev) in branches
-            .iter_mut()
-            .zip(&vals.c)
-            .zip(&vals.v_ab)
-            .zip(&vals.i_prev)
-        {
-            let geq = 2.0 * c / dt;
-            br.geq = geq;
-            br.ieq = -geq * v_ab - i_prev;
+    };
+    match pool {
+        None => fill(0..out.len(), vals, out),
+        Some(pool) => {
+            let bounds = Arc::clone(&pool.branches);
+            let (vals, shared) = (vals.alias(), out.alias());
+            pool.run(bounds.len() - 1, move |k| {
+                fill(bounds[k]..bounds[k + 1], &vals, &shared);
+            });
         }
     }
     out.touch();
@@ -598,7 +687,7 @@ fn rescue_step(
             // restarts from a state whose branch-current history just failed
             // to produce a solution, and BE is the standard L-stable restart
             // after such a discontinuity.
-            build_companions(&vals, h_sub, true, &mut comps);
+            build_companions(&vals, h_sub, true, &mut comps, mna.pool());
             let attempt = solve_op(
                 mna,
                 &mut ws.bufs,
@@ -618,7 +707,7 @@ fn rescue_step(
                 }
             }
             if k < n_sub {
-                vals.refill(mna.circuit(), &x, &comps, false);
+                vals.refill(mna.circuit(), mna.pool(), &x, &comps, false);
             }
         }
         if ok {
@@ -644,23 +733,30 @@ fn event_fired(events: &[StopEvent], mna: &Mna<'_>, x: &[f64], t: f64) -> bool {
     })
 }
 
+impl Transistor {
+    /// The terminal pairs of the transistor's four capacitor branches, in
+    /// table order: gate–source, gate–drain, drain–bulk and source–bulk
+    /// (bulk tied to ground). The table keeps those whose terminals differ.
+    pub(crate) fn cap_terminals(&self) -> [(NodeId, NodeId); 4] {
+        [
+            (self.g, self.s),
+            (self.g, self.d),
+            (self.d, Circuit::GND),
+            (self.s, Circuit::GND),
+        ]
+    }
+}
+
 impl Circuit {
     /// The capacitor table's branch layout, in order: explicit capacitors,
-    /// then each transistor's gate–source, gate–drain, drain–bulk and
-    /// source–bulk branches (bulk tied to ground) wherever the two
-    /// terminals differ.
+    /// then each transistor's [capacitor branches](Transistor::cap_terminals)
+    /// wherever the two terminals differ.
     fn cap_branches(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
         let explicit = self.capacitors.iter().map(|c| (c.a, c.b));
-        let devices = self.transistors.iter().flat_map(|m| {
-            [
-                (m.g, m.s),
-                (m.g, m.d),
-                (m.d, Circuit::GND),
-                (m.s, Circuit::GND),
-            ]
-            .into_iter()
-            .filter(|(a, b)| a != b)
-        });
+        let devices = self
+            .transistors
+            .iter()
+            .flat_map(|m| m.cap_terminals().into_iter().filter(|(a, b)| a != b));
         explicit.chain(devices)
     }
 
@@ -793,6 +889,11 @@ impl Circuit {
         self.transient_run(spec, initial, events, None, ws, Some((trail, role)))
     }
 
+    /// One run: the analysis, with a helper pool for a large partitioned
+    /// circuit ([`pools`]) when more than one assembly thread is set — the
+    /// count is resolved here, once per run. The pool's helpers live in a
+    /// thread scope around the whole run, so every exit path (success,
+    /// error, unwind) joins them before this returns.
     fn transient_run(
         &self,
         spec: &TransientSpec,
@@ -804,7 +905,37 @@ impl Circuit {
     ) -> Result<TransientResult, SimError> {
         let _span = tfet_obs::span("transient");
         let mna = Mna::new(self)?;
+        let helpers = if pools(self) {
+            assembly_threads() - 1
+        } else {
+            0
+        };
+        if helpers == 0 {
+            return self.transient_steps(&mna, spec, initial, events, probes, ws, trail);
+        }
+        std::thread::scope(|scope| {
+            let (pool, _helpers) = Pool::start(scope, helpers, self, mna.unknown_count());
+            // Dropped before `_helpers`: the pool's end stops the helpers.
+            let mna = mna.with_pool(pool);
+            self.transient_steps(&mna, spec, initial, events, probes, ws, trail)
+        })
+    }
+
+    /// The body of [`transient_run`](Self::transient_run) on the analysis
+    /// `mna` of this circuit.
+    #[allow(clippy::too_many_arguments)] // the run's inputs plus its analysis
+    fn transient_steps(
+        &self,
+        mna: &Mna<'_>,
+        spec: &TransientSpec,
+        initial: &InitialState,
+        events: &[StopEvent],
+        probes: Option<&[NodeId]>,
+        ws: &mut NewtonWorkspace,
+        trail: Option<(&mut Trail, TrailRole)>,
+    ) -> Result<TransientResult, SimError> {
         let n_v = mna.voltage_count();
+        let (circuit, pool) = (mna.circuit(), mna.pool());
         let engine = spec.engine();
         // Fresh run: device-bypass operating points and retained
         // factorizations from any previous run are stale by definition.
@@ -881,9 +1012,11 @@ impl Circuit {
                 tfet_obs::counter("transient.resumed_steps", step_no);
             }
         } else {
-            x = self.initial_state(&mna, initial, engine, ws)?;
+            x = self.initial_state(mna, initial, engine, ws)?;
             result.push(0.0, |node| mna.voltage_of(&x, node));
-            ws.caps.start.refill(self, &x, &ws.companions, false);
+            ws.caps
+                .start
+                .refill(circuit, pool, &x, &ws.companions, false);
             if let Some(tr) = recording.as_deref_mut() {
                 tr.start(self, spec, engine, initial, &x, analyses0, analyzed0, ws);
             }
@@ -898,7 +1031,7 @@ impl Circuit {
         // in the workspace.
         let solve = |ws: &mut NewtonWorkspace, x0: Vec<f64>, t_to: f64| {
             solve_op(
-                &mna,
+                mna,
                 &mut ws.bufs,
                 &mut ws.anchor,
                 x0,
@@ -964,7 +1097,7 @@ impl Circuit {
                 // step as two half steps with a midpoint re-linearization of
                 // the nonlinear capacitances; the largest node-voltage
                 // disagreement between the two estimates the LTE.
-                build_companions(&ws.caps.start, h_try, use_be, &mut ws.companions);
+                build_companions(&ws.caps.start, h_try, use_be, &mut ws.companions, pool);
                 ws.x_coarse.clear();
                 ws.x_coarse.extend_from_slice(&x);
                 let x0 = std::mem::take(&mut ws.x_coarse);
@@ -973,13 +1106,21 @@ impl Circuit {
                     if adaptive.is_none() {
                         return Ok(0.0);
                     }
-                    build_companions(&ws.caps.start, 0.5 * h_try, use_be, &mut ws.companions);
+                    build_companions(
+                        &ws.caps.start,
+                        0.5 * h_try,
+                        use_be,
+                        &mut ws.companions,
+                        pool,
+                    );
                     ws.x_fine.clear();
                     ws.x_fine.extend_from_slice(&x);
                     let x0 = std::mem::take(&mut ws.x_fine);
                     let v = solve(ws, x0, 0.5 * (t_from + t_new))?;
-                    ws.caps.mid.refill(self, &v, &ws.companions, history);
-                    build_companions(&ws.caps.mid, 0.5 * h_try, use_be, &mut ws.companions);
+                    ws.caps
+                        .mid
+                        .refill(circuit, pool, &v, &ws.companions, history);
+                    build_companions(&ws.caps.mid, 0.5 * h_try, use_be, &mut ws.companions, pool);
                     ws.x_fine = solve(ws, v, t_new)?;
                     Ok(ws.x_fine[..n_v]
                         .iter()
@@ -1032,7 +1173,7 @@ impl Circuit {
                         // the g_min continuation anchored at the last
                         // accepted state.
                         let rescued = rescue_step(
-                            &mna,
+                            mna,
                             ws,
                             x.clone(),
                             t_from,
@@ -1045,7 +1186,7 @@ impl Circuit {
                                 None => "fixed-step",
                                 Some(_) => "adaptive-floor",
                             };
-                            capture_failure(&mna, ws, Some(&result), stage, t_new, h_try, &e);
+                            capture_failure(mna, ws, Some(&result), stage, t_new, h_try, &e);
                             return Err(e);
                         };
                         x = v;
@@ -1071,7 +1212,9 @@ impl Circuit {
                 // Accept: re-linearize the table at the new operating point
                 // (and update the branch-current history from the companions
                 // that produced it), then record the step.
-                ws.caps.start.refill(self, &x, &ws.companions, history);
+                ws.caps
+                    .start
+                    .refill(circuit, pool, &x, &ws.companions, history);
                 t = t_new;
                 ws.step_trace.record(t, h_try);
                 {
@@ -1084,7 +1227,7 @@ impl Circuit {
                     tr.log_attempt(t, h_try);
                     tr.checkpoint(step_no, t, h, reach, &x, ws);
                 }
-                if event_fired(events, &mna, &x, t) {
+                if event_fired(events, mna, &x, t) {
                     result.stats.early_exit = true;
                     break 'time;
                 }
@@ -1115,7 +1258,7 @@ impl Circuit {
         // entry, accumulated serially in the decide phase — identical at any
         // thread count). Empty when the circuit registered no partitions.
         if let Some(lat) = ws.bufs.latency.as_ref() {
-            result.partitions.clone_from(&lat.telemetry);
+            lat.harvest_telemetry(&mut result.partitions);
         }
         if tfet_obs::enabled() {
             tfet_obs::counter("transient.runs", 1);

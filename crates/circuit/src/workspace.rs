@@ -112,13 +112,34 @@ pub(crate) struct SparseState {
     /// ([`Mna::assemble_sparse_latent`]): linear/transistor value split and
     /// per-device stamp slots over `jac`'s pattern.
     pub(crate) inc: IncrementalJac,
-    /// Whether `jac` lags the latest assembly, and how to bring it up to
-    /// date. Newton assemblies write only the residual (and the split or
-    /// the linearizations the Jacobian is made from); the two readers of
-    /// `jac` ([`SolverBufs::sparse_refactor`],
+    /// Whether the Jacobian lags the latest assembly, and how to bring it
+    /// up to date. Newton assemblies write only the residual (and the split
+    /// or the linearizations the Jacobian is made from); the two readers
+    /// ([`SolverBufs::sparse_refactor`],
     /// [`SolverBufs::sparse_update_consistent`]) rebuild it first, so an
     /// iteration that reuses a factorization never stamps a Jacobian.
     pub(crate) stale: JacStale,
+    /// Where the up-to-date Jacobian's values live: `inc.composed` after a
+    /// composition, `jac` after a stamp. The readers read them in place.
+    pub(crate) composed: bool,
+}
+
+impl SparseState {
+    /// Runs the symbolic analysis on the up-to-date Jacobian, written into
+    /// `jac` first when it lives in `inc.composed`.
+    fn analyze(&mut self) -> Result<(), tfet_numerics::matrix::SolveError> {
+        if self.composed {
+            for (v, c) in self
+                .jac
+                .values_mut()
+                .iter_mut()
+                .zip(self.inc.composed.iter())
+            {
+                *v = c;
+            }
+        }
+        self.lu.analyze(&self.jac)
+    }
 }
 
 /// How a stale [`SparseState::jac`] is rebuilt before it is read.
@@ -127,7 +148,7 @@ pub(crate) enum JacStale {
     /// `jac` holds the Jacobian of the latest assembly.
     No,
     /// Compose the latency tier's linear + transistor split
-    /// ([`IncrementalJac::compose_into`]).
+    /// ([`IncrementalJac::compose`]).
     Compose,
     /// Stamp it from the linearizations the latest residual pass recorded
     /// ([`Mna::stamp_jacobian`]).
@@ -196,9 +217,10 @@ impl SolverBufs {
     }
 
     /// Invalidates every state-carrying cache: the device-bypass
-    /// linearizations and the modified-Newton factor validity. Called at
-    /// every run/DC entry and on parameter rebinds, so stale operating
-    /// points or factors can never leak across runs or circuits.
+    /// linearizations (the latency tier's included) and the modified-Newton
+    /// factor validity. Called at every run/DC entry and on parameter
+    /// rebinds, so stale operating points or factors can never leak across
+    /// runs or circuits.
     pub(crate) fn invalidate_caches(&mut self) {
         for e in &mut self.device_cache {
             e.valid = false;
@@ -230,26 +252,30 @@ impl SolverBufs {
             factor_valid: false,
             inc,
             stale: JacStale::No,
+            composed: false,
         });
     }
 
     /// Ensures latency-tier state matching `mna`'s circuit exists: `None`
     /// when the circuit registered no partitions (the overwhelmingly common
     /// case — a cheap emptiness check and no allocation), otherwise built
-    /// or rebuilt only when the combined topology + partition signature
-    /// changed, so same-topology runs (sweeps, bisection searches) keep
-    /// their state across solves.
+    /// or rebuilt only when the combined topology + partition signature or
+    /// the sharding changed — one shard per chunk of the analysis's helper
+    /// pool, one without a pool — so same-topology runs (sweeps, bisection
+    /// searches) keep their state across solves.
     pub(crate) fn ensure_latency(&mut self, mna: &Mna<'_>) {
-        let parts = mna.circuit().latency_partitions();
-        if parts.is_empty() {
+        let circuit = mna.circuit();
+        if circuit.latency_partitions().is_empty() {
             self.latency = None;
             return;
         }
         let sig = mna.partition_signature();
-        if self.latency.as_ref().is_some_and(|l| l.sig == sig) {
+        let serial = [0, circuit.transistors().len()];
+        let bounds = mna.pool().map_or(&serial[..], |p| &p.devices);
+        if self.latency.as_ref().is_some_and(|l| l.fits(sig, bounds)) {
             return;
         }
-        self.latency = Some(LatencyState::build(mna.circuit(), sig));
+        self.latency = Some(LatencyState::build(circuit, sig, bounds));
     }
 
     /// Brings [`SparseState::jac`] up to date with the latest assembly of
@@ -260,7 +286,10 @@ impl SolverBufs {
         let s = self.sparse.as_mut().expect("sparse state prepared");
         match std::mem::replace(&mut s.stale, JacStale::No) {
             JacStale::No => {}
-            JacStale::Compose => s.inc.compose_into(&mut s.jac),
+            JacStale::Compose => {
+                s.inc.compose(src.mna.pool());
+                s.composed = true;
+            }
             JacStale::Stamp => {
                 let lins = if src.bypass {
                     &self.device_cache
@@ -268,6 +297,7 @@ impl SolverBufs {
                     &self.lins
                 };
                 src.mna.stamp_jacobian(src.gmin, src.caps, lins, &mut s.jac);
+                s.composed = false;
             }
         }
     }
@@ -295,13 +325,19 @@ impl SolverBufs {
         let s = self.sparse.as_mut().expect("sparse state prepared");
         let r = if !s.lu.is_analyzed() {
             analyses += 1;
-            s.lu.analyze(&s.jac)
+            s.analyze()
         } else {
-            match s.lu.refactorize(&s.jac) {
+            let refactored = if s.composed {
+                let composed = &s.inc.composed;
+                s.lu.refactorize_with(s.jac.pattern(), |k| composed.get(k))
+            } else {
+                s.lu.refactorize(&s.jac)
+            };
+            match refactored {
                 Ok(()) => Ok(()),
                 Err(_) => {
                     analyses += 1;
-                    s.lu.analyze(&s.jac)
+                    s.analyze()
                 }
             }
         };
@@ -326,7 +362,12 @@ impl SolverBufs {
     pub(crate) fn sparse_update_consistent(&mut self, src: &JacSource<'_, '_>) -> bool {
         self.fresh_jacobian(src);
         let s = self.sparse.as_ref().expect("sparse state prepared");
-        s.jac.mul_vec(&self.dx, &mut self.scratch);
+        if s.composed {
+            let composed = &s.inc.composed;
+            (s.jac.pattern()).mul_vec_with(|k| composed.get(k), &self.dx, &mut self.scratch);
+        } else {
+            s.jac.mul_vec(&self.dx, &mut self.scratch);
+        }
         let mut err = 0.0f64;
         for (r, v) in self.scratch.iter().zip(&self.f) {
             err = err.max((r + v).abs());
@@ -616,9 +657,9 @@ mod tests {
         // The latest residual and the Jacobian its incremental split composes.
         let last_system = |ws: &NewtonWorkspace| {
             let s = ws.bufs.sparse.as_ref().unwrap();
-            let mut jac = SparseMatrix::new(s.jac.pattern().clone());
-            s.inc.compose_into(&mut jac);
-            (bits(&ws.bufs.f), bits(jac.values()))
+            s.inc.compose(None);
+            let composed: Vec<u64> = s.inc.composed.iter().map(f64::to_bits).collect();
+            (bits(&ws.bufs.f), composed)
         };
         let mut ws = NewtonWorkspace::default();
         let mut layouts = Vec::new();

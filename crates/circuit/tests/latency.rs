@@ -12,110 +12,17 @@
 //!   bounded by the initial settle).
 //!
 //! A third test pins the deterministic parallel evaluation claim: the same
-//! array transient, bit-identical at 1, 2, 4 and 8 assembly threads.
+//! pooled array transient, bit-identical at 1, 2, 4 and 8 assembly threads.
 
-use std::sync::Arc;
-use tfet_circuit::latency::{fans_out, PAR_EVAL_MIN};
+#[path = "support/latch_row.rs"]
+mod latch_row;
+
+use latch_row::{hold_ics, latch_row, with_lines, VDD};
+use tfet_circuit::latency::{pools, POOL_MIN_DEVICES};
 use tfet_circuit::transient::InitialState;
 use tfet_circuit::{
-    set_assembly_threads, CellPartition, Circuit, DeviceLatency, GuardKind, NodeId, TransientSpec,
-    Waveform,
+    set_assembly_threads, CellPartition, DeviceLatency, GuardKind, TransientSpec, Waveform,
 };
-use tfet_devices::{NTfet, PTfet};
-
-const VDD: f64 = 0.8;
-
-/// A row of TFET latch cells hanging off one shared bitline/wordline pair:
-/// each cell is a cross-coupled inverter pair plus an n-type access device
-/// from the bitline to `q`, with the wordline held inactive. One latency
-/// partition per cell: the five cell transistors, storage nodes watched,
-/// the shared lines guarded.
-fn latch_row(n_cells: usize, bl_wave: Waveform) -> (Circuit, Vec<(NodeId, NodeId)>) {
-    let mut c = Circuit::new();
-    let vdd = c.node("vdd");
-    c.vsource("VDD", vdd, Circuit::GND, Waveform::dc(VDD));
-    let bl = c.node("bl");
-    c.vsource("VBL", bl, Circuit::GND, bl_wave);
-    let wl = c.node("wl");
-    c.vsource("VWL", wl, Circuit::GND, Waveform::dc(0.0));
-
-    let mut partitions = Vec::new();
-    let mut storage = Vec::new();
-    for i in 0..n_cells {
-        let q = c.node(&format!("q{i}"));
-        let qb = c.node(&format!("qb{i}"));
-        let d0 = c.transistors().len();
-        c.transistor(
-            &format!("PU{i}L"),
-            Arc::new(PTfet::nominal()),
-            q,
-            qb,
-            vdd,
-            0.06,
-        );
-        c.transistor(
-            &format!("PD{i}L"),
-            Arc::new(NTfet::nominal()),
-            q,
-            qb,
-            Circuit::GND,
-            0.1,
-        );
-        c.transistor(
-            &format!("PU{i}R"),
-            Arc::new(PTfet::nominal()),
-            qb,
-            q,
-            vdd,
-            0.06,
-        );
-        c.transistor(
-            &format!("PD{i}R"),
-            Arc::new(NTfet::nominal()),
-            qb,
-            q,
-            Circuit::GND,
-            0.1,
-        );
-        c.transistor(
-            &format!("AX{i}"),
-            Arc::new(NTfet::nominal()),
-            bl,
-            wl,
-            q,
-            0.1,
-        );
-        c.capacitor(q, Circuit::GND, 1e-15);
-        c.capacitor(qb, Circuit::GND, 1e-15);
-        partitions.push(CellPartition {
-            devices: (d0..d0 + 5).collect(),
-            watch: vec![q, qb],
-            guard: vec![wl, bl, vdd],
-            guard_kinds: vec![GuardKind::Wordline, GuardKind::Bitline, GuardKind::Rail],
-        });
-        storage.push((q, qb));
-    }
-    c.set_latency_partitions(partitions);
-    (c, storage)
-}
-
-/// Checkerboard hold state: even cells store 1, odd cells store 0.
-fn hold_ics(storage: &[(NodeId, NodeId)]) -> Vec<(NodeId, f64)> {
-    let mut ics = Vec::new();
-    for (i, &(q, qb)) in storage.iter().enumerate() {
-        let one = i % 2 == 0;
-        ics.push((q, if one { VDD } else { 0.0 }));
-        ics.push((qb, if one { 0.0 } else { VDD }));
-    }
-    ics
-}
-
-fn with_lines(mut ics: Vec<(NodeId, f64)>, c: &Circuit, bl0: f64) -> Vec<(NodeId, f64)> {
-    ics.push((c.find_node("vdd").unwrap(), VDD));
-    ics.push((c.find_node("bl").unwrap(), bl0));
-    ics.push((c.find_node("wl").unwrap(), 0.0));
-    ics
-}
 
 #[test]
 fn moving_bitline_force_refreshes_dormant_cells() {
@@ -234,15 +141,16 @@ fn quiescent_hold_never_refreshes_dormant_cells() {
 
 #[test]
 fn parallel_evaluation_is_bit_identical_across_thread_counts() {
-    // Enough cells (5 devices each) that one full-evaluation assembly
-    // crosses PAR_EVAL_MIN and actually takes the threaded path.
-    let n_cells = PAR_EVAL_MIN / 5 + 2;
+    // Enough cells (5 devices each) that the run starts a helper pool, so
+    // every pooled pass of every step splits across its threads.
+    let n_cells = POOL_MIN_DEVICES / 5 + 2;
     let bl_wave = Waveform::step(VDD, 0.0, 0.4e-9, 20e-12);
     let spec = TransientSpec::new(1.2e-9, 1e-12);
 
     let run = |threads: usize| {
         set_assembly_threads(threads);
         let (c, storage) = latch_row(n_cells, bl_wave.clone());
+        assert!(pools(&c), "test must be big enough to start a helper pool");
         let ics = with_lines(hold_ics(&storage), &c, VDD);
         let out = c.transient(&spec, &InitialState::Uic(ics)).unwrap();
         set_assembly_threads(0);
@@ -250,19 +158,6 @@ fn parallel_evaluation_is_bit_identical_across_thread_counts() {
     };
 
     let (base, storage) = run(1);
-    // A run starts with every refresh point invalidated, so its first
-    // assembly cold-refreshes every cell at once and evaluates all of
-    // their devices as one batch. That batch must fan out.
-    let first_batch = 5 * base
-        .partitions
-        .iter()
-        .filter(|t| t.cold_refreshes > 0)
-        .count();
-    assert_eq!(first_batch, 5 * n_cells, "{:?}", base.stats);
-    assert!(
-        fans_out(first_batch, 2),
-        "test must be big enough to exercise the parallel path: {first_batch} evaluations"
-    );
     // 2 is the benchmark's assembly thread count.
     for threads in [2, 4, 8] {
         let (other, _) = run(threads);

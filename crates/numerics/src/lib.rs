@@ -22,9 +22,9 @@
 //!   including the weighted summaries importance sampling needs;
 //! * [`normal`] — standard-normal special functions (`erf`, CDF, inverse
 //!   CDF) backing truncated-Gaussian sampling and likelihood ratios;
-//! * [`parallel`] — deterministic scoped-thread fan-out (`par_map`,
-//!   `par_for_each_mut`) whose results are bit-identical to a serial loop at
-//!   any thread count;
+//! * [`parallel`] — deterministic scoped-thread fan-out (`par_map` and its
+//!   fallible and stateful variants) whose results are bit-identical to a
+//!   serial loop at any thread count;
 //! * [`partition`] — CSR-style index grouping used by the solver's
 //!   quiescent-partition latency tier to map devices ↔ cells without
 //!   per-query allocation.
@@ -58,7 +58,7 @@ pub mod sweep;
 pub use interp::{Lut1d, Lut2d};
 pub use matrix::{LuWorkspace, Matrix};
 pub use normal::{erf, erfc, gaussian_mass_within, inv_norm_cdf, norm_cdf};
-pub use parallel::{par_for_each_mut, par_map, par_try_map};
+pub use parallel::{par_map, par_try_map};
 pub use partition::GroupedIndices;
 pub use roots::{
     bisect, brent, critical_threshold, critical_threshold_checked, critical_threshold_seeded,

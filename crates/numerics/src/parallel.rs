@@ -115,61 +115,6 @@ where
         .collect()
 }
 
-/// Applies `f(index, item)` to every element of `items` in place across a
-/// scoped worker pool, splitting the slice into contiguous blocks.
-///
-/// Each worker owns a disjoint sub-slice, so no locking is needed and — as
-/// with [`par_map`] — the result is **bit-identical to a serial loop at any
-/// thread count**: `f` sees only the global item index and the item itself,
-/// never worker identity. `threads` picks the worker count; `None` means
-/// [`default_threads`]. With one worker (or fewer than two items) this is a
-/// plain serial loop.
-///
-/// Unlike [`par_map`]'s work-stealing counter, blocks are static: this is
-/// intended for workloads whose per-item cost is roughly uniform, such as
-/// device-model evaluation during circuit assembly.
-///
-/// # Panics
-///
-/// Propagates a panic from `f` (the scope joins all workers first).
-///
-/// # Examples
-///
-/// ```
-/// use tfet_numerics::parallel::par_for_each_mut;
-///
-/// let mut xs = vec![0.0f64; 5];
-/// par_for_each_mut(&mut xs, Some(2), |i, x| *x = (i * i) as f64);
-/// assert_eq!(xs, vec![0.0, 1.0, 4.0, 9.0, 16.0]);
-/// ```
-pub fn par_for_each_mut<T, F>(items: &mut [T], threads: Option<usize>, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let n = items.len();
-    let workers = threads.unwrap_or_else(default_threads).max(1).min(n.max(1));
-    if workers <= 1 || n <= 1 {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return;
-    }
-
-    let block = n.div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (b, chunk) in items.chunks_mut(block).enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                let base = b * block;
-                for (off, item) in chunk.iter_mut().enumerate() {
-                    f(base + off, item);
-                }
-            });
-        }
-    });
-}
-
 /// Fallible [`par_map_with`]: per-worker scratch state, with either every
 /// success in index order or the error from the **lowest failing index** —
 /// evaluated fully before the scan, so the reported error is
@@ -306,29 +251,6 @@ mod tests {
             },
         );
         assert_eq!(result, Err("bad 4".to_string()));
-    }
-
-    #[test]
-    fn for_each_mut_matches_serial_at_any_thread_count() {
-        let f = |i: usize, x: &mut f64| *x = (i as f64).cos() * 1e3 + i as f64;
-        let mut serial = vec![0.0f64; 97];
-        for (i, x) in serial.iter_mut().enumerate() {
-            f(i, x);
-        }
-        for threads in [1, 2, 3, 8, 16] {
-            let mut xs = vec![0.0f64; 97];
-            par_for_each_mut(&mut xs, Some(threads), f);
-            assert_eq!(xs, serial, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn for_each_mut_handles_empty_and_tiny_slices() {
-        let mut empty: Vec<u32> = vec![];
-        par_for_each_mut(&mut empty, Some(4), |_, _| unreachable!());
-        let mut one = vec![5u32];
-        par_for_each_mut(&mut one, Some(4), |i, x| *x += i as u32 + 1);
-        assert_eq!(one, vec![6]);
     }
 
     #[test]

@@ -113,6 +113,26 @@ impl SparsityPattern {
                 .map(move |&r| (r, c))
         })
     }
+
+    /// `y = A·x` for the matrix over this pattern whose slot `k` holds
+    /// `value(k)` (column-oriented, allocation-free): the matrix's values
+    /// may live outside a [`SparseMatrix`].
+    ///
+    /// Panics if `x` or `y` has the wrong length.
+    pub fn mul_vec_with(&self, value: impl Fn(usize) -> f64, x: &[f64], y: &mut [f64]) {
+        let n = self.n;
+        assert_eq!(x.len(), n, "mul_vec x length");
+        assert_eq!(y.len(), n, "mul_vec y length");
+        y.fill(0.0);
+        for (c, &xc) in x.iter().enumerate() {
+            if xc == 0.0 {
+                continue;
+            }
+            for k in self.col_ptr[c]..self.col_ptr[c + 1] {
+                y[self.row_idx[k]] += value(k) * xc;
+            }
+        }
+    }
 }
 
 /// Values laid over a [`SparsityPattern`]; the sparse analogue of
@@ -178,18 +198,7 @@ impl SparseMatrix {
     ///
     /// Panics if `x` or `y` has the wrong length.
     pub fn mul_vec(&self, x: &[f64], y: &mut [f64]) {
-        let n = self.pattern.n;
-        assert_eq!(x.len(), n, "mul_vec x length");
-        assert_eq!(y.len(), n, "mul_vec y length");
-        y.fill(0.0);
-        for (c, &xc) in x.iter().enumerate() {
-            if xc == 0.0 {
-                continue;
-            }
-            for k in self.pattern.col_ptr[c]..self.pattern.col_ptr[c + 1] {
-                y[self.pattern.row_idx[k]] += self.values[k] * xc;
-            }
-        }
+        self.pattern.mul_vec_with(|k| self.values[k], x, y);
     }
 
     /// Densifies into a [`Matrix`] (tests and cross-checks).
@@ -588,17 +597,32 @@ impl SparseLu {
     /// Panics if `a`'s pattern differs from the analyzed one (slot-count
     /// check): mixing patterns is a caller bug.
     pub fn refactorize(&mut self, a: &SparseMatrix) -> Result<(), SolveError> {
+        self.refactorize_with(&a.pattern, |k| a.values[k])
+    }
+
+    /// [`refactorize`](SparseLu::refactorize) over the matrix on `pattern`
+    /// whose slot `k` holds `value(k)`: the matrix's values may live outside
+    /// a [`SparseMatrix`]. Allocation-free.
+    ///
+    /// # Errors
+    ///
+    /// As [`refactorize`](SparseLu::refactorize).
+    pub fn refactorize_with(
+        &mut self,
+        pattern: &SparsityPattern,
+        value: impl Fn(usize) -> f64,
+    ) -> Result<(), SolveError> {
         assert!(self.analyzed, "refactorize before analyze");
         assert_eq!(
-            a.pattern.nnz(),
+            pattern.nnz(),
             self.analyzed_nnz,
             "sparsity pattern changed since analyze"
         );
-        assert_eq!(a.pattern.n, self.n, "dimension changed since analyze");
+        assert_eq!(pattern.n, self.n, "dimension changed since analyze");
         self.factored = false;
         self.fvals.fill(0.0);
         for (k, &s) in self.scatter.iter().enumerate() {
-            self.fvals[s] += a.values[k];
+            self.fvals[s] += value(k);
         }
         for j in 0..self.n {
             for &(dest, l, u) in &self.upd[self.col_upd[j]..self.col_upd[j + 1]] {

@@ -8,9 +8,11 @@
 # between the two builds). Then runs untraced perfbench pairs, alternating
 # which side goes first, for every workload and seed, and prints per pair
 # the change/parent ratio of `items_per_s` (normalized) and of the
-# wall-clock items/s, then per workload each side's median and quartiles of
-# `items_per_s`, `setup_s` and `peak_rss_mb`, and how many pairs the change
-# won on `items_per_s`. perfbench itself is run unedited.
+# wall-clock items/s, marking each pair whose two ratios point in opposite
+# directions, then per workload each side's median and quartiles of
+# `items_per_s`, `setup_s` and `peak_rss_mb`, and for both the normalized
+# and the wall-clock items/s the median pair ratio and how many pairs the
+# change won. perfbench itself is run unedited.
 #
 # Usage:
 #   scripts/bench_pair.sh --parent REV [--change REV|worktree]
@@ -143,14 +145,23 @@ for w in dict.fromkeys(k[0] for k in rows):
     keys = [k for k in rows if k[0] == w]
     print(f"\n== {w} ==")
     print("seed pair  items_per_s ratio  wall-clock ratio")
-    wins = 0
+    split = 0
     for k in keys:
         par, chg = rows[k]["parent"], rows[k]["change"]
-        wins += chg[0] > par[0]
-        print(f"{k[1]:>4} {k[2]:>4}  {chg[0] / par[0]:>17.4f}  {chg[3] / par[3]:>16.4f}")
+        norm, wall = chg[0] / par[0], chg[3] / par[3]
+        # Probe normalization can over-correct when the host is contended,
+        # and a change that loads a second core contends with the probe:
+        # flag every pair whose two ratios point in opposite directions.
+        disagree = (norm - 1) * (wall - 1) < 0
+        split += disagree
+        mark = "  <- normalized and wall-clock disagree" if disagree else ""
+        print(f"{k[1]:>4} {k[2]:>4}  {norm:>17.4f}  {wall:>16.4f}{mark}")
     for i, name in enumerate(["items_per_s", "setup_s", "peak_rss_mb"]):
         for side in ("parent", "change"):
             print(f"{name:<12} {side:<6} {quartiles([rows[k][side][i] for k in keys])}")
-    ratios = [rows[k]["change"][0] / rows[k]["parent"][0] for k in keys]
-    print(f"items_per_s: change won {wins}/{len(keys)} pairs; median pair ratio {statistics.median(ratios):.4f}")
+    for name, i in (("items_per_s", 0), ("wall-clock items/s", 3)):
+        ratios = [rows[k]["change"][i] / rows[k]["parent"][i] for k in keys]
+        wins = sum(r > 1 for r in ratios)
+        print(f"{name}: change won {wins}/{len(keys)} pairs; median pair ratio {statistics.median(ratios):.4f}")
+    print(f"pairs whose normalized and wall-clock ratios disagree: {split}/{len(keys)}")
 EOF
