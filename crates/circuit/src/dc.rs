@@ -88,6 +88,28 @@ const V_TOL: f64 = 2e-8;
 /// Damping: the largest voltage change applied in one iteration, V.
 const V_STEP_MAX: f64 = 0.3;
 
+/// The largest `|x|` over `xs` (0 when empty), NaN if any `x` is NaN.
+///
+/// `f64::max` drops NaN, so a fold over it would let a NaN update or
+/// residual pass a convergence or consistency test. On NaN-free input this
+/// is that fold, bit for bit: the maximum of non-negative values does not
+/// depend on the order they are taken in, so four interleaved partial
+/// maxima keep the fold as fast as the `f64::max` one (a single sticky
+/// chain ran at a third of its speed).
+pub(crate) fn max_abs(xs: &[f64]) -> f64 {
+    let pick = |m: f64, a: f64| if a > m || a.is_nan() { a } else { m };
+    let chunks = xs.chunks_exact(4);
+    let rest = chunks.remainder();
+    let mut m = [0.0f64; 4];
+    for c in chunks {
+        for (m, x) in m.iter_mut().zip(c) {
+            *m = pick(*m, x.abs());
+        }
+    }
+    let head = pick(pick(m[0], m[1]), pick(m[2], m[3]));
+    rest.iter().fold(head, |m, x| pick(m, x.abs()))
+}
+
 /// The g_min relaxation ladder used when plain Newton fails. Ends at zero so
 /// the final solution is physical — essential here because TFET hold
 /// currents (1e-17 A) are smaller than a conventional simulator's
@@ -164,7 +186,7 @@ fn newton_dense(
         // the history is what a post-mortem of a failed solve needs. The
         // pushes reuse reserved capacity (see `RES_HISTORY_CAP`), so the
         // hot path stays allocation-free.
-        last_residual = bufs.f.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        last_residual = max_abs(&bufs.f);
         if bufs.res_history.len() < bufs.res_history.capacity() {
             bufs.res_history.push(last_residual);
         }
@@ -180,7 +202,7 @@ fn newton_dense(
         let dx = &bufs.dx;
 
         // Undamped voltage-update magnitude decides convergence.
-        let max_dv = dx[..n_v].iter().fold(0.0f64, |m, d| m.max(d.abs()));
+        let max_dv = max_abs(&dx[..n_v]);
         if !max_dv.is_finite() {
             tfet_obs::record_u64("newton.iters_per_solve", iter as u64 + 1);
             return Err((
@@ -343,7 +365,7 @@ fn newton_sparse(
             bufs.cells_refreshed += stats.cells_refreshed;
             bufs.guard_refreshes += stats.guard_refreshes;
         }
-        last_residual = bufs.f.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        last_residual = max_abs(&bufs.f);
         if bufs.res_history.len() < bufs.res_history.capacity() {
             bufs.res_history.push(last_residual);
         }
@@ -369,7 +391,7 @@ fn newton_sparse(
             s.lu.solve_into(&bufs.rhs, &mut bufs.dx);
         }
         bufs.sparse_solves += 1;
-        let mut max_dv = bufs.dx[..n_v].iter().fold(0.0f64, |m, d| m.max(d.abs()));
+        let mut max_dv = max_abs(&bufs.dx[..n_v]);
 
         // Stall guard: a reused factor whose update has stopped shrinking
         // (contraction worse than ~1.4× per chord iteration) gets replaced
@@ -389,7 +411,7 @@ fn newton_sparse(
                 s.lu.solve_into(&bufs.rhs, &mut bufs.dx);
             }
             bufs.sparse_solves += 1;
-            max_dv = bufs.dx[..n_v].iter().fold(0.0f64, |m, d| m.max(d.abs()));
+            max_dv = max_abs(&bufs.dx[..n_v]);
             solved_with_reuse = false;
         }
 
@@ -414,7 +436,7 @@ fn newton_sparse(
                 s.lu.solve_into(&bufs.rhs, &mut bufs.dx);
             }
             bufs.sparse_solves += 1;
-            max_dv = bufs.dx[..n_v].iter().fold(0.0f64, |m, d| m.max(d.abs()));
+            max_dv = max_abs(&bufs.dx[..n_v]);
         }
         prev_max_dv = max_dv;
 
@@ -661,6 +683,25 @@ mod tests {
     use crate::waveform::Waveform;
     use std::sync::Arc;
     use tfet_devices::{NTfet, Nmos, PTfet, Pmos};
+
+    /// `max_abs` is the `f64::max` fold on NaN-free input, bit for bit, and
+    /// NaN wherever a NaN sits: in any of the interleaved partial maxima or
+    /// in the remainder.
+    #[test]
+    fn max_abs_is_the_max_fold_and_keeps_nan() {
+        let fold = |xs: &[f64]| xs.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        let xs: Vec<f64> = (0..11)
+            .map(|k| [-0.0, 0.0, 3e-9, -7.5, f64::INFINITY][k % 5] * (1.0 + k as f64))
+            .collect();
+        for len in 0..=xs.len() {
+            assert_eq!(max_abs(&xs[..len]).to_bits(), fold(&xs[..len]).to_bits());
+            for at in 0..len {
+                let mut with_nan = xs[..len].to_vec();
+                with_nan[at] = f64::NAN;
+                assert!(max_abs(&with_nan).is_nan(), "len {len}, NaN at {at}");
+            }
+        }
+    }
 
     #[test]
     fn resistive_divider() {

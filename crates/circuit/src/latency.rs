@@ -129,6 +129,9 @@ pub const GUARD_VTOL: f64 = 16.0 * BYPASS_VTOL;
 /// transistors), which never start one.
 pub const POOL_MIN_DEVICES: usize = 4096;
 
+/// The name of every pool helper thread: a run leaves none of them behind.
+pub const POOL_THREAD_NAME: &str = "tfet-pool";
+
 /// Whether a transient of `circuit` starts a helper pool when more than
 /// one assembly thread is set: only a latency-partitioned circuit of at
 /// least [`POOL_MIN_DEVICES`] transistors does.

@@ -52,6 +52,7 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
 use std::sync::Arc;
 use std::thread::{Scope, ScopedJoinHandle};
 
+use crate::latency::POOL_THREAD_NAME;
 use crate::netlist::Circuit;
 
 /// Polls of an empty channel before a waiting thread parks. Each poll is
@@ -147,7 +148,11 @@ impl<'c> Pool<'c> {
             .map(|_| {
                 let (jobs, job_rx) = sync_channel::<Arc<dyn Drain + 'c>>(1);
                 let (reply_tx, replies) = sync_channel(1);
-                threads.push(scope.spawn(move || helper_loop(&job_rx, &reply_tx)));
+                let helper = std::thread::Builder::new()
+                    .name(POOL_THREAD_NAME.into())
+                    .spawn_scoped(scope, move || helper_loop(&job_rx, &reply_tx))
+                    .expect("failed to spawn a pool helper thread");
+                threads.push(helper);
                 Helper { jobs, replies }
             })
             .collect();

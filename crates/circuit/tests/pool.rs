@@ -1,24 +1,28 @@
 //! The helper pool of large latency-partitioned transients: results that
 //! are bit-identical at any assembly thread count, one trace report for
-//! every thread count, panics that reach the caller, and no helper thread
-//! left behind by a run that fails.
+//! every thread count, panics that reach the caller, runs that fail on a
+//! NaN device current, and no helper thread left behind by a run that
+//! fails.
 //!
 //! Every test holds `LOCK`: the assembly thread count and the trace
-//! registry are process-wide, and two tests count this process's threads.
+//! registry are process-wide, and three tests count this process's pool
+//! helper threads.
 
+#[path = "support/faulty_device.rs"]
+mod faulty_device;
 #[path = "support/latch_row.rs"]
 mod latch_row;
 
+use faulty_device::FaultyDevice;
 use latch_row::{hold_ics, latch_row, with_lines, VDD};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard};
-use tfet_circuit::latency::{pools, POOL_MIN_DEVICES};
+use tfet_circuit::latency::{pools, POOL_MIN_DEVICES, POOL_THREAD_NAME};
 use tfet_circuit::transient::InitialState;
 use tfet_circuit::{
     set_assembly_threads, Circuit, CompiledCircuit, Integrator, NodeId, TransientResult,
     TransientSpec, Waveform,
 };
-use tfet_devices::model::{Caps, DeviceKind, DeviceModel, Polarity};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -67,10 +71,18 @@ fn at_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
     out.unwrap_or_else(|p| panic::resume_unwind(p))
 }
 
-/// Threads of this process (Linux only).
+/// Pool helper threads alive in this process (Linux only). Counting them
+/// by name, not all threads, keeps the count blind to the test harness
+/// starting the next test.
 #[cfg(target_os = "linux")]
-fn threads_alive() -> usize {
-    std::fs::read_dir("/proc/self/task").unwrap().count()
+fn helpers_alive() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter(|task| {
+            let comm = task.as_ref().unwrap().path().join("comm");
+            std::fs::read_to_string(comm).is_ok_and(|name| name.trim_end() == POOL_THREAD_NAME)
+        })
+        .count()
 }
 
 #[test]
@@ -148,40 +160,6 @@ fn traced_pooled_run_reports_like_a_serial_one() {
     assert_eq!(one.histograms, two.histograms);
 }
 
-/// A TFET stand-in whose current calls `fault` once its drain falls below
-/// half the supply, for the fault-injection tests.
-#[derive(Debug)]
-struct FaultyDevice {
-    fault: fn() -> f64,
-}
-
-impl DeviceModel for FaultyDevice {
-    fn name(&self) -> &str {
-        "faulty"
-    }
-    fn polarity(&self) -> Polarity {
-        Polarity::N
-    }
-    fn kind(&self) -> DeviceKind {
-        DeviceKind::Tfet
-    }
-    fn ids_per_um(&self, _vg: f64, vd: f64, vs: f64) -> f64 {
-        if vd < 0.5 * VDD {
-            (self.fault)()
-        } else {
-            1e-12 * (vd - vs)
-        }
-    }
-    fn caps_per_um(&self, _vg: f64, _vd: f64, _vs: f64) -> Caps {
-        Caps {
-            cgs: 1e-16,
-            cgd: 1e-16,
-            cdb: 1e-16,
-            csb: 1e-16,
-        }
-    }
-}
-
 /// The falling row plus, last in the netlist, one unpartitioned faulty
 /// device on a node that follows the bitline through an RC filter.
 fn faulty_row(fault: fn() -> f64) -> (Circuit, InitialState) {
@@ -205,8 +183,6 @@ fn a_panicking_device_reaches_the_caller() {
     let _guard = serial();
     let (c, init) = faulty_row(|| panic!("device model failed"));
     let spec = TransientSpec::fixed(0.6e-9, 2e-12);
-    #[cfg(target_os = "linux")]
-    let before = threads_alive();
     let caught = at_threads(2, || {
         panic::catch_unwind(AssertUnwindSafe(|| c.transient(&spec, &init)))
     });
@@ -214,7 +190,7 @@ fn a_panicking_device_reaches_the_caller() {
     let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
     assert_eq!(msg, "device model failed");
     #[cfg(target_os = "linux")]
-    assert_eq!(threads_alive(), before, "a helper outlived its run");
+    assert_eq!(helpers_alive(), 0, "a helper outlived its run");
 }
 
 #[test]
@@ -224,10 +200,30 @@ fn a_run_failing_through_the_rescue_ladder_leaves_no_helper_behind() {
     // rung and rescue rung of the step runs out of iterations.
     let (c, init) = faulty_row(|| 1e3);
     let spec = TransientSpec::fixed(0.6e-9, 2e-12);
-    #[cfg(target_os = "linux")]
-    let before = threads_alive();
     let err = at_threads(2, || c.transient(&spec, &init)).expect_err("the run must fail");
     assert!(err.to_string().contains("converge"), "{err}");
     #[cfg(target_os = "linux")]
-    assert_eq!(threads_alive(), before, "a helper outlived its run");
+    assert_eq!(helpers_alive(), 0, "a helper outlived its run");
+}
+
+/// A NaN device current must fail the run — through every Newton solve,
+/// g_min rung and rescue rung — never converge it to NaN node voltages.
+#[test]
+fn a_nan_device_current_fails_the_run() {
+    let _guard = serial();
+    let (c, init) = faulty_row(|| f64::NAN);
+    let tap = c.find_node("tap").unwrap();
+    let spec = TransientSpec::fixed(0.6e-9, 2e-12);
+    for threads in [1, 2] {
+        match at_threads(threads, || c.transient(&spec, &init)) {
+            Ok(r) => panic!(
+                "{threads} threads: converged to tap = {} after {} rescue attempts",
+                r.trace(tap).last().unwrap(),
+                r.stats.rescue_attempts
+            ),
+            Err(e) => assert!(e.to_string().contains("converge"), "{e}"),
+        }
+        #[cfg(target_os = "linux")]
+        assert_eq!(helpers_alive(), 0, "a helper outlived its run");
+    }
 }

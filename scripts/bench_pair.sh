@@ -10,9 +10,10 @@
 # the change/parent ratio of `items_per_s` (normalized) and of the
 # wall-clock items/s, marking each pair whose two ratios point in opposite
 # directions, then per workload each side's median and quartiles of
-# `items_per_s`, `setup_s` and `peak_rss_mb`, and for both the normalized
-# and the wall-clock items/s the median pair ratio and how many pairs the
-# change won. perfbench itself is run unedited.
+# `items_per_s`, `setup_s` and `peak_rss_mb`, and for each of the
+# normalized and the wall-clock items/s (higher is better), `setup_s` and
+# `peak_rss_mb` (lower is better) the median pair ratio and how many pairs
+# the change won. perfbench itself is run unedited.
 #
 # Usage:
 #   scripts/bench_pair.sh --parent REV [--change REV|worktree]
@@ -159,9 +160,15 @@ for w in dict.fromkeys(k[0] for k in rows):
     for i, name in enumerate(["items_per_s", "setup_s", "peak_rss_mb"]):
         for side in ("parent", "change"):
             print(f"{name:<12} {side:<6} {quartiles([rows[k][side][i] for k in keys])}")
-    for name, i in (("items_per_s", 0), ("wall-clock items/s", 3)):
+    for name, i, better in (
+        ("items_per_s", 0, "higher"),
+        ("wall-clock items/s", 3, "higher"),
+        ("setup_s", 1, "lower"),
+        ("peak_rss_mb", 2, "lower"),
+    ):
         ratios = [rows[k]["change"][i] / rows[k]["parent"][i] for k in keys]
-        wins = sum(r > 1 for r in ratios)
-        print(f"{name}: change won {wins}/{len(keys)} pairs; median pair ratio {statistics.median(ratios):.4f}")
+        wins = sum(r < 1 if better == "lower" else r > 1 for r in ratios)
+        print(f"{name} ({better} is better): change won {wins}/{len(keys)} pairs; "
+              f"median pair ratio {statistics.median(ratios):.4f}")
     print(f"pairs whose normalized and wall-clock ratios disagree: {split}/{len(keys)}")
 EOF
