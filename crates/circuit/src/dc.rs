@@ -162,6 +162,7 @@ fn newton_dense(
     let n = mna.unknown_count();
     let n_v = mna.voltage_count();
     bufs.ensure(n, mna.circuit().transistors.len());
+    bufs.ensure_dense(n);
     bufs.newton_solves += 1;
     bufs.res_history.clear();
     let _span = tfet_obs::span("newton");

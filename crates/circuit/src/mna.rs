@@ -207,6 +207,15 @@ struct LinGather {
     bounds: Vec<usize>,
 }
 
+/// The distinct KCL rows among `rows`, ground's left out, in order: the
+/// columns an item with entries in those columns lists for
+/// [`SparsityPattern::for_each_column_item`].
+fn distinct_rows<const K: usize>(rows: [u32; K]) -> impl Iterator<Item = usize> {
+    (0..K)
+        .filter(move |&i| rows[i] != NO_ROW && !rows[..i].contains(&rows[i]))
+        .map(move |i| rows[i] as usize)
+}
+
 impl LinGather {
     /// Builds the gather of the companion branches `rows` over `pattern`,
     /// split into `chunks` chunks.
@@ -217,14 +226,73 @@ impl LinGather {
         chunks: usize,
     ) -> LinGather {
         assert!(rows.len() < NEG_TERM as usize, "companion branch count");
+        // Emits every branch term `(slot, term)`, column by column: each
+        // slot's terms in branch order, a branch's in entry order.
+        let branch_terms = |emit: &mut dyn FnMut(usize, u32)| {
+            pattern.for_each_column_item(
+                rows.len(),
+                |b| distinct_rows([rows[b].0, rows[b].1]),
+                |c, b, map| {
+                    let ((ra, rb), t) = (rows[b], b as u32);
+                    let entries = [
+                        (ra, ra, t),
+                        (ra, rb, t | NEG_TERM),
+                        (rb, rb, t),
+                        (rb, ra, t | NEG_TERM),
+                    ];
+                    for (r, col, term) in entries {
+                        if col as usize == c && r != NO_ROW {
+                            let s = map.slot(r as usize).unwrap_or_else(|| {
+                                panic!("companion slot ({r},{c}) outside sparsity pattern")
+                            });
+                            emit(s, term);
+                        }
+                    }
+                },
+            );
+        };
+        let nnz = pattern.nnz();
+        let mut offsets = vec![0usize; nnz + 1];
+        branch_terms(&mut |s, _| offsets[s + 1] += 1);
+        for &s in diag_slots {
+            offsets[s + 1] += 1;
+        }
+        for s in 0..nnz {
+            offsets[s + 1] += offsets[s];
+        }
+        let mut terms = vec![0u32; offsets[nnz]];
+        let mut fill = offsets[..nnz].to_vec();
+        let mut place = |s: usize, term: u32| {
+            terms[fill[s]] = term;
+            fill[s] += 1;
+        };
+        branch_terms(&mut place);
+        for &s in diag_slots {
+            place(s, GMIN_TERM);
+        }
+        let mut gather = LinGather {
+            offsets,
+            terms,
+            bounds: Vec::new(),
+        };
+        gather.split(chunks);
+        gather
+    }
+
+    /// The gather [`LinGather::build`] replaced, one slot search per term
+    /// and pass: the oracle its tests compare against.
+    #[cfg(test)]
+    fn build_searched(
+        rows: &[(u32, u32)],
+        pattern: &SparsityPattern,
+        diag_slots: &[usize],
+        chunks: usize,
+    ) -> LinGather {
         let slot = |r: u32, c: u32| {
             if r == NO_ROW || c == NO_ROW {
                 NO_SLOT
             } else {
-                let (r, c) = (r as usize, c as usize);
-                pattern
-                    .slot(r, c)
-                    .unwrap_or_else(|| panic!("companion slot ({r},{c}) outside sparsity pattern"))
+                pattern.slot(r as usize, c as usize).expect("in pattern")
             }
         };
         let branch_terms = rows.iter().enumerate().flat_map(|(b, &(ra, rb))| {
@@ -323,30 +391,27 @@ impl IncrementalJac {
     /// and zeroes both value arrays.
     pub(crate) fn build(mna: &Mna<'_>, pattern: &SparsityPattern) -> Self {
         let nnz = pattern.nnz();
-        let slot = |r: Option<usize>, c: Option<usize>| match (r, c) {
-            (Some(r), Some(c)) => pattern
-                .slot(r, c)
-                .unwrap_or_else(|| panic!("transistor slot ({r},{c}) outside sparsity pattern")),
-            _ => NO_SLOT,
+        let devices = &mna.circuit.transistors;
+        let terminals = |d: usize| {
+            let m = &devices[d];
+            [m.d, m.g, m.s].map(row_of)
         };
-        let tslots = mna
-            .circuit
-            .transistors
-            .iter()
-            .map(|m| {
-                let rd = mna.row(m.d);
-                let rs = mna.row(m.s);
-                let cg = mna.row(m.g);
-                [
-                    slot(rd, cg),
-                    slot(rd, rd),
-                    slot(rd, rs),
-                    slot(rs, cg),
-                    slot(rs, rd),
-                    slot(rs, rs),
-                ]
-            })
-            .collect::<Vec<_>>();
+        let mut tslots = vec![[NO_SLOT; 6]; devices.len()];
+        pattern.for_each_column_item(
+            devices.len(),
+            |d| distinct_rows(terminals(d)),
+            |c, d, map| {
+                let [rd, cg, rs] = terminals(d);
+                let entries = [(rd, cg), (rd, rd), (rd, rs), (rs, cg), (rs, rd), (rs, rs)];
+                for (slot, (r, col)) in tslots[d].iter_mut().zip(entries) {
+                    if col as usize == c && r != NO_ROW {
+                        *slot = map.slot(r as usize).unwrap_or_else(|| {
+                            panic!("transistor slot ({r},{c}) outside sparsity pattern")
+                        });
+                    }
+                }
+            },
+        );
         // Static linear stamps: bias-independent, computed once.
         let mut static_values = vec![0.0; nnz];
         {
@@ -1368,12 +1433,11 @@ impl<'c> Mna<'c> {
         }
     }
 
-    /// Collects [`Mna::for_each_jacobian_entry`] into a coordinate list
-    /// (duplicates included; `SparsityPattern::from_entries` merges them).
-    pub(crate) fn pattern_entries(&self) -> Vec<(usize, usize)> {
-        let mut v = Vec::new();
-        self.for_each_jacobian_entry(|r, c| v.push((r, c)));
-        v
+    /// The sparsity pattern of every Jacobian `assemble` can make: the
+    /// coordinates [`Mna::for_each_jacobian_entry`] visits, duplicates
+    /// merged, built by counting ([`SparsityPattern::from_walk`]).
+    pub(crate) fn sparsity_pattern(&self) -> SparsityPattern {
+        SparsityPattern::from_walk(self.n_x, |visit| self.for_each_jacobian_entry(visit))
     }
 
     /// FNV-1a hash over the structural pattern (dimension + coordinates).
@@ -1539,6 +1603,112 @@ pub(crate) mod tests {
         assert_eq!(sig, mna.compute_pattern_signature());
         assert_eq!(part, partition_signature(sig, c.latency_partitions()));
         assert_eq!(sig, Mna::new(&c).unwrap().pattern_signature());
+    }
+
+    /// A `rows x cols` array of 6T TFET cells on shared wordlines and
+    /// bitline pairs — the hierarchical deck form of the array golden
+    /// (`tests/golden/array_8x8.sp`), its pull-downs grounded — plus a
+    /// load capacitor and a precharge resistor on every bitline.
+    fn array_deck(rows: usize, cols: usize) -> String {
+        let mut d = String::from(
+            ".title 6t array\n\
+             .subckt cell_6t q qb bl blb wl vdd vss\n\
+             XMPU_L q qb vdd ptfet W=0.0600\n\
+             XMPD_L q qb vss ntfet W=0.0600\n\
+             XMPU_R qb q vdd ptfet W=0.0600\n\
+             XMPD_R qb q vss ntfet W=0.0600\n\
+             CQ q 0 1.5e-16\n\
+             CQB qb 0 1.5e-16\n\
+             XMAL q wl bl ptfet W=0.1000\n\
+             XMAR qb wl blb ptfet W=0.1000\n\
+             .ends\n\
+             VVDD vdd 0 DC 0.8\n",
+        );
+        for r in 0..rows {
+            d += &format!("VWL{r} wl{r} 0 DC 0.8\n");
+        }
+        for c in 0..cols {
+            for line in [format!("bl{c}"), format!("blb{c}")] {
+                d += &format!("R{line} vdd {line} 1e4\nC{line} {line} 0 2e-15\n");
+            }
+        }
+        for r in 0..rows {
+            for c in 0..cols {
+                d += &format!("Xr{r}c{c} q{r}x{c} qb{r}x{c} bl{c} blb{c} wl{r} vdd 0 cell_6t\n");
+            }
+        }
+        d + ".end\n"
+    }
+
+    /// The counting pattern build and the column-by-column slot lookups
+    /// of a 16x16 array equal the sort-and-search oracle bit for bit: the
+    /// pattern, every transistor and diagonal slot, and the gather offsets
+    /// and terms of both companion layouts a transient uses — the UIC hold
+    /// list and the capacitor table — as built directly and as the linear
+    /// refresh builds them.
+    #[test]
+    fn array_slot_tables_equal_the_sort_and_search_oracle() {
+        let deck = crate::Deck::parse(&array_deck(16, 16), &tfet_devices::standard_models())
+            .expect("array deck parses");
+        let c = &deck.circuit;
+        assert_eq!(c.transistors.len(), 16 * 16 * 6);
+        let mna = Mna::new(c).unwrap();
+        let pattern = mna.sparsity_pattern();
+
+        // The pattern: every visit, sorted column-major and deduplicated.
+        let mut visits = Vec::new();
+        mna.for_each_jacobian_entry(|r, c| visits.push((c, r)));
+        assert!(visits.len() > 2 * pattern.nnz(), "duplicates merged");
+        visits.sort_unstable();
+        visits.dedup();
+        let want: Vec<(usize, usize)> = visits.into_iter().map(|(c, r)| (r, c)).collect();
+        assert_eq!(pattern.dim(), mna.unknown_count());
+        assert_eq!(pattern.coords().collect::<Vec<_>>(), want);
+
+        // Slots: one binary search each.
+        let slot = |r: Option<usize>, c: Option<usize>| match (r, c) {
+            (Some(r), Some(c)) => pattern.slot(r, c).expect("in pattern"),
+            _ => NO_SLOT,
+        };
+        let mut inc = IncrementalJac::build(&mna, &pattern);
+        let tslots: Vec<[usize; 6]> = c
+            .transistors
+            .iter()
+            .map(|m| {
+                let (rd, rs, cg) = (mna.row(m.d), mna.row(m.s), mna.row(m.g));
+                [
+                    slot(rd, cg),
+                    slot(rd, rd),
+                    slot(rd, rs),
+                    slot(rs, cg),
+                    slot(rs, rd),
+                    slot(rs, rs),
+                ]
+            })
+            .collect();
+        assert!(
+            tslots.iter().flatten().any(|&s| s == NO_SLOT),
+            "grounded terminals"
+        );
+        assert_eq!(inc.tslots, tslots);
+        let diag: Vec<usize> = (0..mna.n_v).map(|n| slot(Some(n), Some(n))).collect();
+        assert_eq!(inc.diag_slots, diag);
+
+        let hold = CompanionCaps::from_branches(
+            (1..=mna.n_v).map(|i| (NodeId(i), Circuit::GND, 1e3, 0.0)),
+        );
+        let table = CompanionCaps::from_branches(c.cap_branches().map(|(a, b)| (a, b, 1e-4, 0.0)));
+        assert!(table.len() > 16 * 16 * 6 * 3, "{} branches", table.len());
+        let parts = |g: &LinGather| (g.offsets.clone(), g.terms.clone(), g.bounds.clone());
+        for caps in [&hold, &table] {
+            let oracle = LinGather::build_searched(caps.rows(), &pattern, &diag, 1);
+            assert_eq!(
+                parts(&LinGather::build(caps.rows(), &pattern, &diag, 1)),
+                parts(&oracle)
+            );
+            inc.refresh_linear(1e-9, caps, &pattern, None);
+            assert_eq!(parts(&inc.gather), parts(&oracle));
+        }
     }
 
     #[test]

@@ -751,7 +751,7 @@ impl Circuit {
     /// The capacitor table's branch layout, in order: explicit capacitors,
     /// then each transistor's [capacitor branches](Transistor::cap_terminals)
     /// wherever the two terminals differ.
-    fn cap_branches(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+    pub(crate) fn cap_branches(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
         let explicit = self.capacitors.iter().map(|c| (c.a, c.b));
         let devices = self
             .transistors

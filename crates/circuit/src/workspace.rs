@@ -21,7 +21,7 @@ use crate::mna::{CompanionCaps, DeviceLin, IncrementalJac, Mna, PlanJac, RecordJ
 use crate::transient::CapTable;
 use std::cell::Cell;
 use tfet_numerics::matrix::LuWorkspace;
-use tfet_numerics::{Matrix, SparseLu, SparseMatrix, SparsityPattern};
+use tfet_numerics::{Matrix, SparseLu, SparseMatrix};
 
 /// Fixed capacity of [`SolverBufs::res_history`], reserved once when the
 /// buffers are first sized so per-iteration pushes can never reallocate
@@ -36,6 +36,8 @@ pub(crate) const RES_HISTORY_CAP: usize = 256;
 /// the transient engine snapshots to report per-run statistics.
 #[derive(Debug)]
 pub(crate) struct SolverBufs {
+    /// The dense path's Jacobian, empty until a dense solve sizes it
+    /// ([`Self::ensure_dense`]).
     pub(crate) j: Matrix,
     pub(crate) f: Vec<f64>,
     pub(crate) rhs: Vec<f64>,
@@ -212,13 +214,13 @@ impl Default for SolverBufs {
 }
 
 impl SolverBufs {
-    /// Sizes every buffer for an `n`-unknown system with `devices`
-    /// transistors; a no-op when already at that size.
+    /// Sizes every buffer but the dense Jacobian ([`Self::ensure_dense`])
+    /// for an `n`-unknown system with `devices` transistors; a no-op when
+    /// already at that size.
     pub(crate) fn ensure(&mut self, n: usize, devices: usize) {
         self.device_cache.resize(devices, DeviceLin::default());
         self.lins.resize(devices, DeviceLin::default());
         if self.f.len() != n {
-            self.j = Matrix::zeros(n, n);
             self.f = vec![0.0; n];
             self.rhs = vec![0.0; n];
             self.dx = vec![0.0; n];
@@ -227,6 +229,16 @@ impl SolverBufs {
                 self.res_history
                     .reserve_exact(RES_HISTORY_CAP - self.res_history.len());
             }
+        }
+    }
+
+    /// Sizes the dense Jacobian for an `n`-unknown system; a no-op when
+    /// already at that size. Only the dense path reads it: sparse solves
+    /// leave it empty, where its n² values would take gigabytes at array
+    /// scale.
+    pub(crate) fn ensure_dense(&mut self, n: usize) {
+        if self.j.rows() != n {
+            self.j = Matrix::zeros(n, n);
         }
     }
 
@@ -257,7 +269,7 @@ impl SolverBufs {
         if self.sparse.as_ref().is_some_and(|s| s.sig == sig) {
             return;
         }
-        let pattern = SparsityPattern::from_entries(mna.unknown_count(), &mna.pattern_entries());
+        let pattern = mna.sparsity_pattern();
         let inc = IncrementalJac::build(mna, &pattern);
         self.sparse = Some(SparseState {
             sig,
@@ -990,8 +1002,38 @@ mod tests {
         );
         bufs.ensure(7, 4);
         assert_eq!(bufs.f.len(), 7);
-        assert_eq!(bufs.j.rows(), 7);
         assert_eq!((bufs.lins.len(), bufs.device_cache.len()), (4, 4));
+    }
+
+    /// Only the dense path sizes the dense Jacobian: a sparse solve leaves
+    /// it empty, and a dense solve of the same circuit sizes it.
+    #[test]
+    fn only_the_dense_path_sizes_the_dense_jacobian() {
+        let c = latch(&[], false);
+        let n = Mna::new(&c).unwrap().unknown_count();
+        let q = c.find_node("q").unwrap();
+        let init = InitialState::Uic(vec![(q, 0.8)]);
+        let spec = TransientSpec::fixed(0.2e-9, 4e-12);
+        let mut ws = NewtonWorkspace::default();
+        c.transient_recorded(
+            &spec.with_solver(SolverStrategy::Sparse),
+            &init,
+            &[],
+            None,
+            &mut ws,
+        )
+        .unwrap();
+        assert_eq!(ws.bufs.f.len(), n);
+        assert_eq!((ws.bufs.j.rows(), ws.bufs.j.cols()), (0, 0));
+        c.transient_recorded(
+            &spec.with_solver(SolverStrategy::Dense),
+            &init,
+            &[],
+            None,
+            &mut ws,
+        )
+        .unwrap();
+        assert_eq!((ws.bufs.j.rows(), ws.bufs.j.cols()), (n, n));
     }
 
     #[test]

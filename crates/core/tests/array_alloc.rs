@@ -15,7 +15,7 @@
 #[path = "../../circuit/tests/support/counting_alloc.rs"]
 mod counting_alloc;
 
-use counting_alloc::{count_own, serial, ALLOCATIONS};
+use counting_alloc::{count_own, live_peak, serial, ALLOCATIONS};
 use std::sync::atomic::Ordering;
 use tfet_sram::prelude::*;
 
@@ -90,5 +90,25 @@ fn disabled_instrumentation_sites_do_not_allocate() {
     assert_eq!(
         allocs, 0,
         "disabled spans/context/partition telemetry must not allocate"
+    );
+}
+
+/// Building an array holds little beyond what it keeps: the heap's
+/// high-water mark during a 16x16 build stays within 1.3x of the bytes the
+/// built array still holds. The pattern build's scratch (one `usize` per
+/// Jacobian visit, about four visits per kept entry) and the slot
+/// lookups' column buckets are smaller than the solver state they build.
+#[test]
+fn array_build_peak_stays_near_its_live_bytes() {
+    let _guard = serial();
+    let mut cell = CellParams::tfet6t(AccessConfig::InwardP).with_beta(0.6);
+    cell.sim.dt = 4e-12;
+    let (peak, live, array) = live_peak(|| ArrayNetlist::build(ArraySpec::new(16, 16, cell)));
+    array.unwrap();
+    let ratio = peak as f64 / live as f64;
+    eprintln!("16x16 build: peak {peak} B, live {live} B, ratio {ratio:.3}");
+    assert!(
+        ratio <= 1.3,
+        "peak {peak} B against {live} B live ({ratio:.3}x)"
     );
 }

@@ -64,6 +64,6 @@ pub use roots::{
     bisect, brent, critical_threshold, critical_threshold_checked, critical_threshold_seeded,
     critical_threshold_seeded_checked,
 };
-pub use sparse::{SparseLu, SparseMatrix, SparsityPattern};
+pub use sparse::{ColumnSlots, SparseLu, SparseMatrix, SparsityPattern};
 pub use stats::{Histogram, Summary, WeightedSummary};
 pub use sweep::{geomspace, linspace, logspace, par_grid};

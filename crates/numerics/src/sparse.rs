@@ -41,9 +41,9 @@ use crate::matrix::{Matrix, SolveError, PIVOT_EPS};
 
 /// Immutable CSC sparsity skeleton: which `(row, col)` slots exist.
 ///
-/// Built once from a coordinate list (duplicates are merged); value storage
-/// lives in [`SparseMatrix`]. Row indices are sorted within each column so
-/// slot lookup is a binary search.
+/// Built once from a coordinate list or walk (duplicates are merged); value
+/// storage lives in [`SparseMatrix`]. Row indices are sorted within each
+/// column so slot lookup is a binary search.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SparsityPattern {
     n: usize,
@@ -52,12 +52,86 @@ pub struct SparsityPattern {
 }
 
 impl SparsityPattern {
+    /// Marks a row without an entry in a [`ColumnSlots`] map.
+    const NO_SLOT: u32 = u32::MAX;
+
     /// Builds an `n x n` pattern from `(row, col)` coordinates.
     ///
     /// Duplicates are merged. Panics if any coordinate is out of range —
     /// patterns come from topology enumeration, so an out-of-range entry is
     /// a caller bug, not a data condition.
     pub fn from_entries(n: usize, entries: &[(usize, usize)]) -> Self {
+        Self::from_walk(n, |visit| {
+            for &(r, c) in entries {
+                visit(r, c);
+            }
+        })
+    }
+
+    /// Builds an `n x n` pattern from the coordinates `walk` visits,
+    /// duplicates merged: the pattern [`SparsityPattern::from_entries`]
+    /// builds from the visits collected into a list, without the list.
+    ///
+    /// `walk` runs twice and must visit the same coordinates both times.
+    /// The first run counts each column's visits, the second places them;
+    /// each column is then deduplicated through a row marker and only its
+    /// unique rows are sorted — O(n + visits) apart from those small sorts.
+    ///
+    /// Panics if any coordinate is out of range, or if the two runs visit
+    /// different numbers of coordinates in some column.
+    pub fn from_walk(n: usize, mut walk: impl FnMut(&mut dyn FnMut(usize, usize))) -> Self {
+        let mut col_ptr = vec![0usize; n + 1];
+        walk(&mut |r, c| {
+            assert!(
+                r < n && c < n,
+                "pattern entry ({r},{c}) out of range for n={n}"
+            );
+            col_ptr[c + 1] += 1;
+        });
+        for c in 0..n {
+            col_ptr[c + 1] += col_ptr[c];
+        }
+        // Column `c`'s visits, duplicates included, fill
+        // `rows[col_ptr[c]..col_ptr[c + 1]]`; `next[c]` is its cursor.
+        let mut rows = vec![0usize; col_ptr[n]];
+        let mut next = col_ptr[..n].to_vec();
+        walk(&mut |r, c| {
+            assert!(next[c] < col_ptr[c + 1], "pattern walk not repeatable");
+            rows[next[c]] = r;
+            next[c] += 1;
+        });
+        assert!(next[..] == col_ptr[1..], "pattern walk not repeatable");
+        // Compact in place: column `c`'s unique rows move down to start at
+        // `kept`, which never passes the read position.
+        let mut seen = vec![usize::MAX; n];
+        let mut kept = 0;
+        for c in 0..n {
+            let (start, end) = (kept, col_ptr[c + 1]);
+            for k in col_ptr[c]..end {
+                let r = rows[k];
+                if seen[r] != c {
+                    seen[r] = c;
+                    rows[kept] = r;
+                    kept += 1;
+                }
+            }
+            rows[start..kept].sort_unstable();
+            col_ptr[c] = start;
+        }
+        col_ptr[n] = kept;
+        rows.truncate(kept);
+        rows.shrink_to_fit();
+        SparsityPattern {
+            n,
+            col_ptr,
+            row_idx: rows,
+        }
+    }
+
+    /// The sort-and-dedup build [`SparsityPattern::from_walk`] replaced:
+    /// the oracle its tests compare against.
+    #[cfg(test)]
+    pub(crate) fn from_entries_sorted(n: usize, entries: &[(usize, usize)]) -> Self {
         let mut coords: Vec<(usize, usize)> = Vec::with_capacity(entries.len());
         for &(r, c) in entries {
             assert!(
@@ -105,6 +179,75 @@ impl SparsityPattern {
             .map(|i| lo + i)
     }
 
+    /// Looks slots up one column at a time, through a row→slot map of the
+    /// column: the batch form of [`SparsityPattern::slot`] for many
+    /// lookups.
+    ///
+    /// `columns(k)` lists the columns item `k` (of `count`) looks slots up
+    /// in, each once. Then, for every column `c` in ascending order and
+    /// every item `k` that listed `c`, in ascending order, `visit(c, k,
+    /// map)` runs, where [`map.slot(row)`](ColumnSlots::slot) is
+    /// `self.slot(row, c)`.
+    ///
+    /// Two counting passes over the items bucket them by column; each
+    /// listed column's rows are then scattered into the map once, and each
+    /// lookup is one read — O(n + the listings + the listed columns'
+    /// entries) instead of a binary search per lookup.
+    ///
+    /// Panics if a listed column is out of range, or if there are
+    /// `u32::MAX` slots or items or more.
+    pub fn for_each_column_item<I: IntoIterator<Item = usize>>(
+        &self,
+        count: usize,
+        columns: impl Fn(usize) -> I,
+        mut visit: impl FnMut(usize, usize, &ColumnSlots),
+    ) {
+        let n = self.n;
+        assert!(
+            self.nnz() < Self::NO_SLOT as usize && count <= u32::MAX as usize,
+            "slot and item counts fit in u32"
+        );
+        // `start[c]..start[c + 1]` indexes column `c`'s items in `items`.
+        let mut start = vec![0usize; n + 1];
+        for k in 0..count {
+            for c in columns(k) {
+                assert!(c < n, "column {c} out of range for n={n}");
+                start[c + 1] += 1;
+            }
+        }
+        for c in 0..n {
+            start[c + 1] += start[c];
+        }
+        let mut items = vec![0u32; start[n]];
+        let mut next = start[..n].to_vec();
+        for k in 0..count {
+            for c in columns(k) {
+                items[next[c]] = k as u32;
+                next[c] += 1;
+            }
+        }
+        drop(next);
+        let mut map = ColumnSlots {
+            at_row: vec![Self::NO_SLOT; n],
+        };
+        for c in 0..n {
+            let listed = &items[start[c]..start[c + 1]];
+            if listed.is_empty() {
+                continue;
+            }
+            let entries = self.col_ptr[c]..self.col_ptr[c + 1];
+            for s in entries.clone() {
+                map.at_row[self.row_idx[s]] = s as u32;
+            }
+            for &k in listed {
+                visit(c, k as usize, &map);
+            }
+            for s in entries {
+                map.at_row[self.row_idx[s]] = Self::NO_SLOT;
+            }
+        }
+    }
+
     /// Iterates `(row, col)` coordinates in column-major order.
     pub fn coords(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         (0..self.n).flat_map(move |c| {
@@ -132,6 +275,24 @@ impl SparsityPattern {
                 y[self.row_idx[k]] += value(k) * xc;
             }
         }
+    }
+}
+
+/// The row→slot map of one pattern column, handed out by
+/// [`SparsityPattern::for_each_column_item`].
+#[derive(Debug)]
+pub struct ColumnSlots {
+    /// Slot of `(row, column)` per row, `SparsityPattern::NO_SLOT` where
+    /// the column has no entry.
+    at_row: Vec<u32>,
+}
+
+impl ColumnSlots {
+    /// The slot of `(row, column)`, or `None` if outside the pattern.
+    #[inline]
+    pub fn slot(&self, row: usize) -> Option<usize> {
+        let s = self.at_row[row];
+        (s != SparsityPattern::NO_SLOT).then_some(s as usize)
     }
 }
 
@@ -1277,6 +1438,90 @@ mod tests {
             .refactorize_by_triples(&a.pattern, |k| a.values[k])
             .unwrap();
         assert_eq!(bits(lu.factor_values()), bits(oracle.factor_values()));
+    }
+
+    /// A coordinate list of an `n x n` pattern, `n` in 1..=64, heavy with
+    /// duplicates — every draw is listed again, half of them twice, in
+    /// another order — whose columns past a drawn bound stay empty and
+    /// whose diagonal is only ever hit by chance.
+    fn coordinate_walk() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
+        (1usize..65)
+            .prop_flat_map(|n| (Just(n), 1..n + 1))
+            .prop_flat_map(|(n, used_cols)| {
+                let draws = prop::collection::vec((0..n, 0..used_cols), 0..3 * n);
+                (Just(n), draws)
+            })
+            .prop_map(|(n, draws)| {
+                let again = draws.iter().rev().chain(draws.iter().step_by(2));
+                let entries = draws.iter().chain(again).copied().collect();
+                (n, entries)
+            })
+    }
+
+    proptest! {
+        #[test]
+        fn counting_build_equals_sort_oracle((n, entries) in coordinate_walk()) {
+            let counted = SparsityPattern::from_entries(n, &entries);
+            let sorted = SparsityPattern::from_entries_sorted(n, &entries);
+            prop_assert_eq!(&counted, &sorted);
+            prop_assert_eq!(counted.row_idx.capacity(), counted.nnz());
+        }
+
+        #[test]
+        fn column_slot_maps_equal_slot_searches(
+            (n, entries) in coordinate_walk(),
+            probes in prop::collection::vec((0usize..64, 0usize..64, 0usize..64, 0usize..64), 0..40),
+        ) {
+            // Item `k` looks up two coordinates, some outside the pattern,
+            // some in one column.
+            let pattern = SparsityPattern::from_entries(n, &entries);
+            let items: Vec<[(usize, usize); 2]> = probes
+                .iter()
+                .map(|&(r1, c1, r2, c2)| [(r1 % n, c1 % n), (r2 % n, if c2 % 3 == 0 { c1 % n } else { c2 % n })])
+                .collect();
+            let mut visits = Vec::new();
+            let mut found = vec![[None; 2]; items.len()];
+            pattern.for_each_column_item(
+                items.len(),
+                |k| {
+                    let [(_, a), (_, b)] = items[k];
+                    std::iter::once(a).chain((b != a).then_some(b))
+                },
+                |c, k, map| {
+                    visits.push((c, k));
+                    for (q, &(r, col)) in items[k].iter().enumerate() {
+                        if col == c {
+                            found[k][q] = Some(map.slot(r));
+                        }
+                    }
+                },
+            );
+            prop_assert!(visits.windows(2).all(|w| w[0] < w[1]), "{:?}", visits);
+            for (k, item) in items.iter().enumerate() {
+                for (q, &(r, c)) in item.iter().enumerate() {
+                    prop_assert_eq!(found[k][q], Some(pattern.slot(r, c)));
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_entry_panics() {
+        SparsityPattern::from_entries(3, &[(0, 0), (3, 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not repeatable")]
+    fn a_walk_that_changes_between_runs_panics() {
+        let mut runs = 0;
+        SparsityPattern::from_walk(3, |visit| {
+            runs += 1;
+            visit(0, 0);
+            if runs == 2 {
+                visit(1, 0);
+            }
+        });
     }
 
     #[test]
