@@ -1,16 +1,17 @@
-//! `tfet-bench` — bench-report tooling; currently the `history`
-//! perf-regression harness.
+//! `tfet-bench` — the bench gates and their perf-regression history.
 //!
-//! The throughput benches emit `results/BENCH_*.json` run reports whose
-//! `counters` section is deterministic (identical across machines and
-//! thread counts). `history` archives those counters into
-//! `results/history/` keyed by git SHA and diffs them against a committed
-//! baseline, so a PR that silently doubles Newton refactorizations fails
-//! `scripts/check.sh` without anyone timing anything.
+//! `gates` runs the engine's counter floors ([`tfet_bench::gates`]) and
+//! writes their `BENCH_*.json` run reports, whose `counters` section is
+//! deterministic (identical across machines and thread counts). `history`
+//! archives those counters into `results/history/` keyed by git SHA and
+//! diffs them against a committed baseline, so a change that silently
+//! doubles Newton refactorizations fails `scripts/check.sh` without anyone
+//! timing anything.
 //!
 //! Usage:
 //!
 //! ```text
+//! tfet-bench gates [NAME...] [--bench-dir DIR]
 //! tfet-bench history archive [--as-baseline] [--sha SHA]
 //!                            [--bench-dir DIR] [--history-dir DIR]
 //! tfet-bench history check   [--tolerance PCT]
@@ -18,22 +19,61 @@
 //! tfet-bench history list    [--history-dir DIR]
 //! ```
 //!
-//! Exit codes: `0` success / check passed, `1` check found a regression,
-//! `2` usage or I/O error.
+//! `gates` with no NAME runs every gate. Exit codes: `0` success / check
+//! passed, `1` check found a regression, `2` usage or I/O error (an unknown
+//! gate name exits before any gate runs). A floor that does not hold panics.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use tfet_bench::history;
+use tfet_bench::{gates, history};
+
+const USAGE: &str = "usage: tfet-bench gates [NAME...] [--bench-dir DIR]\n       \
+                     tfet-bench history <archive|check|list> [flags]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
+        Some("gates") => gates_cmd(&args[1..]),
         Some("history") => history_cmd(&args[1..]),
         _ => {
-            eprintln!("usage: tfet-bench history <archive|check|list> [flags]");
+            eprintln!("{USAGE}");
             ExitCode::from(2)
         }
     }
+}
+
+fn gates_cmd(args: &[String]) -> ExitCode {
+    let mut names = Vec::new();
+    let mut rest = args.iter();
+    while let Some(a) = rest.next() {
+        match a.as_str() {
+            "--bench-dir" => {
+                rest.next();
+            }
+            flag if flag.starts_with("--") => {
+                eprintln!("unknown flag {flag:?}\n{USAGE}");
+                return ExitCode::from(2);
+            }
+            name => names.push(name.to_string()),
+        }
+    }
+    let selected = match gates::select(&names) {
+        Ok(selected) => selected,
+        Err(e) => {
+            let known: Vec<_> = gates::GATES.iter().map(|g| g.0).collect();
+            eprintln!("{e}; known gates: {}", known.join(", "));
+            return ExitCode::from(2);
+        }
+    };
+    let dir = bench_dir(args);
+    for (name, study) in selected {
+        println!("== gate {name} ==");
+        if let Err(e) = study(&dir) {
+            eprintln!("gate {name}: cannot write its report: {e}");
+            return ExitCode::from(2);
+        }
+    }
+    ExitCode::SUCCESS
 }
 
 /// Value of `--flag VALUE` in `args`, if present.
@@ -144,7 +184,7 @@ fn history_cmd(args: &[String]) -> ExitCode {
             }
         },
         _ => {
-            eprintln!("usage: tfet-bench history <archive|check|list> [flags]");
+            eprintln!("{USAGE}");
             ExitCode::from(2)
         }
     }

@@ -1,10 +1,11 @@
 //! Deterministic perf-regression history: archive bench run reports, diff
 //! their machine-independent cost counters against a committed baseline.
 //!
-//! The throughput benches write `results/BENCH_<name>.json` run reports
-//! whose `counters` section is deterministic by construction — identical
-//! across repeat runs, thread counts and machines (wall-clock lives in the
-//! excluded `timings_ns` section). That makes the counters a perf signal
+//! The bench gates (`tfet-bench gates`, [`crate::gates`]) write
+//! `results/BENCH_<name>.json` run reports whose `counters` section is
+//! deterministic by construction — identical across repeat runs, thread
+//! counts and machines (wall-clock lives in the excluded `timings_ns`
+//! section). That makes the counters a perf signal
 //! that can be *committed and gated in CI without a quiet lab machine*: a
 //! change that doubles `newton.jac_refactored` or `devices.evals` is a real
 //! performance regression regardless of where it runs.

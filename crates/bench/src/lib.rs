@@ -3,8 +3,9 @@
 //! Every data-bearing figure and comparison of the paper, and each A1–A6
 //! ablation beyond it, has a builder in [`experiments`] that recomputes its
 //! series through the full stack and renders it as a [`Table`]. The
-//! `figures` binary dumps every table (text + CSV) in one run; the Criterion
-//! benches under `benches/` time the simulation engine's throughput.
+//! `figures` binary dumps every table (text + CSV) in one run; the
+//! `tfet-bench gates` subcommand runs the engine's counter floors in
+//! [`gates`] and writes their `BENCH_*.json` run reports.
 //!
 //! Absolute values come from our substrate (analytical compact models + the
 //! in-tree MNA simulator), not the authors' TCAD + commercial SPICE, so the
@@ -17,6 +18,7 @@
 use std::fmt::Write as _;
 
 pub mod experiments;
+pub mod gates;
 pub mod history;
 
 /// A rendered experiment result: a titled grid of cells plus notes.
@@ -97,54 +99,6 @@ impl Table {
         }
         out
     }
-}
-
-/// Runs `workload` once with tracing enabled on a clean registry and writes
-/// the captured [`tfet_obs::RunReport`] to `results/BENCH_<name>.json`,
-/// with its per-cell partition rows folded into per-metric quantiles.
-///
-/// Tracing is switched off again before returning, so Criterion timing loops
-/// that follow pay only the disabled-path cost (one relaxed atomic load per
-/// instrumentation site). The JSON is the versioned `tfet-obs.run-report`
-/// schema documented in `docs/RUN_REPORT.md`; because the workload runs under
-/// a fresh registry with deterministic aggregation, the file is bit-identical
-/// across repeat runs and thread counts.
-pub fn write_bench_report(name: &str, workload: impl FnOnce()) -> std::path::PathBuf {
-    tfet_obs::reset();
-    tfet_obs::enable();
-    workload();
-    tfet_obs::disable();
-    let mut report = tfet_obs::RunReport::capture();
-    // One quantile row per partition metric, not one row per array cell:
-    // the report stays small enough to read and diff.
-    report.summarize_partitions();
-    // Bench binaries run with the package directory as CWD; anchor the
-    // report next to the figure CSVs in the workspace-root `results/`.
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join(format!("../../results/BENCH_{name}.json"));
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    match std::fs::write(&path, report.to_json()) {
-        Ok(()) => println!("run report: {}", path.display()),
-        Err(e) => eprintln!("run report: failed to write {}: {e}", path.display()),
-    }
-    path
-}
-
-/// Runs `pass` on the dense reference solver, the oracle the bench floors
-/// compare the sparse engine against, then restores the process hook.
-///
-/// The hook is process-wide and read when each run starts, so nothing may
-/// run concurrently with `pass`: every bench's `criterion_main` runs its
-/// one group serially on the main thread.
-pub fn on_dense_oracle<R>(pass: impl FnOnce() -> R) -> R {
-    use tfet_circuit::SolverStrategy;
-    let engine = SolverStrategy::process_default();
-    SolverStrategy::set_process_default(SolverStrategy::Dense);
-    let out = pass();
-    SolverStrategy::set_process_default(engine);
-    out
 }
 
 /// One-decimal formatting capped at four significant digits.

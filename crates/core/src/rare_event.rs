@@ -313,7 +313,7 @@ pub enum YieldMetric {
         budget: f64,
     },
     /// Read disturb: DRNM below the threshold (the classical stability
-    /// criterion is `DRNM < 0`).
+    /// condition is `DRNM < 0`).
     Drnm {
         /// Failure threshold, V.
         threshold: f64,

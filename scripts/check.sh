@@ -6,12 +6,8 @@ cd "$(dirname "$0")/.."
 
 # The gate must leave the tree as it found it (see the final step).
 status_before="$(git status --porcelain)"
-# The bench step rewrites results/BENCH_*.json; keep the reports as found
-# (committed, or a deliberate uncommitted refresh) to restore them from.
 figtmp="$(mktemp -d)"
 trap 'rm -rf "$figtmp"' EXIT
-mkdir -p "$figtmp/bench" "$figtmp/bench_found"
-cp results/BENCH_*.json "$figtmp/bench_found/"
 
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
@@ -117,36 +113,20 @@ cargo test -q -p tfet-sram --offline quarantine
 cargo test -q -p tfet-integration --offline --test observability quarantine
 cargo test -q -p tfet-circuit --offline --test latency
 
-# Moves the bench reports the quick benches wrote into the temp dir and
-# restores the ones found at the start; the trap runs it if a bench fails
-# midway.
-bench_reports_pending=0
-restore_bench_reports() {
-  for f in results/BENCH_*.json; do
-    if [ -e "$f" ]; then mv -f "$f" "$figtmp/bench/"; fi
-  done
-  cp "$figtmp/bench_found/"BENCH_*.json results/
-  bench_reports_pending=0
-}
-cleanup() {
-  if [ "$bench_reports_pending" = 1 ]; then restore_bench_reports; fi
-  rm -rf "$figtmp"
-}
-trap cleanup EXIT
-
-echo "== bench acceptance asserts (quick mode: closures run once, floors executed) =="
-# TFET_BENCH_QUICK=1 makes the criterion stub run each bench body exactly
-# once (no calibration or sampling loops), so the cost-ratio floors and
-# rare-event acceptance assertions inside the bench functions actually
-# execute; these are the workspace's only benches. These runs also
-# rewrite results/BENCH_*.json from the current code; those fresh reports
-# move to the temp dir, where the history gate below diffs them against
-# the committed baselines, and the committed reports are restored.
-bench_reports_pending=1
-for b in solver_throughput mc_throughput wl_crit_throughput array_throughput yield_throughput; do
-  TFET_BENCH_QUICK=1 cargo bench -q -p tfet-bench --bench "$b" --offline
-done
-restore_bench_reports
+echo "== bench gates (counter floors; reports written to the temp dir) =="
+# The floors assert inside each gate, so a gate that does not hold fails
+# here. The reports go to the temp dir, never into results/. Their `work`
+# section counts per-worker builds, so the gates run at the 2 workers the
+# committed reports were recorded with.
+RAYON_NUM_THREADS=2 cargo run -q --release --offline -p tfet-bench --bin tfet-bench -- \
+  gates --bench-dir "$figtmp/bench"
+# The engine is deterministic: the fresh reports must equal the committed
+# ones byte for byte, over the same set of files. A change meant to move a
+# report refreshes it with `tfet-bench gates` and says why.
+mkdir -p "$figtmp/bench_committed"
+cp results/BENCH_*.json "$figtmp/bench_committed/"
+diff -r "$figtmp/bench_committed" "$figtmp/bench"
+echo "bench gates: floors hold; reports byte-identical to results/BENCH_*.json"
 
 echo "== sparse-vs-dense and golden figure-CSV bit-identity (--quick, 1 and 8 threads) =="
 # Solver tiers agree to ~1e-5 relative; every figure formatter caps its
@@ -268,8 +248,8 @@ grep -q '^array_write,4,4,' "$figtmp/trace_t1/trace_array8x8_partitions.csv"
 echo "trace: partition heatmap byte-identical at 1 and 8 threads"
 
 echo "== bench history (machine-independent cost counters vs committed baseline) =="
-# Positive: the reports this run's quick benches wrote must match the
-# committed results/history baselines within tolerance.
+# Positive: the reports this run's gates wrote must match the committed
+# results/history baselines within tolerance.
 cargo run -q --release --offline -p tfet-bench --bin tfet-bench -- \
   history check --bench-dir "$figtmp/bench"
 # Negative: a tampered cost counter must fail the gate with exit code 1.
