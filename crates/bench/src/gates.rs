@@ -7,8 +7,9 @@
 //! lands in the bench directory. Effort is counted, never timed: the
 //! always-on [`SolveStats`](tfet_circuit::SolveStats) counters and
 //! the report's `counters` section are identical across machines and
-//! thread counts, and `tfet-bench history check` pins them against the
-//! committed baselines. Wall-clock belongs to `perfbench/`.
+//! thread counts, and `scripts/check.sh` pins them: it fails unless the
+//! fresh reports equal the committed `results/BENCH_*.json` byte for byte.
+//! Wall-clock belongs to `perfbench/`.
 //!
 //! * `mc_throughput` — the n = 256 Monte-Carlo WL_crit study (paper §4.3),
 //!   dense vs sparse solver cost.
@@ -172,7 +173,8 @@ fn mc_throughput(dir: &Path) -> io::Result<PathBuf> {
     // for extra reused-factor iterations (+61 % device evals) — a win at
     // array scale, a net cost increase on this single-cell metric that a
     // never-executed >= 2x assert missed. The ratio stays as a coarse
-    // sanity floor; absolute drift is caught by `tfet-bench history check`.
+    // sanity floor; absolute drift is caught by check.sh's byte-identity
+    // diff of `results/BENCH_*.json`.
     assert!(
         10 * dense_cost >= 13 * sparse_cost,
         "acceptance: sparse must cut (factorizations + device evals) >= 1.3x on the \
@@ -296,7 +298,7 @@ fn wl_crit_throughput(dir: &Path) -> io::Result<PathBuf> {
     // iterations (and their device evals), which wins at array scale but
     // compresses this single-cell extraction to ~1.1x — a drift a
     // never-executed >= 2x assert missed. Absolute cost counters are pinned
-    // by `tfet-bench history check`.
+    // by check.sh's byte-identity diff of `results/BENCH_*.json`.
     assert!(
         cost(&dense) > cost(sparse),
         "acceptance: sparse must cost less than dense in \
@@ -572,8 +574,12 @@ mod tests {
             .expect("report written");
         assert_eq!(path, dir.join("BENCH_demo.json"));
         let json = std::fs::read_to_string(&path).unwrap();
-        let counters = crate::history::report_counters(&json).unwrap();
-        assert_eq!(counters.get("bench.demo.items"), Some(&7));
+        let report = tfet_obs::Value::parse(&json).unwrap();
+        let items = report
+            .get("counters")
+            .and_then(|c| c.get("bench.demo.items"))
+            .and_then(tfet_obs::Value::as_u64);
+        assert_eq!(items, Some(7));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -19,7 +19,6 @@ use std::fmt::Write as _;
 
 pub mod experiments;
 pub mod gates;
-pub mod history;
 
 /// A rendered experiment result: a titled grid of cells plus notes.
 #[derive(Debug, Clone)]

@@ -14,10 +14,9 @@
 //! * [`interp`] — one- and two-dimensional lookup tables with linear /
 //!   bilinear interpolation, mirroring the Verilog-A lookup-table device
 //!   modeling methodology of the reproduced paper;
-//! * [`roots`] — bracketing root finders (bisection, Brent) and a monotone
-//!   boolean binary search used for critical-pulse-width extraction;
-//! * [`sweep`] — parameter-sweep grid constructors (`linspace`, `logspace`)
-//!   and a parallel grid evaluator;
+//! * [`roots`] — the monotone boolean binary search used for
+//!   critical-pulse-width extraction;
+//! * [`sweep`] — the uniform parameter-sweep grid (`linspace`);
 //! * [`stats`] — summary statistics and histograms for Monte-Carlo studies,
 //!   including the weighted summaries importance sampling needs;
 //! * [`normal`] — standard-normal special functions (`erf`, CDF, inverse
@@ -61,9 +60,9 @@ pub use normal::{erf, erfc, gaussian_mass_within, inv_norm_cdf, norm_cdf};
 pub use parallel::{par_map, par_try_map};
 pub use partition::GroupedIndices;
 pub use roots::{
-    bisect, brent, critical_threshold, critical_threshold_checked, critical_threshold_seeded,
+    critical_threshold, critical_threshold_checked, critical_threshold_seeded,
     critical_threshold_seeded_checked,
 };
 pub use sparse::{ColumnSlots, SparseLu, SparseMatrix, SparsityPattern};
 pub use stats::{Histogram, Summary, WeightedSummary};
-pub use sweep::{geomspace, linspace, logspace, par_grid};
+pub use sweep::linspace;

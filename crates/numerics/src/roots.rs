@@ -1,196 +1,10 @@
-//! Bracketing root finders and monotone threshold search.
+//! Monotone threshold search.
 //!
 //! The SRAM analysis layer extracts the *critical wordline pulse width*
 //! (`WL_crit`, the paper's dynamic write metric) by binary search over a
 //! flip / no-flip transient oracle — [`critical_threshold`] implements that
-//! search. [`bisect`] and [`brent`] serve continuous root-finding needs such
-//! as locating voltage crossings and calibrating device parameters.
-
-use std::fmt;
-
-/// Error returned by the continuous root finders.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RootError {
-    /// `f(lo)` and `f(hi)` have the same sign, so no root is bracketed.
-    NotBracketed {
-        /// Function value at the lower bound.
-        f_lo: f64,
-        /// Function value at the upper bound.
-        f_hi: f64,
-    },
-    /// The iteration limit was exhausted before reaching tolerance.
-    MaxIterations {
-        /// Best estimate of the root when iteration stopped.
-        best: f64,
-    },
-    /// The function returned NaN during the search.
-    NonFinite {
-        /// Argument at which the function returned NaN.
-        at: f64,
-    },
-}
-
-impl fmt::Display for RootError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RootError::NotBracketed { f_lo, f_hi } => {
-                write!(f, "root not bracketed: f(lo)={f_lo:e}, f(hi)={f_hi:e}")
-            }
-            RootError::MaxIterations { best } => {
-                write!(f, "iteration limit reached, best estimate {best:e}")
-            }
-            RootError::NonFinite { at } => write!(f, "function returned NaN at {at:e}"),
-        }
-    }
-}
-
-impl std::error::Error for RootError {}
-
-/// Finds a root of `f` on `[lo, hi]` by bisection.
-///
-/// Runs until the interval shrinks below `xtol` (absolute) or 100 iterations.
-///
-/// # Errors
-///
-/// Returns [`RootError::NotBracketed`] if `f(lo)` and `f(hi)` do not differ
-/// in sign, or [`RootError::NonFinite`] on NaN.
-///
-/// # Examples
-///
-/// ```
-/// use tfet_numerics::bisect;
-/// let root = bisect(0.0, 2.0, 1e-12, |x| x * x - 2.0).unwrap();
-/// assert!((root - std::f64::consts::SQRT_2).abs() < 1e-10);
-/// ```
-pub fn bisect(lo: f64, hi: f64, xtol: f64, f: impl Fn(f64) -> f64) -> Result<f64, RootError> {
-    let (mut lo, mut hi) = (lo, hi);
-    let mut f_lo = f(lo);
-    let f_hi = f(hi);
-    if f_lo.is_nan() {
-        return Err(RootError::NonFinite { at: lo });
-    }
-    if f_hi.is_nan() {
-        return Err(RootError::NonFinite { at: hi });
-    }
-    if f_lo == 0.0 {
-        return Ok(lo);
-    }
-    if f_hi == 0.0 {
-        return Ok(hi);
-    }
-    if f_lo.signum() == f_hi.signum() {
-        return Err(RootError::NotBracketed { f_lo, f_hi });
-    }
-    for _ in 0..100 {
-        let mid = 0.5 * (lo + hi);
-        if (hi - lo).abs() < xtol {
-            return Ok(mid);
-        }
-        let f_mid = f(mid);
-        if f_mid.is_nan() {
-            return Err(RootError::NonFinite { at: mid });
-        }
-        if f_mid == 0.0 {
-            return Ok(mid);
-        }
-        if f_mid.signum() == f_lo.signum() {
-            lo = mid;
-            f_lo = f_mid;
-        } else {
-            hi = mid;
-        }
-    }
-    Ok(0.5 * (lo + hi))
-}
-
-/// Finds a root of `f` on `[lo, hi]` with Brent's method (inverse quadratic
-/// interpolation with a bisection safeguard).
-///
-/// Converges superlinearly on smooth functions; used for device-model
-/// calibration where the target functions are expensive.
-///
-/// # Errors
-///
-/// Same bracket and NaN conditions as [`bisect`], plus
-/// [`RootError::MaxIterations`] after 200 iterations.
-pub fn brent(lo: f64, hi: f64, xtol: f64, f: impl Fn(f64) -> f64) -> Result<f64, RootError> {
-    let mut a = lo;
-    let mut b = hi;
-    let mut fa = f(a);
-    let mut fb = f(b);
-    if fa.is_nan() {
-        return Err(RootError::NonFinite { at: a });
-    }
-    if fb.is_nan() {
-        return Err(RootError::NonFinite { at: b });
-    }
-    if fa == 0.0 {
-        return Ok(a);
-    }
-    if fb == 0.0 {
-        return Ok(b);
-    }
-    if fa.signum() == fb.signum() {
-        return Err(RootError::NotBracketed { f_lo: fa, f_hi: fb });
-    }
-    if fa.abs() < fb.abs() {
-        std::mem::swap(&mut a, &mut b);
-        std::mem::swap(&mut fa, &mut fb);
-    }
-    let mut c = a;
-    let mut fc = fa;
-    let mut d = b - a;
-    let mut mflag = true;
-
-    for _ in 0..200 {
-        if fb == 0.0 || (b - a).abs() < xtol {
-            return Ok(b);
-        }
-        let mut s = if fa != fc && fb != fc {
-            // Inverse quadratic interpolation.
-            a * fb * fc / ((fa - fb) * (fa - fc))
-                + b * fa * fc / ((fb - fa) * (fb - fc))
-                + c * fa * fb / ((fc - fa) * (fc - fb))
-        } else {
-            // Secant.
-            b - fb * (b - a) / (fb - fa)
-        };
-
-        let lo_bound = (3.0 * a + b) / 4.0;
-        let cond1 = !((s > lo_bound.min(b) && s < lo_bound.max(b))
-            || (s > b.min(lo_bound) && s < b.max(lo_bound)));
-        let cond2 = mflag && (s - b).abs() >= (b - c).abs() / 2.0;
-        let cond3 = !mflag && (s - b).abs() >= (c - d).abs() / 2.0;
-        let cond4 = mflag && (b - c).abs() < xtol;
-        let cond5 = !mflag && (c - d).abs() < xtol;
-        if cond1 || cond2 || cond3 || cond4 || cond5 {
-            s = 0.5 * (a + b);
-            mflag = true;
-        } else {
-            mflag = false;
-        }
-
-        let fs = f(s);
-        if fs.is_nan() {
-            return Err(RootError::NonFinite { at: s });
-        }
-        d = c;
-        c = b;
-        fc = fb;
-        if fa.signum() != fs.signum() {
-            b = s;
-            fb = fs;
-        } else {
-            a = s;
-            fa = fs;
-        }
-        if fa.abs() < fb.abs() {
-            std::mem::swap(&mut a, &mut b);
-            std::mem::swap(&mut fa, &mut fb);
-        }
-    }
-    Err(RootError::MaxIterations { best: b })
-}
+//! search, [`critical_threshold_seeded`] resumes it from a hint, and the
+//! `_checked` variants take a fallible oracle.
 
 /// Result of a [`critical_threshold`] search.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -497,57 +311,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bisect_finds_sqrt2() {
-        let r = bisect(0.0, 2.0, 1e-13, |x| x * x - 2.0).unwrap();
-        assert!((r - std::f64::consts::SQRT_2).abs() < 1e-10);
-    }
-
-    #[test]
-    fn bisect_exact_root_at_endpoint() {
-        assert_eq!(bisect(0.0, 1.0, 1e-12, |x| x).unwrap(), 0.0);
-        assert_eq!(bisect(-1.0, 0.0, 1e-12, |x| x).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn bisect_rejects_unbracketed() {
-        assert!(matches!(
-            bisect(1.0, 2.0, 1e-12, |x| x),
-            Err(RootError::NotBracketed { .. })
-        ));
-    }
-
-    #[test]
-    fn bisect_reports_nan() {
-        assert!(matches!(
-            bisect(0.0, 1.0, 1e-12, |_| f64::NAN),
-            Err(RootError::NonFinite { .. })
-        ));
-    }
-
-    #[test]
-    fn brent_finds_cubic_root() {
-        let r = brent(0.0, 4.0, 1e-14, |x| (x - 3.0) * (x * x + 1.0)).unwrap();
-        assert!((r - 3.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn brent_matches_bisect_on_exponential() {
-        // Exponential crossing typical of device-calibration targets.
-        let f = |x: f64| (x / 0.06).exp() - 1e6;
-        let rb = brent(0.0, 2.0, 1e-13, f).unwrap();
-        let ri = bisect(0.0, 2.0, 1e-13, f).unwrap();
-        assert!((rb - ri).abs() < 1e-9);
-    }
-
-    #[test]
-    fn brent_rejects_unbracketed() {
-        assert!(matches!(
-            brent(1.0, 2.0, 1e-12, |x| x),
-            Err(RootError::NotBracketed { .. })
-        ));
-    }
-
-    #[test]
     fn critical_threshold_finds_step() {
         match critical_threshold(0.0, 100.0, 1e-6, |x| x >= 42.0) {
             Threshold::Critical(v) => assert!((v - 42.0).abs() < 1e-4),
@@ -722,12 +485,5 @@ mod tests {
                 other => panic!("hint {hint:?} gave {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn error_display_nonempty() {
-        assert!(!RootError::MaxIterations { best: 1.0 }
-            .to_string()
-            .is_empty());
     }
 }

@@ -1,8 +1,7 @@
-//! Parameter-sweep grid constructors.
+//! Parameter-sweep grids.
 //!
 //! Every experiment in the reproduced paper is a sweep — over gate voltage,
-//! cell ratio β, or supply voltage — so uniform and logarithmic grids are
-//! used throughout the workspace.
+//! cell ratio β, or supply voltage — over a uniform grid.
 
 /// `n` evenly spaced points covering `[lo, hi]` inclusive.
 ///
@@ -31,81 +30,9 @@ pub fn linspace(lo: f64, hi: f64, n: usize) -> Vec<f64> {
         .collect()
 }
 
-/// `n` logarithmically spaced points covering `[10^lo_exp, 10^hi_exp]`.
-///
-/// # Panics
-///
-/// Panics if `n < 2` or `lo_exp >= hi_exp`.
-///
-/// # Examples
-///
-/// ```
-/// use tfet_numerics::logspace;
-/// let pts = logspace(0.0, 2.0, 3);
-/// assert!((pts[1] - 10.0).abs() < 1e-12);
-/// ```
-pub fn logspace(lo_exp: f64, hi_exp: f64, n: usize) -> Vec<f64> {
-    linspace(lo_exp, hi_exp, n)
-        .into_iter()
-        .map(|e| 10f64.powf(e))
-        .collect()
-}
-
-/// `n` geometrically spaced points covering `[lo, hi]` (both positive).
-///
-/// # Panics
-///
-/// Panics if `n < 2`, either bound is non-positive, or `lo >= hi`.
-///
-/// # Examples
-///
-/// ```
-/// use tfet_numerics::geomspace;
-/// let pts = geomspace(1.0, 100.0, 3);
-/// assert!((pts[1] - 10.0).abs() < 1e-12);
-/// ```
-pub fn geomspace(lo: f64, hi: f64, n: usize) -> Vec<f64> {
-    assert!(lo > 0.0 && hi > 0.0, "geomspace needs positive bounds");
-    logspace(lo.log10(), hi.log10(), n)
-}
-
-/// Evaluates `f` at every grid point on the default worker pool, returning
-/// `(point, f(point))` pairs in grid order.
-///
-/// Each point is an independent simulation, so sweeps parallelize with the
-/// same determinism guarantee as [`par_map`](crate::parallel::par_map):
-/// values are identical to a serial loop at any thread count.
-///
-/// # Examples
-///
-/// ```
-/// use tfet_numerics::{linspace, par_grid};
-///
-/// let curve = par_grid(&linspace(0.0, 1.0, 3), |x| x * x);
-/// assert_eq!(curve, vec![(0.0, 0.0), (0.5, 0.25), (1.0, 1.0)]);
-/// ```
-pub fn par_grid<T, F>(points: &[f64], f: F) -> Vec<(f64, T)>
-where
-    T: Send,
-    F: Fn(f64) -> T + Sync,
-{
-    crate::parallel::par_map(points.len(), None, |i| (points[i], f(points[i])))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn par_grid_preserves_grid_order() {
-        let grid = linspace(0.0, 2.0, 9);
-        let curve = par_grid(&grid, |x| 3.0 * x + 1.0);
-        assert_eq!(curve.len(), 9);
-        for (i, (x, y)) in curve.iter().enumerate() {
-            assert_eq!(*x, grid[i]);
-            assert_eq!(*y, 3.0 * grid[i] + 1.0);
-        }
-    }
 
     #[test]
     fn linspace_endpoints_are_exact() {
@@ -133,26 +60,5 @@ mod tests {
     #[should_panic(expected = "lo < hi")]
     fn linspace_rejects_inverted_range() {
         linspace(1.0, 0.0, 3);
-    }
-
-    #[test]
-    fn logspace_covers_decades() {
-        let pts = logspace(-17.0, -4.0, 14);
-        assert!((pts[0] - 1e-17).abs() < 1e-29);
-        assert!((pts[13] - 1e-4).abs() < 1e-16);
-    }
-
-    #[test]
-    fn geomspace_is_geometric() {
-        let pts = geomspace(2.0, 32.0, 5);
-        for w in pts.windows(2) {
-            assert!((w[1] / w[0] - 2.0).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn geomspace_rejects_nonpositive() {
-        geomspace(0.0, 1.0, 3);
     }
 }

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use tfet_numerics::matrix::Matrix;
 use tfet_numerics::roots::{critical_threshold, Threshold};
-use tfet_numerics::{bisect, linspace, Lut1d, Lut2d, Summary};
+use tfet_numerics::{linspace, Lut1d, Lut2d, Summary};
 
 /// Strategy: a well-conditioned diagonally dominant n×n matrix plus rhs.
 fn dominant_system(n: usize) -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<f64>)> {
@@ -84,13 +84,6 @@ proptest! {
         let f = move |x: f64, y: f64| c0 + cx * x + cy * y + cxy * x * y;
         let lut = Lut2d::tabulate((0.0, 1.0), 7, (0.0, 1.0), 5, f);
         prop_assert!((lut.eval(px, py) - f(px, py)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn bisect_root_has_small_residual(shift in -0.9f64..0.9) {
-        let f = move |x: f64| x.tanh() - shift;
-        let r = bisect(-5.0, 5.0, 1e-12, f).unwrap();
-        prop_assert!(f(r).abs() < 1e-9);
     }
 
     #[test]

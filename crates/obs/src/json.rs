@@ -9,8 +9,7 @@
 //!
 //! [`Value::parse`] is the matching reader: a strict recursive-descent
 //! parser for the documents this workspace emits (run reports, diagnostic
-//! bundles, bench history entries), used by the `tfet-bench history`
-//! regression harness to diff archived cost counters.
+//! bundles, trace JSON), which tests use to read them back.
 
 use std::fmt::Write as _;
 
