@@ -19,8 +19,9 @@
 //!    model/width in place. Binds never add or remove elements, so the
 //!    sparsity pattern and unknown ordering survive every rebind.
 //! 3. **run** — [`run`](CompiledCircuit::run) executes the transient engine
-//!    against the frozen form with an owned, reusable solver workspace, so
-//!    repeated runs perform no solver-scratch allocation.
+//!    against the frozen form with the solver workspace built for it at
+//!    compile (its sparsity pattern included), so repeated runs perform no
+//!    solver-scratch allocation and never re-walk the pattern.
 //!
 //! Because a run's numbers depend only on the circuit *state* (topology +
 //! current bindings) and never on how that state was reached, re-running a
@@ -78,8 +79,9 @@ pub struct ParamHandle {
 
 /// A circuit frozen for repeated execution: topology, node ordering and
 /// MNA pattern fixed at compile time; stimuli and device bindings mutable
-/// through typed binds; runs executed against an owned reusable solver
-/// workspace — the one owner of held Newton, LU and companion scratch.
+/// through typed binds; runs executed against a solver workspace built for
+/// this circuit at compile and owned for its whole life — the one owner of
+/// Newton, LU and companion scratch held across runs.
 ///
 /// See the [module docs](self) for the compile/bind/run architecture.
 #[derive(Debug)]
@@ -109,14 +111,10 @@ impl CompiledCircuit {
     /// [`SimError::InvalidCircuit`] for structurally bad netlists (no
     /// elements, no non-ground nodes).
     pub fn compile(circuit: Circuit) -> Result<Self, SimError> {
-        let mut ws = NewtonWorkspace::default();
-        {
-            // Freeze the Jacobian sparsity pattern now: binds never change
-            // topology, so every subsequent sparse run reuses this pattern
-            // (and, after the first factorization, its symbolic analysis).
-            let mna = Mna::new(&circuit)?;
-            ws.bufs.ensure_sparse(&mna);
-        }
+        // Freeze the Jacobian sparsity pattern now: binds never change
+        // topology, so every subsequent sparse run reuses this pattern (and,
+        // after the first factorization, its symbolic analysis).
+        let ws = NewtonWorkspace::new(&Mna::new(&circuit)?);
         tfet_obs::work("compiled.compiles", 1);
         Ok(CompiledCircuit {
             circuit,
@@ -393,6 +391,25 @@ mod tests {
             (total.circuit_builds, total.param_binds, total.runs),
             (1, 2, 2)
         );
+    }
+
+    /// A compile builds the sparsity pattern in two walks of the MNA's
+    /// Jacobian entries; no later run or DC solve walks them again.
+    #[test]
+    fn only_compile_walks_the_jacobian_entries() {
+        let walks = || crate::mna::tests::JACOBIAN_WALKS.with(std::cell::Cell::get);
+        let (c, v, _) = rc(1.0);
+        let before = walks();
+        let mut compiled = CompiledCircuit::compile(c).unwrap();
+        assert_eq!(walks() - before, 2, "compile");
+        let before = walks();
+        let spec = TransientSpec::new(1e-9, 2e-12);
+        for initial in [InitialState::Uic(vec![]), InitialState::DcOp(vec![])] {
+            compiled.run(&spec, &initial, &[]).unwrap();
+        }
+        compiled.bind_wave(compiled.param(v), Waveform::dc(0.5));
+        compiled.dc_op(&[]).unwrap();
+        assert_eq!(walks() - before, 0, "runs and DC solves");
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::error::SimError;
 use crate::latency::DeviceLatency;
 use crate::mna::{CompanionCaps, Mna};
 use crate::netlist::{Circuit, NodeId, SourceId};
-use crate::workspace::{with_workspace, JacSource, JacStale, NewtonWorkspace, SolverBufs};
+use crate::workspace::{JacSource, JacStale, NewtonWorkspace, SolverBufs};
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Linear-solve strategy for the Newton loop: a reference oracle, not an
@@ -287,7 +287,6 @@ fn newton_sparse(
     let n = mna.unknown_count();
     let n_v = mna.voltage_count();
     bufs.ensure(n, mna.circuit().transistors.len());
-    bufs.ensure_sparse(mna);
     bufs.ensure_latency(mna);
     bufs.newton_solves += 1;
     bufs.res_history.clear();
@@ -334,7 +333,7 @@ fn newton_sparse(
             // non-reusing iteration rebuilds it when it reads it
             // (`SolverBufs::fresh_jacobian`), so chord iterations — nearly
             // all of them — never stamp one.
-            let s = bufs.sparse.as_mut().expect("ensure_sparse ran");
+            let s = &mut bufs.sparse;
             let stats = match (use_cache, bufs.latency.as_mut(), caps) {
                 (true, Some(lat), Some(caps)) => {
                     s.stale = JacStale::Compose;
@@ -371,11 +370,7 @@ fn newton_sparse(
             bufs.res_history.push(last_residual);
         }
 
-        let reused = allow_reuse
-            && bufs
-                .sparse
-                .as_ref()
-                .is_some_and(|s| s.factor_valid && s.lu.is_factored());
+        let reused = allow_reuse && bufs.sparse.factor_valid && bufs.sparse.lu.is_factored();
         if reused {
             bufs.jac_reused += 1;
         } else if let Err(e) = bufs.sparse_refactor(allow_reuse, &src) {
@@ -388,8 +383,7 @@ fn newton_sparse(
         }
         {
             let _span = tfet_obs::span("trisolve");
-            let s = bufs.sparse.as_mut().expect("ensure_sparse ran");
-            s.lu.solve_into(&bufs.rhs, &mut bufs.dx);
+            bufs.sparse.lu.solve_into(&bufs.rhs, &mut bufs.dx);
         }
         bufs.sparse_solves += 1;
         let mut max_dv = max_abs(&bufs.dx[..n_v]);
@@ -407,10 +401,7 @@ fn newton_sparse(
                 tfet_obs::record_u64("newton.iters_per_solve", iter as u64 + 1);
                 return Err((x, SimError::from_solve(e, time_label)));
             }
-            {
-                let s = bufs.sparse.as_mut().expect("ensure_sparse ran");
-                s.lu.solve_into(&bufs.rhs, &mut bufs.dx);
-            }
+            bufs.sparse.lu.solve_into(&bufs.rhs, &mut bufs.dx);
             bufs.sparse_solves += 1;
             max_dv = max_abs(&bufs.dx[..n_v]);
             solved_with_reuse = false;
@@ -432,10 +423,7 @@ fn newton_sparse(
                 tfet_obs::record_u64("newton.iters_per_solve", iter as u64 + 1);
                 return Err((x, SimError::from_solve(e, time_label)));
             }
-            {
-                let s = bufs.sparse.as_mut().expect("ensure_sparse ran");
-                s.lu.solve_into(&bufs.rhs, &mut bufs.dx);
-            }
+            bufs.sparse.lu.solve_into(&bufs.rhs, &mut bufs.dx);
             bufs.sparse_solves += 1;
             max_dv = max_abs(&bufs.dx[..n_v]);
         }
@@ -624,8 +612,8 @@ impl Circuit {
     /// basin.
     pub fn dc_op_with_guess(&self, guess: &[(NodeId, f64)]) -> Result<DcResult, SimError> {
         let mna = Mna::new(self)?;
-        let x =
-            with_workspace(|ws| self.dc_state_with(&mna, guess, ws, Engine::process_default()))?;
+        let mut ws = NewtonWorkspace::new(&mna);
+        let x = self.dc_state_with(&mna, guess, &mut ws, Engine::process_default())?;
         Ok(DcResult {
             x,
             n_v: mna.voltage_count(),

@@ -279,8 +279,6 @@ pub struct CellPartition {
 /// run has none.
 #[derive(Debug)]
 pub(crate) struct LatencyState {
-    /// Combined topology + partition signature this state was built for.
-    pub(crate) sig: u64,
     /// `bounds[k]..bounds[k + 1]`: the transistors of shard `k`.
     bounds: Vec<usize>,
     /// The shards, each behind its own (never contended) lock so the
@@ -344,39 +342,11 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// FNV-1a over the partition definitions, mixed into the MNA pattern
-/// signature so a partition change (not just a topology change) rebuilds
-/// the latency state.
-pub(crate) fn partition_signature(base: u64, parts: &[CellPartition]) -> u64 {
-    let mut h = base;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    mix(parts.len() as u64);
-    for p in parts {
-        for &d in &p.devices {
-            mix(d as u64 + 1);
-        }
-        mix(u64::MAX);
-        for &n in &p.watch {
-            mix(n.index() as u64 + 1);
-        }
-        mix(u64::MAX - 1);
-        for (i, &n) in p.guard.iter().enumerate() {
-            mix(n.index() as u64 + 1);
-            mix(p.guard_kinds.get(i).copied().unwrap_or_default() as u64 + 1);
-        }
-        mix(u64::MAX - 2);
-    }
-    h
-}
-
 impl LatencyState {
     /// Builds the runtime state for a circuit's registered partitions,
     /// sharded at the transistor bounds `bounds` (which must not cut a
     /// partition).
-    pub(crate) fn build(circuit: &Circuit, sig: u64, bounds: &[usize]) -> LatencyState {
+    pub(crate) fn build(circuit: &Circuit, bounds: &[usize]) -> LatencyState {
         let parts = circuit.latency_partitions();
         let groups: Vec<Vec<usize>> = parts.iter().map(|p| p.devices.clone()).collect();
         let owner = GroupedIndices::from_groups(circuit.transistors().len(), &groups);
@@ -440,17 +410,15 @@ impl LatencyState {
             sh.guard_ref = vec![0.0; sh.guard_rows.len()];
         }
         LatencyState {
-            sig,
             bounds: bounds.to_vec(),
             shards: Arc::new(shards.into_iter().map(Mutex::new).collect()),
             home,
         }
     }
 
-    /// Whether this state was built for signature `sig` at shard bounds
-    /// `bounds`.
-    pub(crate) fn fits(&self, sig: u64, bounds: &[usize]) -> bool {
-        self.sig == sig && self.bounds == bounds
+    /// Whether this state was built at shard bounds `bounds`.
+    pub(crate) fn fits(&self, bounds: &[usize]) -> bool {
+        self.bounds == bounds
     }
 
     /// The shards, in transistor order.
@@ -689,25 +657,6 @@ mod tests {
         assert!(!pools(&row(POOL_MIN_DEVICES - 1, true)));
         assert!(!pools(&row(POOL_MIN_DEVICES, false)));
         assert!(!pools(&row(6, true)));
-    }
-
-    #[test]
-    fn partition_signature_tracks_content() {
-        let a = vec![CellPartition {
-            devices: vec![0, 1],
-            watch: vec![NodeId(1)],
-            guard: vec![NodeId(2)],
-            guard_kinds: vec![GuardKind::Wordline],
-        }];
-        let mut b = a.clone();
-        b[0].guard = vec![NodeId(3)];
-        let mut c = a.clone();
-        c[0].guard_kinds = vec![GuardKind::Bitline];
-        let sa = partition_signature(7, &a);
-        assert_eq!(sa, partition_signature(7, &a), "deterministic");
-        assert_ne!(sa, partition_signature(7, &b), "guard change detected");
-        assert_ne!(sa, partition_signature(7, &c), "kind change detected");
-        assert_ne!(sa, partition_signature(8, &a), "base mixed in");
     }
 
     #[test]

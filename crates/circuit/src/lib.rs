@@ -24,9 +24,10 @@
 //! * [`compiled`] — the build-once/bind/run layer: a [`CompiledCircuit`]
 //!   freezes topology and MNA pattern, typed binds swap stimuli and device
 //!   models in place, and repeated runs reuse one owned set of Newton, LU
-//!   and companion buffers, allocation-free after warm-up (one-shot
-//!   [`Circuit::transient`] calls borrow a per-thread set instead). Every
-//!   run reports build/bind/run counters through [`SolveStats`].
+//!   and companion buffers, allocation-free after warm-up. A set of buffers
+//!   serves one circuit for its whole life; a one-shot [`Circuit::transient`]
+//!   or [`Circuit::dc_op`] call builds its own and drops it. Every run
+//!   reports build/bind/run counters through [`SolveStats`].
 //!
 //! The linear-solve path assembles the Jacobian into a sparsity pattern
 //! frozen at compile time and factorizes it with an

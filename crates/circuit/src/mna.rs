@@ -8,11 +8,11 @@
 //! its Jacobian at a candidate `x` so Newton–Raphson can iterate.
 
 use crate::error::SimError;
-use crate::latency::{lock, partition_signature, LatencyState};
+use crate::latency::{lock, LatencyState};
 use crate::netlist::{Circuit, NodeId, Transistor};
 use crate::pool::{Pool, SharedF64, Volts};
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use tfet_numerics::{Matrix, SparseMatrix, SparsityPattern};
 
 /// Jacobian assembly target: dense [`Matrix`] or pattern-backed
@@ -858,9 +858,9 @@ pub(crate) fn branch_voltage<X: Volts + ?Sized>(x: &X, (ra, rb): (u32, u32)) -> 
 /// evaluation.
 ///
 /// One `Mna` serves one analysis (a transient run or a DC solve) over a
-/// borrowed, immutable circuit, so the topology it describes cannot change
-/// while it lives: the structural signatures the solver workspace keys its
-/// cached state on are computed on first use and memoised here. A large
+/// borrowed, immutable circuit. Building one is cheap — it counts unknowns
+/// and walks nothing; the sparsity pattern is built once, with the solver
+/// workspace that serves the circuit for its whole life. A large
 /// partitioned transient also carries its run's helper pool here, which
 /// every pooled pass of the analysis reaches through it.
 #[derive(Debug)]
@@ -872,12 +872,6 @@ pub struct Mna<'c> {
     n_v: usize,
     /// Total unknowns (`n_v` + voltage-source branch currents).
     n_x: usize,
-    /// Memoised [`Mna::pattern_signature`].
-    pattern_sig: OnceLock<u64>,
-    /// Memoised [`Mna::partition_signature`].
-    partition_sig: OnceLock<u64>,
-    /// Memoised [`Mna::stamp_signature`].
-    stamp_sig: OnceLock<u64>,
 }
 
 impl<'c> Mna<'c> {
@@ -903,9 +897,6 @@ impl<'c> Mna<'c> {
             pool: None,
             n_v,
             n_x,
-            pattern_sig: OnceLock::new(),
-            partition_sig: OnceLock::new(),
-            stamp_sig: OnceLock::new(),
         })
     }
 
@@ -1369,6 +1360,8 @@ impl<'c> Mna<'c> {
     /// Extra structural zeros are harmless — the sparse analysis pivots on
     /// actual values.
     pub(crate) fn for_each_jacobian_entry(&self, mut visit: impl FnMut(usize, usize)) {
+        #[cfg(test)]
+        tests::JACOBIAN_WALKS.with(|n| n.set(n.get() + 1));
         fn cond(mna: &Mna<'_>, a: NodeId, b: NodeId, visit: &mut dyn FnMut(usize, usize)) {
             if let Some(ra) = mna.row(a) {
                 visit(ra, ra);
@@ -1439,80 +1432,6 @@ impl<'c> Mna<'c> {
     pub(crate) fn sparsity_pattern(&self) -> SparsityPattern {
         SparsityPattern::from_walk(self.n_x, |visit| self.for_each_jacobian_entry(visit))
     }
-
-    /// FNV-1a hash over the structural pattern (dimension + coordinates).
-    ///
-    /// Deterministic and computed once per `Mna` (the walk visits every
-    /// Jacobian entry, which at array scale costs milliseconds): the
-    /// thread-local solver workspace keys its sparse state on this, so
-    /// same-topology runs reuse the symbolic analysis and a topology change
-    /// forces a rebuild.
-    pub(crate) fn pattern_signature(&self) -> u64 {
-        *self
-            .pattern_sig
-            .get_or_init(|| self.compute_pattern_signature())
-    }
-
-    /// The walk behind [`Mna::pattern_signature`], uncached.
-    pub(crate) fn compute_pattern_signature(&self) -> u64 {
-        #[cfg(test)]
-        tests::SIGNATURES_COMPUTED.with(|n| n.set(n.get() + 1));
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        mix(self.n_x as u64);
-        self.for_each_jacobian_entry(|r, c| mix((r * self.n_x + c + 1) as u64));
-        h
-    }
-
-    /// FNV-1a hash over what fixes the `(row, col)` adds of
-    /// [`Mna::stamp_jacobian`], in order, apart from its companions and
-    /// g_min: the unknown counts and the terminal rows of every resistor,
-    /// transistor and voltage source, in netlist order. Memoised like
-    /// [`Mna::pattern_signature`], which it refines: a capacitor and a
-    /// resistor on the same nodes add the same pattern entries, but only
-    /// the resistor is stamped in every pass.
-    pub(crate) fn stamp_signature(&self) -> u64 {
-        *self.stamp_sig.get_or_init(|| {
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            let mut mix = |v: u64| {
-                h ^= v;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            };
-            let row = |n: NodeId| self.row(n).map_or(0, |r| r as u64 + 1);
-            let c = self.circuit;
-            mix(self.n_v as u64);
-            mix(self.n_x as u64);
-            mix(c.resistors.len() as u64);
-            for r in &c.resistors {
-                mix(row(r.a));
-                mix(row(r.b));
-            }
-            mix(c.transistors.len() as u64);
-            for m in &c.transistors {
-                mix(row(m.d));
-                mix(row(m.g));
-                mix(row(m.s));
-            }
-            mix(c.vsources.len() as u64);
-            for v in &c.vsources {
-                mix(row(v.plus));
-                mix(row(v.minus));
-            }
-            h
-        })
-    }
-
-    /// The pattern signature combined with the circuit's latency
-    /// partitions, memoised like it: the key of the workspace's
-    /// latency-tier state.
-    pub(crate) fn partition_signature(&self) -> u64 {
-        *self.partition_sig.get_or_init(|| {
-            partition_signature(self.pattern_signature(), self.circuit.latency_partitions())
-        })
-    }
 }
 
 #[cfg(test)]
@@ -1522,9 +1441,10 @@ pub(crate) mod tests {
     use std::cell::Cell;
 
     thread_local! {
-        /// Pattern-signature computations on this thread: the memo must
-        /// walk the pattern once per `Mna`, never once per solve.
-        pub(crate) static SIGNATURES_COMPUTED: Cell<u64> = const { Cell::new(0) };
+        /// [`Mna::for_each_jacobian_entry`] walks on this thread: a solver
+        /// workspace's sparsity pattern costs two, and no run or solve
+        /// walks again.
+        pub(crate) static JACOBIAN_WALKS: Cell<u64> = const { Cell::new(0) };
     }
 
     #[test]
@@ -1581,30 +1501,6 @@ pub(crate) mod tests {
         }
     }
 
-    #[test]
-    fn memoised_signatures_equal_fresh_computations() {
-        let mut c = Circuit::new();
-        let a = c.node("a");
-        let b = c.node("b");
-        c.vsource("V", a, Circuit::GND, Waveform::dc(1.0));
-        c.resistor(a, b, 1e3);
-        c.capacitor(b, Circuit::GND, 1e-15);
-        let mna = Mna::new(&c).unwrap();
-        let before = SIGNATURES_COMPUTED.with(Cell::get);
-        let sig = mna.pattern_signature();
-        let part = mna.partition_signature();
-        assert_eq!(mna.pattern_signature(), sig);
-        assert_eq!(mna.partition_signature(), part);
-        assert_eq!(
-            SIGNATURES_COMPUTED.with(Cell::get) - before,
-            1,
-            "one pattern walk per Mna"
-        );
-        assert_eq!(sig, mna.compute_pattern_signature());
-        assert_eq!(part, partition_signature(sig, c.latency_partitions()));
-        assert_eq!(sig, Mna::new(&c).unwrap().pattern_signature());
-    }
-
     /// A `rows x cols` array of 6T TFET cells on shared wordlines and
     /// bitline pairs — the hierarchical deck form of the array golden
     /// (`tests/golden/array_8x8.sp`), its pull-downs grounded — plus a
@@ -1645,7 +1541,8 @@ pub(crate) mod tests {
     /// pattern, every transistor and diagonal slot, and the gather offsets
     /// and terms of both companion layouts a transient uses — the UIC hold
     /// list and the capacitor table — as built directly and as the linear
-    /// refresh builds them.
+    /// refresh builds them, switching from one layout to the other and back
+    /// with a linear part equal to a fresh build's.
     #[test]
     fn array_slot_tables_equal_the_sort_and_search_oracle() {
         let deck = crate::Deck::parse(&array_deck(16, 16), &tfet_devices::standard_models())
@@ -1700,7 +1597,7 @@ pub(crate) mod tests {
         let table = CompanionCaps::from_branches(c.cap_branches().map(|(a, b)| (a, b, 1e-4, 0.0)));
         assert!(table.len() > 16 * 16 * 6 * 3, "{} branches", table.len());
         let parts = |g: &LinGather| (g.offsets.clone(), g.terms.clone(), g.bounds.clone());
-        for caps in [&hold, &table] {
+        for caps in [&hold, &table, &hold] {
             let oracle = LinGather::build_searched(caps.rows(), &pattern, &diag, 1);
             assert_eq!(
                 parts(&LinGather::build(caps.rows(), &pattern, &diag, 1)),
@@ -1708,6 +1605,7 @@ pub(crate) mod tests {
             );
             inc.refresh_linear(1e-9, caps, &pattern, None);
             assert_eq!(parts(&inc.gather), parts(&oracle));
+            assert!(inc.linear_part_is_fresh(&mna, caps, &pattern));
         }
     }
 

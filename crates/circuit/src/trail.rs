@@ -171,10 +171,10 @@ impl Trail {
             // The latency tier's partition state is not checkpointed.
             return;
         }
-        let sparse = match (engine.solver, ws.bufs.sparse.as_ref()) {
-            (SolverStrategy::Dense, _) => None,
-            (SolverStrategy::Sparse, Some(s)) if s.lu.is_analyzed() => Some(s),
-            (SolverStrategy::Sparse, _) => return,
+        let sparse = match engine.solver {
+            SolverStrategy::Dense => None,
+            SolverStrategy::Sparse if ws.bufs.sparse.lu.is_analyzed() => Some(&ws.bufs.sparse),
+            SolverStrategy::Sparse => return,
         };
         self.n_x = x.len();
         self.n_i = ws.caps.start.i_prev.len();
@@ -258,7 +258,7 @@ impl Trail {
             }
         }
         let sparse = match self.engine {
-            Some(e) if e.solver == SolverStrategy::Sparse => ws.bufs.sparse.as_ref(),
+            Some(e) if e.solver == SolverStrategy::Sparse => Some(&ws.bufs.sparse),
             _ => None,
         };
         let factor_valid = sparse.is_some_and(|s| s.factor_valid);
@@ -338,7 +338,7 @@ impl Trail {
             return None;
         }
         if engine.solver == SolverStrategy::Sparse {
-            let s = ws.bufs.sparse.as_ref()?;
+            let s = &ws.bufs.sparse;
             let (rows, cols) = s.lu.ordering();
             if !s.lu.is_analyzed() || rows != self.row_perm || cols != self.col_perm {
                 return None;
@@ -407,12 +407,11 @@ impl Trail {
         ws.bufs
             .device_cache
             .copy_from_slice(row(&self.devices, self.n_dev, k));
-        if let Some(s) = ws.bufs.sparse.as_mut() {
-            s.factor_valid = cp.factor_valid;
-            s.stale = cp.stale;
-            if cp.factors {
-                s.lu.restore_factor_values(row(&self.factors, self.n_f, k));
-            }
+        let s = &mut ws.bufs.sparse;
+        s.factor_valid = cp.factor_valid;
+        s.stale = cp.stale;
+        if cp.factors {
+            s.lu.restore_factor_values(row(&self.factors, self.n_f, k));
         }
         ws.step_trace.clear();
         for &(t, h) in &self.attempts[..cp.attempts] {

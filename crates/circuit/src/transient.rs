@@ -74,7 +74,7 @@ use crate::netlist::{Circuit, NodeId, Transistor};
 use crate::pool::{F64Cell, Pool, SharedF64, Volts};
 use crate::probe::{SolveStats, TransientResult};
 use crate::trail::{Trail, TrailRole};
-use crate::workspace::{with_workspace, NewtonWorkspace};
+use crate::workspace::NewtonWorkspace;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -306,17 +306,6 @@ impl StopEvent {
             b,
             above: Some(level),
             below: None,
-            t_arm,
-        }
-    }
-
-    /// Stop once `V(a) − V(b) < level` after `t_arm`.
-    pub fn diff_below(a: NodeId, b: NodeId, level: f64, t_arm: f64) -> Self {
-        StopEvent {
-            a,
-            b,
-            above: None,
-            below: Some(level),
             t_arm,
         }
     }
@@ -825,10 +814,10 @@ impl Circuit {
     /// Runs a transient analysis.
     ///
     /// Node voltages for every node are recorded at every accepted step,
-    /// starting with the initial state at `t = 0`. Solver scratch comes
-    /// from a per-thread workspace that is reused across calls; repeated
-    /// runs of one topology (with early-exit [`StopEvent`]s, probes and an
-    /// owned workspace) go through [`CompiledCircuit`](crate::CompiledCircuit).
+    /// starting with the initial state at `t = 0`. The run builds its own
+    /// solver workspace and drops it on return; repeated runs of one
+    /// topology (with early-exit [`StopEvent`]s, probes and a workspace held
+    /// across runs) go through [`CompiledCircuit`](crate::CompiledCircuit).
     ///
     /// # Errors
     ///
@@ -839,8 +828,8 @@ impl Circuit {
         spec: &TransientSpec,
         initial: &InitialState,
     ) -> Result<TransientResult, SimError> {
-        let mut result =
-            with_workspace(|ws| self.transient_recorded(spec, initial, &[], None, ws))?;
+        let mut ws = NewtonWorkspace::new(&Mna::new(self)?);
+        let mut result = self.transient_recorded(spec, initial, &[], None, &mut ws)?;
         result.stats.circuit_builds = 1;
         Ok(result)
     }
@@ -957,7 +946,7 @@ impl Circuit {
         let dormant0 = ws.bufs.devices_dormant;
         let crefresh0 = ws.bufs.cells_refreshed;
         let grefresh0 = ws.bufs.guard_refreshes;
-        let analyzed0 = ws.bufs.sparse.as_ref().is_some_and(|s| s.lu.is_analyzed());
+        let analyzed0 = ws.bufs.sparse.lu.is_analyzed();
         ws.step_trace.clear();
 
         // Pre-size the waveform store so recording never reallocates
@@ -1403,7 +1392,9 @@ mod tests {
     /// A UIC run from 0 V that may end early on `events`.
     fn run_events(c: &Circuit, spec: &TransientSpec, events: &[StopEvent]) -> TransientResult {
         let init = InitialState::Uic(vec![]);
-        with_workspace(|ws| c.transient_recorded(spec, &init, events, None, ws)).unwrap()
+        let mut ws = NewtonWorkspace::new(&Mna::new(c).unwrap());
+        c.transient_recorded(spec, &init, events, None, &mut ws)
+            .unwrap()
     }
 
     #[test]

@@ -8,18 +8,21 @@
 //! ≤ ~20-unknown SRAM systems this workspace solves.
 //!
 //! [`NewtonWorkspace`] owns all of those buffers plus the transient
-//! integrator's companion-model scratch. One workspace serves any circuit
-//! (buffers grow on demand and are reused thereafter), so a worker thread
-//! sweeping Monte-Carlo samples performs O(1) allocations for the whole
-//! sweep. One owner holds a workspace across runs: each
-//! [`CompiledCircuit`](crate::compiled::CompiledCircuit). One-shot solves
-//! borrow a thread-local one (`with_workspace`).
+//! integrator's companion-model scratch. A workspace serves one circuit for
+//! its whole life: it is built for that circuit's MNA, which fixes its
+//! sparsity pattern, so nothing keys its state on the circuit at run time.
+//! One owner holds a workspace across runs: each
+//! [`CompiledCircuit`](crate::compiled::CompiledCircuit), so a worker
+//! sweeping Monte-Carlo samples on its compiled cell performs O(1)
+//! allocations for the whole sweep. A one-shot solve
+//! ([`Circuit::transient`](crate::netlist::Circuit::transient),
+//! [`Circuit::dc_op`](crate::netlist::Circuit::dc_op)) builds one of its own
+//! and drops it on return.
 
 use crate::dc::max_abs;
 use crate::latency::LatencyState;
 use crate::mna::{CompanionCaps, DeviceLin, IncrementalJac, Mna, PlanJac, RecordJac};
 use crate::transient::CapTable;
-use std::cell::Cell;
 use tfet_numerics::matrix::LuWorkspace;
 use tfet_numerics::{Matrix, SparseLu, SparseMatrix};
 
@@ -60,9 +63,9 @@ pub(crate) struct SolverBufs {
     /// [`SimError::NoConvergence`]: crate::SimError::NoConvergence
     pub(crate) res_history: Vec<f64>,
     /// Sparse solver state (pattern-backed Jacobian + factorization engine),
-    /// built on first use under the sparse strategy and keyed on the MNA
-    /// pattern signature so same-topology runs reuse the symbolic analysis.
-    pub(crate) sparse: Option<SparseState>,
+    /// built with the buffers for their one circuit; its symbolic analysis
+    /// runs on the first sparse factorization and serves every later one.
+    pub(crate) sparse: SparseState,
     /// Per-transistor linearization cache for device-evaluation bypass
     /// (sparse strategy only; invalidated at every run entry and rebind).
     pub(crate) device_cache: Vec<DeviceLin>,
@@ -72,8 +75,8 @@ pub(crate) struct SolverBufs {
     /// solves never seed or overwrite bypass entries.
     pub(crate) lins: Vec<DeviceLin>,
     /// Quiescent-partition latency state, built on first sparse solve of a
-    /// circuit with registered partitions and keyed on the combined
-    /// topology + partition signature; `None` for unpartitioned circuits.
+    /// circuit with registered partitions and rebuilt only when the shard
+    /// bounds change; `None` for unpartitioned circuits.
     pub(crate) latency: Option<LatencyState>,
     /// Jacobian factorizations performed (dense or sparse; monotone).
     pub(crate) jac_refactored: u64,
@@ -102,8 +105,6 @@ pub(crate) struct SolverBufs {
 /// driving modified-Newton factorization reuse.
 #[derive(Debug)]
 pub(crate) struct SparseState {
-    /// [`Mna::pattern_signature`] of the topology this state was built for.
-    pub(crate) sig: u64,
     pub(crate) jac: SparseMatrix,
     pub(crate) lu: SparseLu,
     /// True while the stored factors correspond to a recent `gmin = 0`
@@ -134,13 +135,29 @@ pub(crate) struct SparseState {
 }
 
 /// What fixes the sequence of `(row, col)` adds [`Mna::stamp_jacobian`]
-/// makes: the circuit's [`Mna::stamp_signature`] (the pattern signature
-/// [`SparseState::sig`] does not tell a capacitor from a resistor), the
-/// companion list's layout stamp (`None` without companions, in DC) and
-/// whether g_min is stamped. The stamps' values play no part.
-type StampKey = (u64, Option<u64>, bool);
+/// makes, besides the circuit the state is built for: the companion list's
+/// layout stamp (`None` without companions, in DC) and whether g_min is
+/// stamped. The stamps' values play no part.
+type StampKey = (Option<u64>, bool);
 
 impl SparseState {
+    /// Sparse state for `mna`'s circuit: its sparsity pattern (two walks of
+    /// [`Mna::for_each_jacobian_entry`]) and the incremental split over it.
+    fn new(mna: &Mna<'_>) -> Self {
+        let pattern = mna.sparsity_pattern();
+        let inc = IncrementalJac::build(mna, &pattern);
+        SparseState {
+            jac: SparseMatrix::new(pattern),
+            lu: SparseLu::new(),
+            factor_valid: false,
+            inc,
+            stale: JacStale::No,
+            composed: false,
+            plan: Vec::new(),
+            plan_key: None,
+        }
+    }
+
     /// Runs the symbolic analysis on the up-to-date Jacobian, written into
     /// `jac` first when it lives in `inc.composed`.
     fn analyze(&mut self) -> Result<(), tfet_numerics::matrix::SolveError> {
@@ -184,8 +201,10 @@ pub(crate) struct JacSource<'a, 'c> {
     pub(crate) bypass: bool,
 }
 
-impl Default for SolverBufs {
-    fn default() -> Self {
+impl SolverBufs {
+    /// Empty buffers for solves of `mna`'s circuit, its sparse state built
+    /// now ([`SparseState::new`]); every other buffer is sized on first use.
+    pub(crate) fn new(mna: &Mna<'_>) -> Self {
         SolverBufs {
             j: Matrix::zeros(0, 0),
             f: Vec::new(),
@@ -196,7 +215,7 @@ impl Default for SolverBufs {
             newton_solves: 0,
             newton_iters: 0,
             res_history: Vec::new(),
-            sparse: None,
+            sparse: SparseState::new(mna),
             device_cache: Vec::new(),
             lins: Vec::new(),
             latency: None,
@@ -211,9 +230,7 @@ impl Default for SolverBufs {
             guard_refreshes: 0,
         }
     }
-}
 
-impl SolverBufs {
     /// Sizes every buffer but the dense Jacobian ([`Self::ensure_dense`])
     /// for an `n`-unknown system with `devices` transistors; a no-op when
     /// already at that size.
@@ -246,64 +263,36 @@ impl SolverBufs {
     /// linearizations (the latency tier's included) and the modified-Newton
     /// factor validity. Called at every run/DC entry and on parameter
     /// rebinds, so stale operating points or factors can never leak across
-    /// runs or circuits.
+    /// runs or bindings.
     pub(crate) fn invalidate_caches(&mut self) {
         for e in &mut self.device_cache {
             e.valid = false;
         }
-        if let Some(s) = &mut self.sparse {
-            s.factor_valid = false;
-        }
+        self.sparse.factor_valid = false;
         if let Some(l) = &mut self.latency {
             l.invalidate();
         }
     }
 
-    /// Ensures sparse state matching `mna`'s topology exists, building the
-    /// pattern (allocating) only when the signature changed. Same-topology
-    /// runs — every sweep and Monte-Carlo loop — keep their symbolic
-    /// analysis; the check itself reads the signature `mna` memoised, so
-    /// every solve after an analysis's first costs one comparison.
-    pub(crate) fn ensure_sparse(&mut self, mna: &Mna<'_>) {
-        let sig = mna.pattern_signature();
-        if self.sparse.as_ref().is_some_and(|s| s.sig == sig) {
-            return;
-        }
-        let pattern = mna.sparsity_pattern();
-        let inc = IncrementalJac::build(mna, &pattern);
-        self.sparse = Some(SparseState {
-            sig,
-            jac: SparseMatrix::new(pattern),
-            lu: SparseLu::new(),
-            factor_valid: false,
-            inc,
-            stale: JacStale::No,
-            composed: false,
-            plan: Vec::new(),
-            plan_key: None,
-        });
-    }
-
-    /// Ensures latency-tier state matching `mna`'s circuit exists: `None`
-    /// when the circuit registered no partitions (the overwhelmingly common
-    /// case — a cheap emptiness check and no allocation), otherwise built
-    /// or rebuilt only when the combined topology + partition signature or
-    /// the sharding changed — one shard per chunk of the analysis's helper
-    /// pool, one without a pool — so same-topology runs (sweeps, bisection
-    /// searches) keep their state across solves.
+    /// Ensures latency-tier state for `mna`'s circuit exists: `None` when
+    /// the circuit registered no partitions (the overwhelmingly common case
+    /// — a cheap emptiness check and no allocation), otherwise built or
+    /// rebuilt only when the sharding changed — one shard per chunk of the
+    /// analysis's helper pool, one without a pool, and the assembly thread
+    /// count may change between runs — so runs at one count (sweeps,
+    /// bisection searches) keep their state across solves.
     pub(crate) fn ensure_latency(&mut self, mna: &Mna<'_>) {
         let circuit = mna.circuit();
         if circuit.latency_partitions().is_empty() {
             self.latency = None;
             return;
         }
-        let sig = mna.partition_signature();
         let serial = [0, circuit.transistors().len()];
         let bounds = mna.pool().map_or(&serial[..], |p| &p.devices);
-        if self.latency.as_ref().is_some_and(|l| l.fits(sig, bounds)) {
+        if self.latency.as_ref().is_some_and(|l| l.fits(bounds)) {
             return;
         }
-        self.latency = Some(LatencyState::build(circuit, sig, bounds));
+        self.latency = Some(LatencyState::build(circuit, bounds));
     }
 
     /// Brings [`SparseState::jac`] up to date with the latest assembly of
@@ -311,7 +300,7 @@ impl SolverBufs {
     /// `x` nor the linearizations changed since that assembly, so the
     /// result is the Jacobian an eager assembly would have written.
     pub(crate) fn fresh_jacobian(&mut self, src: &JacSource<'_, '_>) {
-        let s = self.sparse.as_mut().expect("sparse state prepared");
+        let s = &mut self.sparse;
         match std::mem::replace(&mut s.stale, JacStale::No) {
             JacStale::No => {}
             JacStale::Compose => {
@@ -325,11 +314,7 @@ impl SolverBufs {
                     &self.lins
                 };
                 let (mna, gmin, caps) = (src.mna, src.gmin, src.caps);
-                let key = (
-                    mna.stamp_signature(),
-                    caps.map(CompanionCaps::layout),
-                    gmin > 0.0,
-                );
+                let key = (caps.map(CompanionCaps::layout), gmin > 0.0);
                 if s.plan_key == Some(key) {
                     let mut j = PlanJac {
                         jac: &mut s.jac,
@@ -376,7 +361,7 @@ impl SolverBufs {
         // report's `work` section for the same reason.
         let _span = tfet_obs::span("refactor");
         let mut analyses = 0u64;
-        let s = self.sparse.as_mut().expect("sparse state prepared");
+        let s = &mut self.sparse;
         let r = if !s.lu.is_analyzed() {
             analyses += 1;
             s.analyze()
@@ -415,7 +400,7 @@ impl SolverBufs {
     /// check catches exactly that and forces a refactorization.
     pub(crate) fn sparse_update_consistent(&mut self, src: &JacSource<'_, '_>) -> bool {
         self.fresh_jacobian(src);
-        let s = self.sparse.as_ref().expect("sparse state prepared");
+        let s = &self.sparse;
         if s.composed {
             let composed = &s.inc.composed;
             (s.jac.pattern()).mul_vec_with(|k| composed.get(k), &self.dx, &mut self.scratch);
@@ -480,16 +465,14 @@ impl StepTrace {
     }
 }
 
-/// Reusable scratch space for DC and transient solves.
+/// Reusable scratch space for the DC and transient solves of one circuit.
 ///
 /// All buffers grow on first use and are retained across calls, so repeated
-/// solves of same-sized circuits — the shape of every sweep and Monte-Carlo
-/// loop in this workspace — run allocation-free after warm-up.
-///
-/// [`Circuit::transient`](crate::netlist::Circuit::transient) borrows a
-/// thread-local workspace transparently; a
-/// [`CompiledCircuit`](crate::compiled::CompiledCircuit) owns one.
-#[derive(Debug, Default)]
+/// solves of the circuit — the shape of every sweep and Monte-Carlo loop in
+/// this workspace — run allocation-free after warm-up. A
+/// [`CompiledCircuit`](crate::compiled::CompiledCircuit) owns one for its
+/// whole life; a one-shot solve builds one and drops it.
+#[derive(Debug)]
 pub(crate) struct NewtonWorkspace {
     pub(crate) bufs: SolverBufs,
     /// Snapshot of the initial guess that the g_min ladder anchors to.
@@ -511,42 +494,35 @@ pub(crate) struct NewtonWorkspace {
     pub(crate) step_trace: StepTrace,
 }
 
-thread_local! {
-    /// Per-thread workspace shared by every solve on this thread. Stored in
-    /// a `Cell<Option<…>>` and *taken* for the duration of a solve: if a
-    /// solve re-enters (a transient whose initial state runs a DC solve
-    /// through the public API), the inner call finds the slot empty and
-    /// works on a fresh temporary instead of aliasing the outer buffers.
-    static WORKSPACE: Cell<Option<Box<NewtonWorkspace>>> = const { Cell::new(None) };
-}
-
-/// Runs `f` with this thread's reusable workspace.
-pub(crate) fn with_workspace<R>(f: impl FnOnce(&mut NewtonWorkspace) -> R) -> R {
-    WORKSPACE.with(|slot| {
-        let mut ws = slot.take().unwrap_or_default();
-        let out = f(&mut ws);
-        slot.set(Some(ws));
-        out
-    })
+impl NewtonWorkspace {
+    /// A workspace for the solves of `mna`'s circuit, and of no other
+    /// ([`SolverBufs::new`]).
+    pub(crate) fn new(mna: &Mna<'_>) -> Self {
+        NewtonWorkspace {
+            bufs: SolverBufs::new(mna),
+            anchor: Vec::new(),
+            companions: CompanionCaps::default(),
+            caps: CapTable::default(),
+            x_coarse: Vec::new(),
+            x_fine: Vec::new(),
+            breakpoints: Vec::new(),
+            step_trace: StepTrace::default(),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::latency::{partition_signature, CellPartition, DeviceLatency, GuardKind};
-    use crate::mna::tests::SIGNATURES_COMPUTED;
     use crate::netlist::{Circuit, NodeId};
-    use crate::probe::TransientResult;
     use crate::transient::{InitialState, TransientSpec};
     use crate::waveform::Waveform;
     use crate::SolverStrategy;
     use std::sync::Arc;
     use tfet_devices::{NTfet, PTfet};
 
-    /// A TFET latch written through a resistor from a pulsed source, its
-    /// four devices in partitions `parts`; `extra` adds an RC tail (a
-    /// different topology).
-    fn latch(parts: &[&[usize]], extra: bool) -> Circuit {
+    /// A TFET latch written through a resistor from a pulsed source.
+    fn latch() -> Circuit {
         let mut c = Circuit::new();
         let vdd = c.node("vdd");
         let q = c.node("q");
@@ -566,179 +542,7 @@ mod tests {
         c.resistor(d, q, 20e3);
         c.capacitor(q, Circuit::GND, 1e-15);
         c.capacitor(qb, Circuit::GND, 1e-15);
-        if extra {
-            let x = c.node("x");
-            c.resistor(q, x, 1e4);
-            c.capacitor(x, Circuit::GND, 1e-15);
-        }
-        c.set_latency_partitions(
-            parts
-                .iter()
-                .map(|devices| CellPartition {
-                    devices: devices.to_vec(),
-                    watch: vec![q, qb],
-                    guard: vec![vdd, d],
-                    guard_kinds: vec![GuardKind::Rail, GuardKind::Other],
-                })
-                .collect(),
-        );
         c
-    }
-
-    fn assert_bit_identical(a: &TransientResult, b: &TransientResult, n_nodes: usize) {
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(a.times()), bits(b.times()));
-        for i in 0..n_nodes {
-            assert_eq!(
-                bits(&a.trace(NodeId(i))),
-                bits(&b.trace(NodeId(i))),
-                "node {i}"
-            );
-        }
-        assert_eq!(a.stats, b.stats);
-        assert_eq!(a.partitions, b.partitions);
-    }
-
-    #[test]
-    fn signature_memo_cannot_go_stale_across_circuits() {
-        let a = latch(&[&[0, 1, 2, 3]], false);
-        let b = latch(&[&[0, 1, 2, 3]], true);
-        let a_split = latch(&[&[0, 1], &[2, 3]], false);
-        let spec = TransientSpec::fixed(0.4e-9, 4e-12)
-            .with_solver(SolverStrategy::Sparse)
-            .with_device_latency(DeviceLatency::On);
-        let q = a.find_node("q").unwrap();
-        let init = InitialState::Uic(vec![(q, 0.8)]);
-        let mut ws = NewtonWorkspace::default();
-        let mut last_sigs = None;
-        for (name, c) in [("A", &a), ("B", &b), ("A", &a), ("A split", &a_split)] {
-            let analyses0 = ws.bufs.sparse_analyses;
-            let computed0 = SIGNATURES_COMPUTED.with(Cell::get);
-            let shared = c
-                .transient_recorded(&spec, &init, &[], None, &mut ws)
-                .unwrap();
-            assert_eq!(
-                SIGNATURES_COMPUTED.with(Cell::get) - computed0,
-                1,
-                "{name}: one pattern walk per run"
-            );
-            assert!(
-                shared.stats.newton_solves > 50,
-                "{name}: {:?}",
-                shared.stats
-            );
-
-            // The workspace now holds state keyed on this circuit, and the
-            // memoised keys equal a fresh computation.
-            let mna = Mna::new(c).unwrap();
-            let sigs = (mna.pattern_signature(), mna.partition_signature());
-            assert_eq!(sigs.0, mna.compute_pattern_signature(), "{name}");
-            assert_eq!(
-                sigs.1,
-                partition_signature(sigs.0, c.latency_partitions()),
-                "{name}"
-            );
-            assert_eq!(ws.bufs.sparse.as_ref().unwrap().sig, sigs.0, "{name}");
-            assert_eq!(ws.bufs.latency.as_ref().unwrap().sig, sigs.1, "{name}");
-            // Every switch rebuilds: a new pattern re-analyses the sparse
-            // LU; a new partition set alone keeps the pattern's analysis.
-            if let Some((pattern, part)) = last_sigs {
-                assert_ne!(part, sigs.1, "{name}: latency state rebuilt");
-                if pattern != sigs.0 {
-                    assert!(ws.bufs.sparse_analyses > analyses0, "{name}: re-analysed");
-                }
-            }
-            last_sigs = Some(sigs);
-
-            let fresh = c
-                .transient_recorded(&spec, &init, &[], None, &mut NewtonWorkspace::default())
-                .unwrap();
-            assert_bit_identical(&shared, &fresh, c.node_count());
-        }
-    }
-
-    /// A TFET pulled up through a resistor and switched by a pulsed gate,
-    /// with an RC tail off its drain, in one latency partition. Its four
-    /// capacitor branches (the tail capacitor, then the device's gs, gd and
-    /// db) match its four non-ground nodes, so the UIC hold list and the
-    /// capacitor table have the same length. `bridged` hangs the tail
-    /// capacitor from the drain instead of ground: as many branches, on
-    /// different node pairs.
-    fn switched_load(bridged: bool) -> Circuit {
-        let mut c = Circuit::new();
-        let vdd = c.node("vdd");
-        let gate = c.node("in");
-        let a = c.node("a");
-        let x = c.node("x");
-        c.vsource("VDD", vdd, Circuit::GND, Waveform::dc(0.8));
-        c.vsource(
-            "VIN",
-            gate,
-            Circuit::GND,
-            Waveform::pulse(0.0, 0.8, 0.1e-9, 0.2e-9, 20e-12),
-        );
-        c.resistor(vdd, a, 50e3);
-        c.resistor(a, x, 20e3);
-        c.capacitor(x, if bridged { a } else { Circuit::GND }, 1e-15);
-        c.transistor("MN", Arc::new(NTfet::nominal()), a, gate, Circuit::GND, 0.1);
-        c.set_latency_partitions(vec![CellPartition {
-            devices: vec![0],
-            watch: vec![a, x],
-            guard: vec![vdd, gate],
-            guard_kinds: vec![GuardKind::Rail, GuardKind::Other],
-        }]);
-        c
-    }
-
-    /// The capacitor table's companion list is laid out once per run, and
-    /// the incremental Jacobian recomputes its companion slots only when the
-    /// list's layout stamp changes. The stamp must never let slots computed
-    /// for one branch list serve another: one workspace runs circuit A,
-    /// circuit B (as many capacitor branches, on different node pairs) and
-    /// A again — each run a UIC hold solve over as many branches, then the
-    /// steps. Every run must leave the residual and the composed Jacobian
-    /// of a fresh workspace's run, bit for bit, and a linear part equal to
-    /// one built from scratch for the final companion list.
-    #[test]
-    fn layout_stamp_cannot_go_stale_across_circuits() {
-        let a = switched_load(false);
-        let b = switched_load(true);
-        let spec = TransientSpec::fixed(0.4e-9, 4e-12)
-            .with_solver(SolverStrategy::Sparse)
-            .with_device_latency(DeviceLatency::On);
-        let x = a.find_node("x").unwrap();
-        let init = InitialState::Uic(vec![(x, 0.3)]);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        // The latest residual and the Jacobian its incremental split composes.
-        let last_system = |ws: &NewtonWorkspace| {
-            let s = ws.bufs.sparse.as_ref().unwrap();
-            s.inc.compose(None);
-            let composed: Vec<u64> = s.inc.composed.iter().map(f64::to_bits).collect();
-            (bits(&ws.bufs.f), composed)
-        };
-        let mut ws = NewtonWorkspace::default();
-        let mut layouts = Vec::new();
-        for (name, c) in [("A", &a), ("B", &b), ("A", &a)] {
-            let shared = c
-                .transient_recorded(&spec, &init, &[], None, &mut ws)
-                .unwrap();
-            let mut fresh_ws = NewtonWorkspace::default();
-            let fresh = c
-                .transient_recorded(&spec, &init, &[], None, &mut fresh_ws)
-                .unwrap();
-            let mna = Mna::new(c).unwrap();
-            assert_eq!(ws.companions.len(), mna.voltage_count(), "{name}");
-            assert_bit_identical(&shared, &fresh, c.node_count());
-            assert_eq!(last_system(&ws), last_system(&fresh_ws), "{name}");
-            let s = ws.bufs.sparse.as_ref().unwrap();
-            assert!(
-                s.inc
-                    .linear_part_is_fresh(&mna, &ws.companions, s.jac.pattern()),
-                "{name}: stale companion slots"
-            );
-            layouts.push(ws.companions.layout());
-        }
-        assert!(layouts.windows(2).all(|w| w[0] != w[1]), "{layouts:?}");
     }
 
     /// A deferred Jacobian — the residual pass now, the Jacobian pass only
@@ -764,7 +568,7 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         // (circuit, the node moved outside the bypass window)
-        for (c, moved) in [(latch(&[], false), "vdd"), (deck.circuit, "bl")] {
+        for (c, moved) in [(latch(), "vdd"), (deck.circuit, "bl")] {
             let mna = Mna::new(&c).unwrap();
             let (n, n_v) = (mna.unknown_count(), mna.voltage_count());
             let caps = CompanionCaps::from_branches(
@@ -773,9 +577,8 @@ mod tests {
             let x0: Vec<f64> = (0..n)
                 .map(|k| if k < n_v { 0.05 * k as f64 } else { 1e-6 })
                 .collect();
-            let mut bufs = SolverBufs::default();
+            let mut bufs = SolverBufs::new(&mna);
             bufs.ensure(n, c.transistors().len());
-            bufs.ensure_sparse(&mna);
             let moved = c.find_node(moved).unwrap().index() - 1;
             let x: Vec<f64> = x0
                 .iter()
@@ -796,8 +599,7 @@ mod tests {
                     &mut bufs.device_cache,
                     true,
                 );
-                let s = bufs.sparse.as_ref().unwrap();
-                let mut eager_jac = SparseMatrix::new(s.jac.pattern().clone());
+                let mut eager_jac = SparseMatrix::new(bufs.sparse.jac.pattern().clone());
                 let mut eager_f = vec![0.0; n];
                 let mut eager_cache = bufs.device_cache.clone();
                 let eager = mna.assemble_into(
@@ -823,7 +625,7 @@ mod tests {
                     &mut bufs.device_cache,
                     true,
                 );
-                let s = bufs.sparse.as_mut().unwrap();
+                let s = &mut bufs.sparse;
                 s.jac.values_mut().fill(f64::NAN);
                 s.stale = JacStale::Stamp;
                 let src = JacSource {
@@ -833,7 +635,7 @@ mod tests {
                     bypass: true,
                 };
                 bufs.fresh_jacobian(&src);
-                let s = bufs.sparse.as_mut().unwrap();
+                let s = &mut bufs.sparse;
                 assert_eq!(s.stale, JacStale::No);
                 assert_eq!(deferred, eager);
                 assert_eq!(bits(&bufs.f), bits(&eager_f));
@@ -842,7 +644,7 @@ mod tests {
                 // A fresh Jacobian is not stamped again.
                 s.jac.values_mut()[0] = f64::NAN;
                 bufs.fresh_jacobian(&src);
-                assert!(bufs.sparse.as_ref().unwrap().jac.values()[0].is_nan());
+                assert!(bufs.sparse.jac.values()[0].is_nan());
             }
         }
     }
@@ -860,7 +662,6 @@ mod tests {
     ) -> bool {
         let (n, n_v) = (mna.unknown_count(), mna.voltage_count());
         bufs.ensure(n, mna.circuit().transistors().len());
-        bufs.ensure_sparse(mna);
         let x: Vec<f64> = (0..n)
             .map(|i| {
                 if i < n_v {
@@ -880,7 +681,7 @@ mod tests {
             &mut bufs.lins,
             false,
         );
-        let s = bufs.sparse.as_mut().unwrap();
+        let s = &mut bufs.sparse;
         let key = s.plan_key;
         s.jac.values_mut().fill(f64::NAN);
         s.stale = JacStale::Stamp;
@@ -891,7 +692,7 @@ mod tests {
             bypass: false,
         };
         bufs.fresh_jacobian(&src);
-        let s = bufs.sparse.as_ref().unwrap();
+        let s = &bufs.sparse;
         assert!(s.plan_key.is_some());
         let mut searched = SparseMatrix::new(s.jac.pattern().clone());
         mna.stamp_jacobian(gmin, caps, &bufs.lins, &mut searched);
@@ -912,7 +713,7 @@ mod tests {
             &tfet_devices::standard_models(),
         )
         .unwrap();
-        for c in [latch(&[], false), deck.circuit] {
+        for c in [latch(), deck.circuit] {
             let mna = Mna::new(&c).unwrap();
             let n_v = mna.voltage_count();
             // The hold list pins every node to ground, as the transient's
@@ -936,7 +737,7 @@ mod tests {
                 (0.0, Some(&companions)),
                 (0.0, None),
             ];
-            let mut bufs = SolverBufs::default();
+            let mut bufs = SolverBufs::new(&mna);
             for (k, &(gmin, caps)) in cases.iter().enumerate() {
                 // Record (the key changed), then replay at another bias.
                 for pass in 0..2 {
@@ -947,43 +748,10 @@ mod tests {
         }
     }
 
-    /// The pattern signature does not tell a capacitor from a resistor on
-    /// the same nodes, so two circuits that differ only so share one sparse
-    /// state — but not one stamp plan: their DC passes make 7 and 8 adds.
-    /// One set of buffers stamps each circuit's Jacobian after the other's,
-    /// in both orders, and must match the slot search bit for bit.
-    #[test]
-    fn stamp_plan_cannot_go_stale_across_circuits_of_one_pattern() {
-        let divider = |tail_is_resistor: bool| {
-            let mut c = Circuit::new();
-            let a = c.node("a");
-            let b = c.node("b");
-            c.vsource("V1", a, Circuit::GND, Waveform::dc(0.8));
-            c.resistor(a, b, 1e3);
-            c.resistor(b, Circuit::GND, 2e3);
-            if tail_is_resistor {
-                c.resistor(b, Circuit::GND, 4e3);
-            } else {
-                c.capacitor(b, Circuit::GND, 1e-15);
-            }
-            c
-        };
-        let (with_cap, with_res) = (divider(false), divider(true));
-        let (a, b) = (Mna::new(&with_cap).unwrap(), Mna::new(&with_res).unwrap());
-        assert_eq!(a.pattern_signature(), b.pattern_signature());
-        assert_ne!(a.stamp_signature(), b.stamp_signature());
-        for order in [[&a, &b], [&b, &a]] {
-            let mut bufs = SolverBufs::default();
-            for (k, mna) in order.into_iter().chain(order).enumerate() {
-                assert!(!planned_pass(&mut bufs, mna, 0.0, None, 0), "switch {k}");
-                assert!(planned_pass(&mut bufs, mna, 0.0, None, 1), "switch {k}");
-            }
-        }
-    }
-
     #[test]
     fn ensure_is_idempotent_at_fixed_size() {
-        let mut bufs = SolverBufs::default();
+        let c = latch();
+        let mut bufs = SolverBufs::new(&Mna::new(&c).unwrap());
         bufs.ensure(5, 3);
         let ptrs = (
             bufs.f.as_ptr(),
@@ -1009,12 +777,12 @@ mod tests {
     /// it empty, and a dense solve of the same circuit sizes it.
     #[test]
     fn only_the_dense_path_sizes_the_dense_jacobian() {
-        let c = latch(&[], false);
+        let c = latch();
         let n = Mna::new(&c).unwrap().unknown_count();
         let q = c.find_node("q").unwrap();
         let init = InitialState::Uic(vec![(q, 0.8)]);
         let spec = TransientSpec::fixed(0.2e-9, 4e-12);
-        let mut ws = NewtonWorkspace::default();
+        let mut ws = NewtonWorkspace::new(&Mna::new(&c).unwrap());
         c.transient_recorded(
             &spec.with_solver(SolverStrategy::Sparse),
             &init,
@@ -1037,21 +805,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_local_workspace_is_reentrant() {
-        with_workspace(|outer| {
-            outer.bufs.ensure(4, 0);
-            let outer_ptr = outer.bufs.f.as_ptr();
-            // A nested borrow must get a distinct workspace, not panic or
-            // alias the outer one.
-            with_workspace(|inner| {
-                inner.bufs.ensure(4, 0);
-                assert_ne!(inner.bufs.f.as_ptr(), outer_ptr);
-            });
-            outer.bufs.f[0] = 1.0;
-        });
-    }
-
-    #[test]
     fn step_trace_wraps_and_keeps_chronological_order() {
         let mut tr = StepTrace::default();
         assert!(tr.to_vec().is_empty());
@@ -1069,15 +822,5 @@ mod tests {
         assert_eq!(v[STEP_TRACE_CAP - 1], ((STEP_TRACE_CAP - 1) as f64, 1.0));
         tr.clear();
         assert!(tr.to_vec().is_empty());
-    }
-
-    #[test]
-    fn thread_local_workspace_persists_across_calls() {
-        let first = with_workspace(|ws| {
-            ws.bufs.ensure(6, 0);
-            ws.bufs.f.as_ptr() as usize
-        });
-        let second = with_workspace(|ws| ws.bufs.f.as_ptr() as usize);
-        assert_eq!(first, second, "buffers must be reused between solves");
     }
 }

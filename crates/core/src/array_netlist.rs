@@ -926,15 +926,6 @@ impl ArrayNetlist {
         self.bitlines[col]
     }
 
-    /// Storage-node handles of a cell.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the address is out of range.
-    pub fn cell_nodes(&self, row: usize, col: usize) -> &CellNodes {
-        &self.cells[self.idx(row, col)]
-    }
-
     /// Rescales one cell's transistor widths in place — fault-injection
     /// scaffolding for disturb studies. A deliberately weakened cell
     /// (oversized access devices, starved pull-downs) flips under the

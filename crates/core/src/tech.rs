@@ -457,12 +457,6 @@ impl CellParams {
         self
     }
 
-    /// Sets the simulation controls (builder style).
-    pub fn with_sim(mut self, sim: SimOptions) -> Self {
-        self.sim = sim;
-        self
-    }
-
     /// Serves devices from the shared compiled-LUT corner cache instead of
     /// evaluating the analytic models directly (builder style). See
     /// [`DeviceEval::CachedLut`].

@@ -27,8 +27,9 @@ fn warm_write_counts() -> (usize, usize) {
     cell.sim.dt = 4e-12;
     let mut array = ArrayNetlist::build(ArraySpec::new(8, 8, cell)).unwrap();
 
-    // Warm-up: sizes the thread-local workspace, the sparse pattern, the
-    // latency state and every waveform binding for this operation shape.
+    // Warm-up: sizes the compiled circuit's workspace, analyses the sparse
+    // pattern and builds the latency state and every waveform binding for
+    // this operation shape.
     array.set_bit(2, 3, false);
     let w = array.write_transient(2, 3, true, 1.5e-9).unwrap();
     assert!(w.success);

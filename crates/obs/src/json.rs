@@ -108,14 +108,11 @@ impl Value {
     ///
     /// [`ParseError`] with a byte offset on malformed input.
     pub fn parse(s: &str) -> Result<Value, ParseError> {
-        let mut p = Parser {
-            bytes: s.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser { src: s, pos: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.src.len() {
             return Err(p.err("trailing data after document"));
         }
         Ok(v)
@@ -191,7 +188,8 @@ impl std::fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
+    /// Byte offset of the next unread byte.
     pos: usize,
 }
 
@@ -204,7 +202,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -223,7 +221,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, lit: &str, v: Value) -> Result<Value, ParseError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.src.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -319,9 +317,8 @@ impl Parser<'_> {
                         b't' => out.push('\t'),
                         b'u' => {
                             let hex = self
-                                .bytes
+                                .src
                                 .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("invalid \\u escape"))?;
@@ -335,12 +332,14 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 code point (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let ch = s.chars().next().unwrap();
+                    // Consume one code point. The input is a `&str` and
+                    // `pos` only ever advances by whole code points here,
+                    // so the slice is O(1): no byte past this one is read.
+                    let ch = self
+                        .src
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("invalid UTF-8 in string"))?;
                     if (ch as u32) < 0x20 {
                         return Err(self.err("unescaped control character"));
                     }
@@ -367,8 +366,7 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
+        let text = &self.src[start..self.pos];
         if !is_float {
             if let Ok(v) = text.parse::<u64>() {
                 return Ok(Value::UInt(v));
@@ -488,6 +486,22 @@ mod tests {
             assert!(!err.message.is_empty());
             let _ = err.to_string();
         }
+    }
+
+    /// Parsing is linear in the document: a 4 MB document of strings (raw
+    /// multibyte code points and escapes among them) parses well inside a
+    /// bound that a parser re-reading the rest of the document for each
+    /// code point — trillions of byte reads here — cannot meet.
+    #[test]
+    fn parse_is_linear_in_string_content() {
+        let item = Value::Str("span \u{e9}\u{2192}\u{1f600} \"q\"\n".repeat(8));
+        let doc = Value::Arr(vec![item; 24_000]).to_json();
+        assert!(doc.len() > 4_000_000, "{} bytes", doc.len());
+        let t0 = std::time::Instant::now();
+        let v = Value::parse(&doc).unwrap();
+        let took = t0.elapsed();
+        assert_eq!(v.as_arr().map(<[Value]>::len), Some(24_000));
+        assert!(took.as_secs_f64() < 5.0, "parse took {took:?}");
     }
 
     #[test]

@@ -111,11 +111,6 @@ pub fn set_timings(on: bool) {
     set_state_bit(STATE_TIMINGS, on);
 }
 
-/// Whether wall-clock span timings are being collected.
-pub fn timings_enabled() -> bool {
-    state() & STATE_TIMINGS != 0
-}
-
 /// Clears every collected metric and resets the forensics bundle sequence
 /// number. Enable flags are left as they are.
 pub fn reset() {
